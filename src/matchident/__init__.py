@@ -17,6 +17,7 @@ verdicts, and ``cli`` a small command-line front end.
 from .core import (
     CLAMP_TOL,
     MASS_TOL,
+    OPTIMALITY_TOL,
     SEPARABILITY_TOL,
     ConvergenceError,
     DegenerateRayError,
@@ -57,7 +58,6 @@ from .identify import (
     simulate_market,
 )
 from .lp import (
-    OPTIMALITY_TOL,
     REDUCED_COST_TOL,
     LpSolution,
     is_discriminating,
@@ -71,6 +71,7 @@ from .polytope import (
     contains,
     dimension,
     enumerate_vertices,
+    face_normal,
     gauge,
     is_boundary,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "MASS_TOL",
     "CLAMP_TOL",
     "SEPARABILITY_TOL",
+    "OPTIMALITY_TOL",
     "MarketError",
     "ValidationError",
     "NotInPolytopeError",
@@ -109,10 +111,10 @@ __all__ = [
     "contains",
     "enumerate_vertices",
     "gauge",
+    "face_normal",
     "is_boundary",
     # lp
     "REDUCED_COST_TOL",
-    "OPTIMALITY_TOL",
     "LpSolution",
     "maximize_surplus",
     "is_maximizer",

@@ -32,7 +32,6 @@ import numpy as np
 from .core import (
     ConvergenceError,
     DegenerateRayError,
-    InstanceTooLargeError,
     KinkPointError,
     Margins,
     Matching,
@@ -100,33 +99,29 @@ def _print_error(code: str, message: str, extra: dict | None = None) -> None:
     _print_json(document)
 
 
-def _parse_csv_row(line: str, path: Path) -> list[float]:
+def _read_csv_rows(path: Path, name: str) -> list[list[float]]:
+    lines = [line for line in path.read_text().splitlines() if line.strip()]
     try:
-        return [float(token) for token in line.split(",")]
+        return [[float(token) for token in line.split(",")] for line in lines]
     except ValueError as exc:
-        raise ValidationError(f"{path}: could not parse number: {exc}") from None
+        raise ValidationError(f"{path}: could not parse {name}: {exc}") from None
 
 
 def _load_market_data(path: Path, matrix_slot: str) -> dict:
     if not path.exists():
         raise ValidationError(f"input file not found: {path}")
     if path.suffix.lower() == ".csv":
-        matrix = np.loadtxt(path, delimiter=",", ndmin=2)
         sidecar = path.with_suffix(".margins.csv")
         if not sidecar.exists():
             raise ValidationError(
                 f"CSV input needs a margins sidecar, expected {sidecar}"
             )
-        rows = [line for line in sidecar.read_text().splitlines() if line.strip()]
+        rows = _read_csv_rows(sidecar, "margins")
         if len(rows) != 2:
             raise ValidationError(
                 f"{sidecar}: expected exactly two rows (p then q), got {len(rows)}"
             )
-        return {
-            "p": _parse_csv_row(rows[0], sidecar),
-            "q": _parse_csv_row(rows[1], sidecar),
-            matrix_slot: matrix.tolist(),
-        }
+        return {"p": rows[0], "q": rows[1], matrix_slot: _read_csv_rows(path, matrix_slot)}
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -412,9 +407,6 @@ def main(argv: list[str] | None = None) -> int:
             {"iterations": exc.iterations, "residual": exc.residual},
         )
         return EXIT_NUMERIC
-    except InstanceTooLargeError as exc:
-        _print_error("instance-too-large", str(exc))
-        return EXIT_INPUT
     except ValidationError as exc:
         _print_error("invalid-input", str(exc))
         return EXIT_INPUT

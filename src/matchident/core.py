@@ -24,6 +24,7 @@ __all__ = [
     "MASS_TOL",
     "CLAMP_TOL",
     "SEPARABILITY_TOL",
+    "OPTIMALITY_TOL",
     "MarketError",
     "ValidationError",
     "NotInPolytopeError",
@@ -54,6 +55,9 @@ CLAMP_TOL = 1e-12
 #: A surplus counts as nonseparable when its doubly centered residual has
 #: an entry larger than this in absolute value.
 SEPARABILITY_TOL = 1e-10
+
+#: Slack allowed when comparing a candidate value against the true maximum.
+OPTIMALITY_TOL = 1e-8
 
 
 class MarketError(Exception):
@@ -112,8 +116,15 @@ class InstanceTooLargeError(MarketError):
     """Exhaustive enumeration requested above the hard size guard."""
 
 
+def _float_array(name: str, values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} is not a numeric array: {exc}") from None
+
+
 def _validated_vector(name: str, values, min_len: int) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = _float_array(name, values)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size < min_len:
@@ -188,7 +199,7 @@ class Matching:
     tol: InitVar[float] = MASS_TOL
 
     def __post_init__(self, tol: float) -> None:
-        mu = np.array(self.mu, dtype=float)
+        mu = _float_array("mu", self.mu)
         if mu.ndim != 2:
             raise ValidationError(f"mu must be a matrix, got shape {mu.shape}")
         if mu.shape != self.margins.shape:
@@ -238,7 +249,7 @@ class Surplus:
     phi: np.ndarray
 
     def __post_init__(self) -> None:
-        phi = np.array(self.phi, dtype=float)
+        phi = _float_array("phi", self.phi)
         if phi.ndim != 2:
             raise ValidationError(f"phi must be a matrix, got shape {phi.shape}")
         if not np.all(np.isfinite(phi)):
@@ -271,7 +282,7 @@ class SeparableParts:
     def __post_init__(self) -> None:
         f = _validated_vector("f", self.f, 1)
         g = _validated_vector("g", self.g, 1)
-        residual = np.array(self.residual, dtype=float)
+        residual = _float_array("residual", self.residual)
         if residual.shape != (f.size, g.size):
             raise ValidationError(
                 f"residual shape {residual.shape} does not match f/g sizes"

@@ -204,10 +204,8 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     factor times the normalized indicator of the binding boundary face.
     """
     if model.kind == "gauge":
-        from .identify import rationalize_gauge
-
-        _, identified = rationalize_gauge(mu)
-        return identified.phi_raw
+        ray = polytope.gauge(mu)
+        return Surplus(ray.t_star * polytope.face_normal(mu, ray))
     if mu.mu.min() <= _INTERIOR_TOL:
         cell = np.unravel_index(np.argmin(mu.mu), mu.mu.shape)
         raise NonInteriorError(

@@ -5,7 +5,8 @@ some nonseparable surplus matrix.  Geometrically this happens exactly when
 the matching sits on the boundary of the matching polytope: an interior
 matching is optimal only for separable surpluses, which value every
 matching the same.  ``check_rationalizable`` returns the verdict together
-with an explicit witness surplus and the verification results.
+with an explicit witness surplus and the verification results; optimality
+is verified by a closed-form dual certificate, never by solving the LP.
 
 When a point verdict is too brittle (real data never sits exactly on a
 face), identification proceeds through an entropy: the observed matching
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    CLAMP_TOL,
+    OPTIMALITY_TOL,
+    DegenerateRayError,
     Margins,
-    MarketError,
     Matching,
     Surplus,
     ValidationError,
@@ -34,8 +35,7 @@ from .core import (
     is_nonseparable,
 )
 from .entropy import EntropyModel, grad_entropy, solve_regularized
-from .lp import is_maximizer
-from .polytope import GaugeResult, gauge, is_boundary
+from .polytope import GaugeResult, face_normal, gauge, is_boundary
 
 __all__ = [
     "WITNESS_ZERO_TOL",
@@ -56,8 +56,8 @@ WITNESS_ZERO_TOL = 1e-12
 class RationalizabilityChecks:
     """Individual verification results backing a rationalizability verdict.
 
-    ``boundary`` is the geometric test; ``maximizer`` records that the
-    observed matching attains the LP maximum under the witness surplus;
+    ``boundary`` is the geometric test; ``maximizer`` records that the dual
+    potentials ``f = g = 0`` prove the observation optimal under the witness;
     ``nonseparable`` that the witness actually discriminates.  For a
     rationalizable matching all three hold; for an interior one all fail
     (there is no witness to verify).
@@ -113,6 +113,13 @@ class IdentifiedSurplus:
     diagnostics: dict[str, float]
 
 
+def _certifies(phi: np.ndarray, mu: Matching) -> bool:
+    """Whether the dual potentials ``f = g = 0`` prove ``mu`` optimal for ``phi``:
+    they are feasible when ``phi <= 0``, and the duality gap is ``-<mu, phi>``.
+    """
+    return bool(phi.max() <= 0.0 and np.sum(mu.mu * phi) >= -OPTIMALITY_TOL)
+
+
 def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     """Decide whether an observed matching is rationalizable, with proof.
 
@@ -120,17 +127,16 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     is constructed: the surplus equal to -1 on the unmatched cells (mass at
     most ``WITNESS_ZERO_TOL``) and 0 elsewhere.  Any feasible matching
     scores at most 0 against it and the observation attains 0, so the
-    observation is optimal; the report also records the LP verification of
-    that optimality and the nonseparability of the witness.
+    observation is optimal; the report records that dual certificate and
+    the nonseparability of the witness.
     """
     margins = mu_hat.margins
     boundary = is_boundary(mu_hat)
-    bary = np.outer(margins.p, margins.q)
-    if np.abs(mu_hat.mu - bary).max() <= CLAMP_TOL:
-        t_star, mu_star = None, None
-    else:
+    try:
         ray = gauge(mu_hat)
         t_star, mu_star = ray.t_star, ray.mu_star
+    except DegenerateRayError:
+        t_star, mu_star = None, None
     if not boundary:
         return RationalizabilityReport(
             rationalizable=False,
@@ -142,7 +148,7 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     witness = Surplus(np.where(mu_hat.mu <= WITNESS_ZERO_TOL, -1.0, 0.0))
     checks = RationalizabilityChecks(
         boundary=True,
-        maximizer=is_maximizer(witness, mu_hat),
+        maximizer=_certifies(witness.phi, mu_hat),
         nonseparable=is_nonseparable(witness, margins),
     )
     return RationalizabilityReport(
@@ -161,33 +167,23 @@ def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]
     stretch ``t_star`` on the face where the binding cells hit zero.  The
     face normal, scaled so that its inner product with the ray direction
     ``mu_hat - bary`` is one, is a surplus ``phi_star`` for which the exit
-    point ``mu_star`` is optimal; ``t_star * phi_star`` is then the
-    gradient representative of the gauge entropy at ``mu_hat``.  A boundary
-    observation is its own exit point (``t_star = 1``).
+    point ``mu_star`` is optimal (with dual certificate ``f = g = 0``);
+    ``t_star * phi_star`` is then the gradient representative of the gauge
+    entropy at ``mu_hat``.  A boundary observation is its own exit point
+    (``t_star = 1``).
 
     Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter.
     """
     margins = mu_hat.margins
     ray = gauge(mu_hat)
-    bary = np.outer(margins.p, margins.q)
-    indicator = np.zeros(mu_hat.mu.shape)
-    for x, y in ray.binding_cells:
-        indicator[x, y] = 1.0
-    direction = mu_hat.mu - bary
-    normalizer = float(np.sum(indicator * direction))
-    if normalizer >= 0.0:
-        # Binding cells shrink along the ray by construction, so this
-        # can only happen through an internal error.
-        raise MarketError(
-            f"degenerate binding-face normalization ({normalizer!r})"
-        )
-    phi_star = Surplus(indicator / normalizer + 0.0)  # + 0.0 clears negative zeros
+    phi_star = Surplus(face_normal(mu_hat, ray))
     phi_raw = Surplus(ray.t_star * phi_star.phi)
     parts = decompose_separable(phi_raw, margins)
+    direction = mu_hat.mu - np.outer(margins.p, margins.q)
     diagnostics = {
         "t_star": ray.t_star,
         "normalization": float(np.sum(phi_star.phi * direction)),
-        "maximizer_verified": float(is_maximizer(phi_star, ray.mu_star)),
+        "maximizer_verified": float(_certifies(phi_star.phi, ray.mu_star)),
         "nonseparable": float(is_nonseparable(phi_raw, margins)),
     }
     identified = IdentifiedSurplus(
@@ -197,17 +193,6 @@ def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]
         diagnostics=diagnostics,
     )
     return ray, identified
-
-
-def _log_cross_differences(mu: np.ndarray) -> np.ndarray:
-    """All ``log mu[x,y] + log mu[x',y'] - log mu[x,y'] - log mu[x',y]``."""
-    lm = np.log(mu)
-    return (
-        lm[:, None, :, None]
-        + lm[None, :, None, :]
-        - lm[:, None, None, :]
-        - lm[None, :, :, None]
-    )
 
 
 def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus:
@@ -220,22 +205,31 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
     barycenter) propagate and name the offending cell.
 
     For the shannon entropy the canonical part is, equivalently, the matrix
-    of log cross-difference contrasts of the observation, and the
-    diagnostics report them directly.
+    of log cross-difference contrasts of the observation; the diagnostics
+    report the largest in magnitude (and, for 2x2, the only one).
     """
     margins = mu_hat.margins
-    phi_raw = grad_entropy(model, mu_hat)
+    if model.kind == "gauge":
+        # grad_entropy's gauge gradient, built here so t_star reuses its ray.
+        ray = gauge(mu_hat)
+        phi_raw = Surplus(ray.t_star * face_normal(mu_hat, ray))
+    else:
+        phi_raw = grad_entropy(model, mu_hat)
     parts = decompose_separable(phi_raw, margins)
     diagnostics: dict[str, float] = {
         "nonseparable": float(is_nonseparable(phi_raw, margins)),
     }
     if model.kind == "shannon":
-        crosses = _log_cross_differences(mu_hat.mu)
-        diagnostics["max_abs_cross_difference"] = float(np.abs(crosses).max())
+        # For rows x, x' the cross-differences are d[y] - d[y'] with
+        # d = lm[x] - lm[x'], so the largest in magnitude is the range of d.
+        lm = np.log(mu_hat.mu)
+        diagnostics["max_abs_cross_difference"] = max(
+            float(np.ptp(lm[x] - lm[x + 1 :], axis=1).max()) for x in range(len(lm) - 1)
+        )
         if mu_hat.mu.shape == (2, 2):
-            diagnostics["cross_difference"] = float(crosses[0, 1, 0, 1])
+            diagnostics["cross_difference"] = float(lm[0, 0] + lm[1, 1] - lm[0, 1] - lm[1, 0])
     elif model.kind == "gauge":
-        diagnostics["t_star"] = gauge(mu_hat).t_star
+        diagnostics["t_star"] = ray.t_star
     return IdentifiedSurplus(
         phi_raw=phi_raw,
         phi_canonical=Surplus(parts.residual),

@@ -9,6 +9,8 @@ fast: a northwest-corner starting basis, Bland's smallest-index pivot rule
 potentials read off the basis tree.  Reduced-cost comparisons against a
 fixed tolerance make the pivot sequence, and hence the returned vertex,
 reproducible run to run and invariant under positive rescaling of ``phi``.
+Verdicts elsewhere use closed-form certificates instead of re-solving;
+``is_maximizer`` is the brute-force oracle they are tested against.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    OPTIMALITY_TOL,
     ConvergenceError,
     Margins,
     Matching,
@@ -27,7 +30,6 @@ from .core import (
     is_nonseparable,
     total_surplus,
 )
-from .polytope import VERTEX_CELL_GUARD, enumerate_vertices
 
 __all__ = [
     "REDUCED_COST_TOL",
@@ -40,9 +42,6 @@ __all__ = [
 
 #: A nonbasic cell enters the basis only if its reduced cost exceeds this.
 REDUCED_COST_TOL = 1e-10
-
-#: Slack allowed when comparing a candidate value against the true maximum.
-OPTIMALITY_TOL = 1e-8
 
 _MAX_PIVOTS = 10_000
 
@@ -164,29 +163,31 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     pivot rule is Bland's rule on lexicographic cell order, so the solver
     terminates on degenerate instances and always returns the same vertex
     for the same input (and for any positive rescaling of the input).
+    Raises ``ConvergenceError`` if the pivot cap is reached; its residual is
+    the largest reduced cost left above ``REDUCED_COST_TOL``.
     """
     if phi.phi.shape != margins.shape:
         raise ValidationError(
             f"phi has shape {phi.phi.shape} but margins have shape {margins.shape}"
         )
-    m, n = margins.shape
+    n = margins.d_y
     cost = phi.phi
     mu, basis = _northwest_corner(margins.p, margins.q)
     basis_set = set(basis)
-    for _ in range(_MAX_PIVOTS):
+    for pivots in range(_MAX_PIVOTS + 1):
         u, v = _potentials(basis, cost)
-        entering = None
-        for x in range(m):
-            for y in range(n):
-                if (x, y) in basis_set:
-                    continue
-                if cost[x, y] - u[x] - v[y] > REDUCED_COST_TOL:
-                    entering = (x, y)
-                    break
-            if entering is not None:
-                break
-        if entering is None:
+        reduced = cost - u[:, None] - v[None, :]
+        reduced[tuple(np.transpose(basis))] = -np.inf  # zero up to rounding
+        candidates = np.flatnonzero(reduced > REDUCED_COST_TOL)
+        if candidates.size == 0:
             break
+        if pivots == _MAX_PIVOTS:
+            raise ConvergenceError(
+                f"transportation simplex did not terminate within {_MAX_PIVOTS} pivots",
+                iterations=_MAX_PIVOTS,
+                residual=float(reduced.max()),
+            )
+        entering = divmod(int(candidates[0]), n)
         plus, minus = _cycle_signs(basis, entering)
         theta = min(mu[cell] for cell in minus)
         leaving = min(cell for cell in minus if mu[cell] <= theta)
@@ -198,12 +199,6 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
         basis_set.remove(leaving)
         basis_set.add(entering)
         basis = sorted(basis_set)
-    else:
-        raise ConvergenceError(
-            f"transportation simplex did not terminate within {_MAX_PIVOTS} pivots",
-            iterations=_MAX_PIVOTS,
-        )
-    u, v = _potentials(basis, cost)
     shift = v[-1]
     solution_mu = Matching(mu, margins)
     return LpSolution(
@@ -220,28 +215,9 @@ def is_maximizer(phi: Surplus, mu: Matching, tol: float = OPTIMALITY_TOL) -> boo
     return total_surplus(mu, phi) >= solution.value - tol
 
 
-def is_discriminating(
-    phi: Surplus, margins: Margins, method: str = "auto", tol: float = OPTIMALITY_TOL
-) -> bool:
+def is_discriminating(phi: Surplus, margins: Margins) -> bool:
     """Whether some feasible matching is strictly suboptimal for ``phi``.
 
-    Equivalently: is the optimizer set a proper subset of the polytope?
-    A separable surplus values every matching identically, so the answer is
-    the nonseparability of ``phi``; for small instances the question can
-    also be settled directly by scanning the enumerated vertices (if every
-    vertex is optimal, every convex combination is too).
-
-    ``method`` is ``"vertices"``, ``"separability"``, or ``"auto"`` (vertex
-    scan when the instance is small enough, separability otherwise).
+    Exactly the nonseparable surpluses discriminate, so no LP is solved.
     """
-    if method not in ("auto", "vertices", "separability"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method == "auto":
-        method = (
-            "vertices" if margins.d_x * margins.d_y <= VERTEX_CELL_GUARD else "separability"
-        )
-    if method == "separability":
-        return is_nonseparable(phi, margins)
-    solution = maximize_surplus(phi, margins)
-    worst = min(total_surplus(v, phi) for v in enumerate_vertices(margins))
-    return worst < solution.value - tol
+    return is_nonseparable(phi, margins)

@@ -5,7 +5,8 @@ The feasible set for fixed margins, viewed as a polytope in the space of
 matrices with prescribed row and column sums.  This module provides its
 dimension, a membership test, exhaustive vertex enumeration for small
 instances, the boundary test, and the gauge construction that scales a
-matching away from the barycenter until it first hits the boundary.
+matching away from the barycenter until it first hits the boundary,
+together with the normal of the face where it does.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (
     DegenerateRayError,
     InstanceTooLargeError,
     Margins,
+    MarketError,
     Matching,
     ValidationError,
 )
@@ -34,6 +36,7 @@ __all__ = [
     "contains",
     "enumerate_vertices",
     "gauge",
+    "face_normal",
     "is_boundary",
 ]
 
@@ -217,6 +220,29 @@ def gauge(mu_hat: Matching) -> GaugeResult:
         mu_star=Matching(mu_star, margins, tol=MASS_TOL + t_star * defect),
         binding_cells=binding,
     )
+
+
+def face_normal(mu_hat: Matching, ray: GaugeResult) -> np.ndarray:
+    """Normal of the face where the gauge ray of ``mu_hat`` exits.
+
+    The indicator of ``ray.binding_cells`` scaled to inner product one with
+    the ray direction ``mu_hat - bary``: nonpositive, zero on the support of
+    ``ray.mu_star``, and ``ray.t_star`` times it is the gauge entropy's
+    gradient at ``mu_hat``.
+    """
+    margins = mu_hat.margins
+    indicator = np.zeros(mu_hat.mu.shape)
+    for x, y in ray.binding_cells:
+        indicator[x, y] = 1.0
+    direction = mu_hat.mu - np.outer(margins.p, margins.q)
+    normalizer = float(np.sum(indicator * direction))
+    if normalizer >= 0.0:
+        # Binding cells shrink along the ray by construction, so this
+        # can only happen through an internal error.
+        raise MarketError(
+            f"degenerate binding-face normalization ({normalizer!r})"
+        )
+    return indicator / normalizer + 0.0  # + 0.0 clears negative zeros
 
 
 def is_boundary(mu: Matching, tol: float = BOUNDARY_TOL) -> bool:

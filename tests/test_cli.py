@@ -20,6 +20,7 @@ from matchident import (
     contains,
     maximize_surplus,
 )
+from matchident import lp
 from matchident.cli import main
 from conftest import random_margins, random_surplus
 
@@ -134,6 +135,27 @@ class TestSolve:
         validate(document, ERROR_DOCUMENT_SCHEMA)
         assert document["error"] == "invalid-input"
         assert "phi" in document["message"]
+
+    def test_pivot_cap_reports_a_finite_residual(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lp, "_MAX_PIVOTS", 1)
+        rng = np.random.default_rng(3)
+        margins = random_margins(rng, 4, 4)
+        market = write_market(
+            tmp_path / "m.json",
+            p=margins.p.tolist(),
+            q=margins.q.tolist(),
+            phi=random_surplus(rng, 4, 4).phi.tolist(),
+        )
+        code = main(["solve", "--input", market])
+        out = capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"report holds {constant}, which is not JSON")
+
+        document = json.loads(out, parse_constant=reject)
+        assert code == 3
+        assert document["error"] == "no-convergence"
+        assert math.isfinite(document["residual"]) and document["residual"] > 0.0
 
     def test_report_can_be_written_to_a_file(self, tmp_path, capsys):
         market = write_market(
@@ -570,6 +592,15 @@ class TestCsvIngestion:
         assert "two rows" in document["message"]
 
 
+    def test_malformed_matrix_is_an_input_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "mu.csv"
+        csv_path.write_text("0.35,abc\n0.15,0.35\n")
+        (tmp_path / "mu.margins.csv").write_text("0.5,0.5\n0.5,0.5\n")
+        code, document = run_json(capsys, ["check", "--input", str(csv_path)])
+        assert code == 2
+        assert "could not parse mu" in document["message"]
+
+
 class TestInputErrors:
     def test_missing_file(self, tmp_path, capsys):
         code, document = run_json(
@@ -600,12 +631,17 @@ class TestInputErrors:
         assert "mu" in document["message"]
 
     def test_margin_value_violations_name_the_constraint(self, tmp_path, capsys):
-        market = write_market(
-            tmp_path / "m.json", p=[0.5, -0.5], q=UNIFORM_P, mu=INTERIOR_MU
-        )
-        code, document = run_json(capsys, ["check", "--input", market])
-        assert code == 2
-        assert document["error"] == "invalid-input"
+        cases = [
+            ({"p": [0.5, -0.5], "mu": INTERIOR_MU}, "positive"),
+            ({"p": "abc", "mu": INTERIOR_MU}, "p is not a numeric array"),
+            ({"p": UNIFORM_P, "mu": [[0.35, 0.15], [0.15]]}, "mu is not a numeric array"),
+        ]
+        for fields, named in cases:
+            market = write_market(tmp_path / "m.json", q=UNIFORM_P, **fields)
+            code, document = run_json(capsys, ["check", "--input", market])
+            assert code == 2
+            assert document["error"] == "invalid-input"
+            assert named in document["message"]
 
     def test_phi_shape_mismatch(self, tmp_path, capsys):
         market = write_market(

@@ -17,10 +17,13 @@ from matchident import (
     barycenter,
     check_rationalizable,
     decompose_separable,
+    face_normal,
+    gauge,
     identify_entropy,
     is_boundary,
     is_maximizer,
     is_nonseparable,
+    maximize_surplus,
     rationalize_gauge,
     simulate_market,
     solve_regularized,
@@ -31,7 +34,35 @@ from conftest import (
     random_interior_matching,
     random_margins,
     random_nonseparable_surplus,
+    random_surplus,
 )
+from matchident.identify import WITNESS_ZERO_TOL, _certifies
+
+
+def sample_matchings(rng, margins):
+    """One matching of each kind, built without vertex enumeration."""
+    bary = np.outer(margins.p, margins.q)
+    vertex = maximize_surplus(random_surplus(rng, *margins.shape), margins).mu_opt
+    pull = rng.uniform(0.2, 0.8)
+    interior = Matching(pull * bary + (1.0 - pull) * vertex.mu, margins)
+    return {
+        "interior": interior,
+        "boundary": gauge(interior).mu_star,
+        "vertex": vertex,
+        "near-barycenter": Matching(bary + 1e-6 * (vertex.mu - bary), margins),
+    }
+
+
+def brute_force_max_abs_cross_difference(mu: np.ndarray) -> float:
+    """The full m x m x n x n tensor of log cross-differences, maximized."""
+    lm = np.log(mu)
+    crosses = (
+        lm[:, None, :, None]
+        + lm[None, :, None, :]
+        - lm[:, None, None, :]
+        - lm[None, :, :, None]
+    )
+    return float(np.abs(crosses).max())
 
 
 class TestCheckRationalizable:
@@ -90,6 +121,37 @@ class TestCheckRationalizable:
                 assert report.witness is None
 
 
+class TestCertificates:
+    def test_dual_certificate_agrees_with_the_lp(self):
+        """The closed-form certificate gives the LP re-check's answer.
+
+        The gauge face normal certifies the exit point ``mu_star`` but not an
+        interior observation, so both answers occur.
+        """
+        rng = np.random.default_rng(95)
+        shapes = [(2, 2), (2, 5), (4, 3), (6, 6), (9, 7), (12, 12), (16, 20), (24, 24)]
+        answers = set()
+        for d_x, d_y in shapes:
+            for _ in range(4):
+                margins = random_margins(rng, d_x, d_y)
+                for mu in sample_matchings(rng, margins).values():
+                    ray, identified = rationalize_gauge(mu)
+                    normal = Surplus(face_normal(mu, ray))
+                    witness = Surplus(np.where(mu.mu <= WITNESS_ZERO_TOL, -1.0, 0.0))
+                    for phi, point in ((witness, mu), (normal, ray.mu_star), (normal, mu)):
+                        answer = _certifies(phi.phi, point)
+                        assert answer == is_maximizer(phi, point)
+                        answers.add(answer)
+                    report = check_rationalizable(mu)
+                    assert report.checks.maximizer == (
+                        report.rationalizable and _certifies(witness.phi, mu)
+                    )
+                    assert identified.diagnostics["maximizer_verified"] == float(
+                        _certifies(normal.phi, ray.mu_star)
+                    )
+        assert answers == {False, True}
+
+
 class TestRationalizeGauge:
     def test_hand_fixture(self, interior_matching):
         ray, identified = rationalize_gauge(interior_matching)
@@ -143,6 +205,16 @@ class TestIdentifyEntropy:
             expected, abs=1e-9
         )
         assert identified.diagnostics["nonseparable"] == 1.0
+
+    def test_max_abs_cross_difference_matches_the_tensor(self):
+        rng = np.random.default_rng(96)
+        for d_x in range(2, 7):
+            for d_y in range(2, 7):
+                mu = sample_matchings(rng, random_margins(rng, d_x, d_y))["interior"]
+                identified = identify_entropy(mu, EntropyModel.shannon())
+                assert identified.diagnostics["max_abs_cross_difference"] == pytest.approx(
+                    brute_force_max_abs_cross_difference(mu.mu), rel=1e-12
+                )
 
     def test_barycenter_identifies_separable_surplus(self):
         rng = np.random.default_rng(93)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from matchident import (
-    InstanceTooLargeError,
+    OPTIMALITY_TOL,
     Margins,
     Matching,
     Surplus,
     ValidationError,
     barycenter,
+    enumerate_vertices,
     is_discriminating,
     is_maximizer,
     is_nonseparable,
@@ -159,6 +160,10 @@ class TestIsMaximizer:
 
 class TestIsDiscriminating:
     def test_methods_agree_on_small_instances(self):
+        """Vertex scan, separability and ``is_discriminating`` give one answer.
+
+        The scan is the definition: some vertex is strictly suboptimal.
+        """
         rng = np.random.default_rng(57)
         for _ in range(25):
             d_x, d_y = rng.integers(2, 5, size=2)
@@ -169,19 +174,13 @@ class TestIsDiscriminating:
                 phi = Surplus(f[:, None] + g[None, :])
             else:
                 phi = random_nonseparable_surplus(rng, margins)
-            by_vertices = is_discriminating(phi, margins, method="vertices")
-            by_separability = is_discriminating(phi, margins, method="separability")
-            assert by_vertices == by_separability == is_nonseparable(phi, margins)
+            best = maximize_surplus(phi, margins).value
+            worst = min(total_surplus(v, phi) for v in enumerate_vertices(margins))
+            by_vertices = worst < best - OPTIMALITY_TOL
+            assert by_vertices == is_discriminating(phi, margins) == is_nonseparable(phi, margins)
 
-    def test_vertex_method_refuses_large_instances(self):
+    def test_large_instances_use_separability(self):
         rng = np.random.default_rng(58)
         margins = random_margins(rng, 5, 4)
         phi = random_surplus(rng, 5, 4)
-        with pytest.raises(InstanceTooLargeError):
-            is_discriminating(phi, margins, method="vertices")
-        # auto falls back to the separability test
         assert is_discriminating(phi, margins) == is_nonseparable(phi, margins)
-
-    def test_unknown_method(self, uniform2):
-        with pytest.raises(ValidationError):
-            is_discriminating(Surplus(np.eye(2)), uniform2, method="magic")
