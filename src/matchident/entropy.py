@@ -16,8 +16,10 @@ twist to the surplus maximization problem:
 
 The regularized problem ``max <mu, phi> - I(mu)`` is solved for the
 shannon case only, by iterative proportional fitting (IPFP) of the kernel
-``exp(phi)`` onto the margins, switching to log-domain updates when
-``phi`` is large enough to overflow the kernel.
+``exp(phi)`` onto the margins.  One stabilized loop covers every surplus
+scale: the kernel is kept as ``exp(phi + f + g)``, and a scaling that
+grows or shrinks too far is absorbed into the log potentials ``f`` and
+``g`` (Schmitzer, SIAM J. Sci. Comput. 2019), so nothing overflows.
 """
 
 from __future__ import annotations
@@ -58,9 +60,10 @@ IPFP_TOL = 1e-10
 
 IPFP_MAX_ITER = 10_000
 
-#: Above this max |phi| the plain kernel exp(phi) risks overflow, so IPFP
-#: runs in the log domain.
-_LOG_DOMAIN_THRESHOLD = 30.0
+#: IPFP folds its scalings into the kernel's log potentials once one leaves
+#: ``[1 / _SCALING_RANGE, _SCALING_RANGE]``: far inside the float range,
+#: yet wide enough that the kernel is rarely rebuilt.
+_SCALING_RANGE = 1e50
 
 #: Entries at or below this are treated as boundary zeros by gradients.
 _INTERIOR_TOL = 1e-12
@@ -228,46 +231,31 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     return Surplus(_quantile_grad(mu, values))
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    peak = a.max(axis=axis, keepdims=True)
-    out = peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """Fit ``exp(phi)`` to positive margins; returns mu, sweeps and the error.
 
-
-def _ipfp_kernel(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
-    kernel = np.exp(phi)
-    scale_y = np.ones(q.size)
-    iterations = 0
-    error = np.inf
-    for iterations in range(1, IPFP_MAX_ITER + 1):
-        scale_x = p / (kernel @ scale_y)
-        scale_y = q / (kernel.T @ scale_x)
-        mu = scale_x[:, None] * kernel * scale_y[None, :]
-        error = max(
-            float(np.abs(mu.sum(axis=1) - p).max()),
-            float(np.abs(mu.sum(axis=0) - q).max()),
-        )
+    The start puts a 1 in every row and column of the kernel and nothing
+    above 1.  The error is read off the row sums ``a * (kernel @ b)``, whose
+    ``kernel @ b`` the next row update divides by.
+    """
+    f = -phi.max(axis=1)
+    g = -(phi + f[:, None]).max(axis=0)
+    kernel = np.exp(phi + f[:, None] + g[None, :])
+    b = np.ones(q.size)
+    kernel_b = kernel @ b
+    for sweeps in range(1, IPFP_MAX_ITER + 1):
+        a = p / kernel_b
+        b = q / (a @ kernel)
+        if max(a.max(), b.max(), 1.0 / a.min(), 1.0 / b.min()) > _SCALING_RANGE:
+            f += np.log(a)
+            g += np.log(b)
+            kernel = np.exp(phi + f[:, None] + g[None, :])
+            a, b = np.ones(p.size), np.ones(q.size)
+        kernel_b = kernel @ b
+        error = float(np.abs(a * kernel_b - p).max())
         if error <= IPFP_TOL:
-            return mu, iterations, error, True
-    return mu, iterations, error, False
-
-
-def _ipfp_log(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
-    log_p, log_q = np.log(p), np.log(q)
-    beta = np.zeros(q.size)
-    iterations = 0
-    error = np.inf
-    for iterations in range(1, IPFP_MAX_ITER + 1):
-        alpha = log_p - _logsumexp(phi + beta[None, :], axis=1)
-        beta = log_q - _logsumexp(phi + alpha[:, None], axis=0)
-        mu = np.exp(phi + alpha[:, None] + beta[None, :])
-        error = max(
-            float(np.abs(mu.sum(axis=1) - p).max()),
-            float(np.abs(mu.sum(axis=0) - q).max()),
-        )
-        if error <= IPFP_TOL:
-            return mu, iterations, error, True
-    return mu, iterations, error, False
+            break
+    return a[:, None] * kernel * b[None, :], sweeps, error
 
 
 def solve_regularized(
@@ -278,9 +266,14 @@ def solve_regularized(
     The first-order condition ``1 + log mu = phi`` modulo separable
     potentials means the optimizer is the margin-fitted rescaling of
     ``exp(phi)``, which IPFP computes by alternately matching row and
-    column sums.  Returns the optimal value and an ``IpfpReport``; raises
-    ``ConvergenceError`` (with iteration diagnostics attached) if the
-    margin error is not within ``IPFP_TOL`` after ``IPFP_MAX_ITER`` sweeps.
+    column sums.  One loop serves every scale of ``phi``: it rescales the
+    kernel ``exp(phi + f + g)`` and folds any scaling that leaves a fixed
+    range into the potentials ``f`` and ``g``, so large surpluses neither
+    overflow nor underflow it.  Zero-mass types get zero rows and columns
+    and stay out of the loop.  Returns the optimal value and an
+    ``IpfpReport``; raises ``ConvergenceError`` (with iteration diagnostics
+    attached) if the margin error is not within ``IPFP_TOL`` after
+    ``IPFP_MAX_ITER`` sweeps.
 
     Forward solvers for the gauge and quantile entropies are deliberately
     not provided; those entropies are used in the identification
@@ -294,12 +287,15 @@ def solve_regularized(
         raise ValidationError(
             f"phi has shape {phi.phi.shape} but margins have shape {margins.shape}"
         )
-    p, q = margins.p, margins.q
-    if np.abs(phi.phi).max() > _LOG_DOMAIN_THRESHOLD:
-        mu, iterations, error, converged = _ipfp_log(phi.phi, p, q)
-    else:
-        mu, iterations, error, converged = _ipfp_kernel(phi.phi, p, q)
-    if not converged:
+    # Zero-mass types carry no mass at any sweep, so IPFP runs on the
+    # others and every scaling it sees is positive.
+    rows, cols = margins.p > 0.0, margins.q > 0.0
+    support = np.ix_(rows, cols)
+    mu = np.zeros(margins.shape)
+    mu[support], iterations, error = _ipfp(
+        phi.phi[support], margins.p[rows], margins.q[cols]
+    )
+    if not error <= IPFP_TOL:
         raise ConvergenceError(
             f"IPFP failed to converge: margin error {error:.3e} after"
             f" {iterations} iterations (tolerance {IPFP_TOL})",

@@ -253,6 +253,8 @@ def simulate_market(
     """
     if households < 1:
         raise ValidationError(f"households must be at least 1, got {households}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     _, report = solve_regularized(EntropyModel.shannon(), phi, margins)
     mu_true = report.mu
     weights = mu_true.mu.ravel()

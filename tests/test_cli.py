@@ -20,7 +20,7 @@ from matchident import (
     contains,
     maximize_surplus,
 )
-from matchident import lp
+from matchident import entropy, lp
 from matchident.cli import main
 from conftest import random_margins, random_surplus
 
@@ -402,6 +402,50 @@ class TestSimulate:
         )
         assert code == 2
         assert document["error"] == "invalid-input"
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        market = self.market(tmp_path)
+        code, document = run_json(
+            capsys,
+            [
+                "simulate",
+                "--input",
+                market,
+                "--households",
+                "10",
+                "--seed",
+                "-1",
+                "--out",
+                str(tmp_path / "out"),
+            ],
+        )
+        assert code == 2
+        assert document["error"] == "invalid-input"
+        assert "seed" in document["message"]
+
+    def test_sweep_cap_reports_a_finite_residual(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(entropy, "IPFP_MAX_ITER", 5)
+        rng = np.random.default_rng(3)
+        margins = random_margins(rng, 4, 4)
+        market = write_market(
+            tmp_path / "m.json",
+            p=margins.p.tolist(),
+            q=margins.q.tolist(),
+            phi=random_surplus(rng, 4, 4, scale=10.0).phi.tolist(),
+        )
+        code = main(
+            ["simulate", "--input", market, "--households", "10", "--out", str(tmp_path / "out")]
+        )
+        out = capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"report holds {constant}, which is not JSON")
+
+        document = json.loads(out, parse_constant=reject)
+        assert code == 3
+        assert document["error"] == "no-convergence"
+        assert document["iterations"] == 5
+        assert math.isfinite(document["residual"]) and document["residual"] > 0.0
 
     def test_single_household_occupies_one_cell(self, tmp_path, capsys):
         market = self.market(tmp_path)

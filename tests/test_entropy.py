@@ -1,16 +1,20 @@
 """Entropy evaluation, gradients and the IPFP-regularized solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from matchident import (
+    IPFP_MAX_ITER,
+    IPFP_TOL,
     ConvergenceError,
     DegenerateRayError,
     EntropyModel,
     KinkPointError,
+    Margins,
     Matching,
     NonInteriorError,
     Surplus,
@@ -26,6 +30,7 @@ from matchident import (
     solve_regularized,
     total_surplus,
 )
+from matchident import entropy
 from conftest import (
     random_interior_matching,
     random_margins,
@@ -60,6 +65,30 @@ def quantile_entropy_by_quadrature(matching: Matching, values: TypeValues) -> fl
         for y in range(matching.d_y)
     )
     return total
+
+
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    peak = a.max(axis=axis, keepdims=True)
+    out = peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
+
+
+def ipfp_log_domain(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """Reference IPFP on the log potentials, with the library's tolerance
+    and sweep cap; returns the matching and whether it converged."""
+    log_p, log_q = np.log(p), np.log(q)
+    beta = np.zeros(q.size)
+    for _ in range(IPFP_MAX_ITER):
+        alpha = log_p - logsumexp(phi + beta[None, :], axis=1)
+        beta = log_q - logsumexp(phi + alpha[:, None], axis=0)
+        mu = np.exp(phi + alpha[:, None] + beta[None, :])
+        error = max(
+            float(np.abs(mu.sum(axis=1) - p).max()),
+            float(np.abs(mu.sum(axis=0) - q).max()),
+        )
+        if error <= IPFP_TOL:
+            return mu, True
+    return mu, False
 
 
 def tangent_fd_gradient_error(
@@ -300,15 +329,19 @@ class TestSolveRegularized:
             np.testing.assert_allclose(moved.mu.mu, base.mu.mu, atol=1e-8)
 
     def test_log_domain_agrees_with_kernel_domain(self):
-        """A constant shift of 35 forces the log-domain path; the optimizer
-        must not move (the shift is separable)."""
+        """Separable shifts beyond the range of exp must not move the
+        optimizer: a constant 35, and one column each at -800 and +800,
+        where every kernel entry of the column underflows or overflows."""
         rng = np.random.default_rng(79)
         margins = random_margins(rng, 3, 3)
         phi = random_surplus(rng, 3, 3, scale=2.0)
         model = EntropyModel.shannon()
-        _, kernel_report = solve_regularized(model, phi, margins)
-        _, log_report = solve_regularized(model, Surplus(phi.phi + 35.0), margins)
-        np.testing.assert_allclose(log_report.mu.mu, kernel_report.mu.mu, atol=1e-9)
+        _, base = solve_regularized(model, phi, margins)
+        for column, shift in ((slice(None), 35.0), (0, -800.0), (2, 800.0)):
+            shifted = phi.phi.copy()
+            shifted[:, column] += shift
+            _, moved = solve_regularized(model, Surplus(shifted), margins)
+            np.testing.assert_allclose(moved.mu.mu, base.mu.mu, atol=1e-9)
 
     def test_log_domain_handles_extreme_surpluses(self, uniform2):
         value, report = solve_regularized(
@@ -357,6 +390,49 @@ class TestSolveRegularized:
             _, report_b = solve_regularized(model, b, margins)
             pairing = float(np.sum((report_a.mu.mu - report_b.mu.mu) * (a.phi - b.phi)))
             assert pairing >= -1e-9
+
+    def test_agrees_with_the_log_domain_reference(self):
+        """Same verdict and, when converged, the same matching as the
+        reference on a ladder of sizes and surplus scales."""
+        rng = np.random.default_rng(83)
+        model = EntropyModel.shannon()
+        verdicts = []
+        for d_x, d_y in ((2, 2), (3, 5), (5, 3), (8, 8), (12, 12), (20, 20)):
+            margins = random_margins(rng, d_x, d_y)
+            base = random_surplus(rng, d_x, d_y).phi
+            for scale in (1, 10, 50, 100):
+                expected, expected_converged = ipfp_log_domain(
+                    scale * base, margins.p, margins.q
+                )
+                try:
+                    _, report = solve_regularized(model, Surplus(scale * base), margins)
+                except ConvergenceError:
+                    report = None
+                assert (report is not None) == expected_converged
+                if report is not None:
+                    np.testing.assert_allclose(report.mu.mu, expected, atol=1e-9)
+                verdicts.append(expected_converged)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    def test_zero_mass_types_get_zero_rows_without_warnings(self, scale):
+        margins = Margins([0.5, 0.5, 0.0], [0.3, 0.7], allow_zero_mass=True)
+        phi = Surplus(scale * np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = solve_regularized(EntropyModel.shannon(), phi, margins)
+        assert np.all(report.mu.mu[2] == 0.0)
+        np.testing.assert_allclose(report.mu.mu.sum(axis=0), margins.q, atol=1e-10)
+
+    def test_sweep_cap_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(entropy, "IPFP_MAX_ITER", 5)
+        rng = np.random.default_rng(3)
+        margins = random_margins(rng, 4, 4)
+        phi = random_surplus(rng, 4, 4, scale=10.0)
+        with pytest.raises(ConvergenceError) as info:
+            solve_regularized(EntropyModel.shannon(), phi, margins)
+        assert info.value.iterations == 5
+        assert math.isfinite(info.value.residual) and info.value.residual > IPFP_TOL
 
     def test_only_shannon_is_supported(self, uniform2):
         with pytest.raises(ValidationError):

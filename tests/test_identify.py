@@ -314,6 +314,11 @@ class TestSimulateMarket:
         with pytest.raises(ValidationError):
             simulate_market(phi, margins, 0, seed=0)
 
+    def test_rejects_negative_seed(self, cross_market):
+        phi, margins = cross_market
+        with pytest.raises(ValidationError):
+            simulate_market(phi, margins, 10, seed=-1)
+
     def test_identification_error_shrinks_with_sample_size(self, cross_market):
         """Re-identifying from larger samples gets closer to the truth."""
         phi, margins = cross_market
