@@ -30,7 +30,7 @@ model = EntropyModel.shannon()
 # The population matching the surplus induces (IPFP fixed point).
 value, report = solve_regularized(model, phi_true, margins)
 print("population matching (IPFP, margin error "
-      f"{report.margin_error:.1e} after {report.iterations} sweeps):")
+      f"{report.margin_error:.1e} after {report.iterations} iterations):")
 print(report.mu.mu)
 print("true cross-difference:", true_cross)
 

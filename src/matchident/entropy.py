@@ -15,15 +15,21 @@ twist to the surplus maximization problem:
   a closed form in the cumulative conditional masses.
 
 The regularized problem ``max <mu, phi> - I(mu)`` is solved for the
-shannon case only, by iterative proportional fitting (IPFP) of the kernel
-``exp(phi)`` onto the margins.  One stabilized loop covers every surplus
-scale: the kernel is kept as ``exp(phi + f + g)``, and a scaling that
-grows or shrinks too far is absorbed into the log potentials ``f`` and
-``g`` (Schmitzer, SIAM J. Sci. Comput. 2019), so nothing overflows.
+shannon case only, by fitting the kernel ``exp(phi)`` onto the margins.
+Iterative proportional fitting (IPFP) sweeps come first.  One stabilized
+loop covers every surplus scale: the kernel is kept as
+``exp(phi + f + g)``, and a scaling that grows or shrinks too far is
+absorbed into the log potentials ``f`` and ``g`` (Schmitzer, SIAM J. Sci.
+Comput. 2019), so nothing overflows.  At large scales the sweeps slow
+down or stall on a plateau; when the sweeps still needed would cost more
+than a Newton phase, damped Newton steps on the dual take over, along a
+continuation in the surplus scale (Brauer, Clason, Lorenz & Wirth,
+"A Sinkhorn-Newton method for entropic optimal transport", 2017).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +64,37 @@ ENTROPY_KINDS = ("shannon", "gauge", "quantile")
 #: IPFP stops when every margin constraint is met within this.
 IPFP_TOL = 1e-10
 
+#: Cap on the IPFP sweeps and Newton steps of one solve, together.
 IPFP_MAX_ITER = 10_000
 
 #: IPFP folds its scalings into the kernel's log potentials once one leaves
 #: ``[1 / _SCALING_RANGE, _SCALING_RANGE]``: far inside the float range,
 #: yet wide enough that the kernel is rarely rebuilt.
 _SCALING_RANGE = 1e50
+
+#: IPFP weighs a hand-over to Newton steps every this many sweeps.
+_BLOCK = 20
+
+#: The Newton phase's first continuation stage solves a surplus whose
+#: doubly centred spread is at most this; a cold start converges there.
+_FIRST_SPREAD = 2.0
+
+#: Margin error at which an intermediate continuation stage stops.
+_STAGE_TOL = 1e-6
+
+#: A continuation stage of the Newton phase costs about as many sweeps as
+#: ``_STAGE_SWEEPS + _STAGE_SWEEPS_PER_TYPE * min(m, n)``: some four steps,
+#: each a fixed overhead plus a Schur complement on the shorter side.
+_STAGE_SWEEPS = 20.0
+_STAGE_SWEEPS_PER_TYPE = 4.0 / 3.0
+
+#: A continuation stage converges in at most about 10 Newton steps; one
+#: that takes this many has stalled.
+_MAX_STAGE_STEPS = 30
+
+#: Backtracking: sufficient-decrease constant and the smallest step tried.
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0**-30
 
 #: Entries at or below this are treated as boundary zeros by gradients.
 _INTERIOR_TOL = 1e-12
@@ -109,7 +140,14 @@ class EntropyModel:
 
 @dataclass(frozen=True, eq=False)
 class IpfpReport:
-    """Diagnostics of an IPFP run: the fitted matching and how it converged."""
+    """Diagnostics of an IPFP run: the fitted matching and how it converged.
+
+    ``iterations`` counts the IPFP sweeps plus the Newton steps of the
+    phase that takes over when the sweeps stall.  ``margin_error`` is what
+    the stopping test last read: the row error after a sweep (the sweep
+    ends by fitting the columns), the larger of the row and column errors
+    after a Newton step.
+    """
 
     mu: Matching
     iterations: int
@@ -232,18 +270,26 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
 
 
 def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """Fit ``exp(phi)`` to positive margins; returns mu, sweeps and the error.
+    """Fit ``exp(phi)`` to positive margins; returns mu, iterations and the error.
 
-    The start puts a 1 in every row and column of the kernel and nothing
-    above 1.  The error is read off the row sums ``a * (kernel @ b)``, whose
-    ``kernel @ b`` the next row update divides by.
+    The sweeps start with a 1 in every row and column of the kernel and
+    nothing above 1.  Their error is read off the row sums ``a * (kernel @
+    b)``, whose ``kernel @ b`` the next row update divides by.  Every
+    ``_BLOCK`` sweeps the loop estimates how many more it needs at the
+    last block's rate, and hands over to ``_newton`` once they would cost
+    more than the Newton phase or cannot finish within ``IPFP_MAX_ITER``.
+    If the Newton phase stalls, the sweeps go on from where they stopped.
+    Iterations count sweeps and Newton steps together.
     """
     f = -phi.max(axis=1)
     g = -(phi + f[:, None]).max(axis=0)
     kernel = np.exp(phi + f[:, None] + g[None, :])
     b = np.ones(q.size)
     kernel_b = kernel @ b
-    for sweeps in range(1, IPFP_MAX_ITER + 1):
+    sweeps = steps = 0
+    previous = plan = None
+    while sweeps + steps < IPFP_MAX_ITER:
+        sweeps += 1
         a = p / kernel_b
         b = q / (a @ kernel)
         if max(a.max(), b.max(), 1.0 / a.min(), 1.0 / b.min()) > _SCALING_RANGE:
@@ -255,7 +301,130 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
         error = float(np.abs(a * kernel_b - p).max())
         if error <= IPFP_TOL:
             break
-    return a[:, None] * kernel * b[None, :], sweeps, error
+        if sweeps % _BLOCK or steps:  # a stalled Newton phase is not retried
+            continue
+        if previous is not None:
+            plan = plan or _continuation(phi)
+            centred, halvings, cost = plan
+            # Sweeps that cannot finish under the cap are not worth their
+            # cost either.
+            if _sweeps_needed(previous, error) > min(cost, IPFP_MAX_ITER - sweeps):
+                mu, steps, newton_error = _newton(
+                    centred, halvings, p, q, IPFP_MAX_ITER - sweeps
+                )
+                if newton_error <= IPFP_TOL:
+                    return mu, sweeps + steps, newton_error
+        previous = error
+    return a[:, None] * kernel * b[None, :], sweeps + steps, error
+
+
+def _sweeps_needed(previous: float, error: float) -> float:
+    """Sweeps still needed to reach ``IPFP_TOL`` at the rate that took the
+    error from ``previous`` to ``error`` over the last ``_BLOCK`` sweeps."""
+    if error >= previous:
+        return math.inf
+    return _BLOCK * math.log(error / IPFP_TOL) / math.log(previous / error)
+
+
+def _continuation(phi: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """The doubly centred ``phi``, the halvings that bring its spread down
+    to ``_FIRST_SPREAD``, and the Newton phase's expected cost in sweeps."""
+    centred = phi - phi.mean(axis=1)[:, None]
+    centred -= centred.mean(axis=0)[None, :]
+    spread = max(float(np.ptp(centred)), _FIRST_SPREAD)
+    halvings = math.ceil(math.log2(spread / _FIRST_SPREAD))
+    stage = _STAGE_SWEEPS + _STAGE_SWEEPS_PER_TYPE * min(phi.shape)
+    return centred, halvings, (halvings + 1) * stage
+
+
+def _dual(
+    phi: np.ndarray, f: np.ndarray, g: np.ndarray, p: np.ndarray, q: np.ndarray
+):
+    """``exp(phi + f + g)``, its row and column sums, the dual value and
+    the margin error."""
+    mu = np.exp(phi + f[:, None] + g[None, :])
+    rows, cols = mu.sum(axis=1), mu.sum(axis=0)
+    value = float(rows.sum() - p @ f - q @ g)
+    error = float(max(np.abs(rows - p).max(), np.abs(cols - q).max()))
+    return mu, rows, cols, value, error
+
+
+def _newton(
+    centred: np.ndarray, halvings: int, p: np.ndarray, q: np.ndarray, budget: int
+):
+    """Damped Newton steps on the dual ``sum exp(phi + f + g) - p.f - q.g``.
+
+    The last ``g`` stays fixed, which makes the (m+n-1)-square Hessian
+    positive definite; eliminating ``f`` leaves its Schur complement on
+    ``g``, which is the shorter side once the problem is transposed so that
+    ``m >= n``.  A cold start does not converge at large scales, so the
+    stages follow ``phi * 2^-k`` for ``k = halvings, ..., 0``: the first
+    has a spread of at most ``_FIRST_SPREAD``, and each later one starts
+    from the previous stage's potentials doubled, refitted to the margins
+    by one log-domain sweep (doubling alone leaves a type of tiny mass far
+    off its margin, where a Newton step overshoots).  All but the last
+    stage stop at ``_STAGE_TOL``.  Backtracking also accepts a step that
+    lowers the margin error, because near the solution the dual's decrease
+    falls below rounding.  Returns mu, the steps taken (at most ``budget``)
+    and the margin error; a stage that fails its line search, meets a
+    singular Hessian or takes ``_MAX_STAGE_STEPS`` steps ends the phase
+    unconverged.
+    """
+    if p.size < q.size:
+        mu, steps, error = _newton(centred.T, halvings, q, p, budget)
+        return mu.T, steps, error
+    f, g = np.log(p), np.log(q)
+    steps = 0
+    # A trial step may overflow exp; its dual value is then inf and the
+    # backtracking rejects it.
+    with np.errstate(over="ignore"):
+        for k in range(halvings, -1, -1):
+            phi = np.ldexp(centred, -k)
+            if k < halvings:
+                f, g = _fit_margins(phi, 2.0 * f, 2.0 * g, p, q)
+            tol = _STAGE_TOL if k else IPFP_TOL
+            mu, rows, cols, value, error = _dual(phi, f, g, p, q)
+            stage_budget = min(budget, steps + _MAX_STAGE_STEPS)
+            while error > tol:
+                if steps == stage_budget:
+                    return mu, steps, error
+                steps += 1
+                gradient_f, gradient_g = rows - p, (cols - q)[:-1]
+                scaled = mu[:, :-1] / rows[:, None]
+                schur = np.diag(cols[:-1]) - mu[:, :-1].T @ scaled
+                try:
+                    dg = np.linalg.solve(schur, scaled.T @ gradient_f - gradient_g)
+                except np.linalg.LinAlgError:
+                    return mu, steps, error
+                df = -(gradient_f + mu[:, :-1] @ dg) / rows
+                slope = float(gradient_f @ df + gradient_g @ dg)
+                dg = np.append(dg, 0.0)
+                t = 1.0
+                while True:
+                    trial = _dual(phi, f + t * df, g + t * dg, p, q)
+                    trial_value, trial_error = trial[3:]
+                    decrease = trial_value <= value + _ARMIJO * t * slope
+                    if decrease or trial_error < error:
+                        break
+                    t *= 0.5
+                    if t < _MIN_STEP:
+                        return mu, steps, error
+                f, g = f + t * df, g + t * dg
+                mu, rows, cols, value, error = trial
+    return mu, steps, error
+
+
+def _fit_margins(
+    phi: np.ndarray, f: np.ndarray, g: np.ndarray, p: np.ndarray, q: np.ndarray
+):
+    """One sweep in the log domain: ``f`` fits the rows, then ``g`` the columns."""
+    z = phi + g[None, :]
+    peak = z.max(axis=1)
+    f = np.log(p) - peak - np.log(np.exp(z - peak[:, None]).sum(axis=1))
+    z = phi + f[:, None]
+    peak = z.max(axis=0)
+    g = np.log(q) - peak - np.log(np.exp(z - peak[None, :]).sum(axis=0))
+    return f, g
 
 
 def solve_regularized(
@@ -269,11 +438,13 @@ def solve_regularized(
     column sums.  One loop serves every scale of ``phi``: it rescales the
     kernel ``exp(phi + f + g)`` and folds any scaling that leaves a fixed
     range into the potentials ``f`` and ``g``, so large surpluses neither
-    overflow nor underflow it.  Zero-mass types get zero rows and columns
-    and stay out of the loop.  Returns the optimal value and an
-    ``IpfpReport``; raises ``ConvergenceError`` (with iteration diagnostics
-    attached) if the margin error is not within ``IPFP_TOL`` after
-    ``IPFP_MAX_ITER`` sweeps.
+    overflow nor underflow it.  When the sweeps converge too slowly to be
+    worth finishing, damped Newton steps on the dual take over; if those
+    stall, the sweeps resume where they stopped.  Zero-mass types get zero
+    rows and columns and stay out of both.  Returns the optimal value and
+    an ``IpfpReport``; raises ``ConvergenceError`` (with iteration
+    diagnostics attached) if the margin error is not within ``IPFP_TOL``
+    after ``IPFP_MAX_ITER`` iterations, sweeps and Newton steps together.
 
     Forward solvers for the gauge and quantile entropies are deliberately
     not provided; those entropies are used in the identification

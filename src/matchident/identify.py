@@ -51,6 +51,9 @@ __all__ = [
 #: Cells with at most this much mass count as unmatched for the witness.
 WITNESS_ZERO_TOL = 1e-12
 
+#: The largest sample size the multinomial draw takes (the int64 maximum).
+_MAX_HOUSEHOLDS = 2**63 - 1
+
 
 @dataclass(frozen=True, eq=False)
 class RationalizabilityChecks:
@@ -250,9 +253,16 @@ def simulate_market(
     may contain zero-mass types for small samples).
 
     The draw is reproducible: the same ``seed`` gives the same sample.
+    ``households`` must be an integer (not a bool) from 1 to ``2**63 - 1``.
     """
-    if households < 1:
-        raise ValidationError(f"households must be at least 1, got {households}")
+    if (
+        not isinstance(households, (int, np.integer))
+        or isinstance(households, bool)
+        or not 1 <= households <= _MAX_HOUSEHOLDS
+    ):
+        raise ValidationError(
+            f"households must be an integer from 1 to 2**63 - 1, got {households!r}"
+        )
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     _, report = solve_regularized(EntropyModel.shannon(), phi, margins)

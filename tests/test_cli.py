@@ -423,6 +423,25 @@ class TestSimulate:
         assert document["error"] == "invalid-input"
         assert "seed" in document["message"]
 
+    def test_oversized_households_is_a_usage_error(self, tmp_path, capsys):
+        market = self.market(tmp_path)
+        code, document = run_json(
+            capsys,
+            [
+                "simulate",
+                "--input",
+                market,
+                "--households",
+                "10000000000000000000",
+                "--out",
+                str(tmp_path / "out"),
+            ],
+        )
+        assert code == 2
+        assert document["error"] == "invalid-input"
+        assert "households" in document["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_cap_reports_a_finite_residual(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(entropy, "IPFP_MAX_ITER", 5)
         rng = np.random.default_rng(3)

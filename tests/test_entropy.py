@@ -91,6 +91,19 @@ def ipfp_log_domain(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     return mu, False
 
 
+def assert_ipfp_certificate(phi: np.ndarray, margins: Margins, mu: np.ndarray) -> None:
+    """Certificate of the shannon optimum: the margins within ``IPFP_TOL``,
+    and ``log mu - phi`` separable on the positive cells (its adjacent 2x2
+    cross-differences vanish)."""
+    assert np.abs(mu.sum(axis=1) - margins.p).max() <= IPFP_TOL
+    assert np.abs(mu.sum(axis=0) - margins.q).max() <= IPFP_TOL
+    positive = mu > 1e-290  # below this, underflow has eaten the digits
+    residual = np.log(np.where(positive, mu, 1.0)) - phi
+    cross = residual[:-1, :-1] + residual[1:, 1:] - residual[:-1, 1:] - residual[1:, :-1]
+    valid = positive[:-1, :-1] & positive[1:, 1:] & positive[:-1, 1:] & positive[1:, :-1]
+    assert np.abs(cross[valid]).max(initial=0.0) <= 1e-9 * (1.0 + np.abs(phi).max())
+
+
 def tangent_fd_gradient_error(
     model: EntropyModel, matching: Matching, step: float = 1e-6
 ) -> float:
@@ -392,8 +405,8 @@ class TestSolveRegularized:
             assert pairing >= -1e-9
 
     def test_agrees_with_the_log_domain_reference(self):
-        """Same verdict and, when converged, the same matching as the
-        reference on a ladder of sizes and surplus scales."""
+        """Where the reference converges, the same matching; where it hits
+        the sweep cap, a converged matching that carries the certificate."""
         rng = np.random.default_rng(83)
         model = EntropyModel.shannon()
         verdicts = []
@@ -404,15 +417,85 @@ class TestSolveRegularized:
                 expected, expected_converged = ipfp_log_domain(
                     scale * base, margins.p, margins.q
                 )
-                try:
-                    _, report = solve_regularized(model, Surplus(scale * base), margins)
-                except ConvergenceError:
-                    report = None
-                assert (report is not None) == expected_converged
-                if report is not None:
+                _, report = solve_regularized(model, Surplus(scale * base), margins)
+                if expected_converged:
                     np.testing.assert_allclose(report.mu.mu, expected, atol=1e-9)
+                else:
+                    assert_ipfp_certificate(scale * base, margins, report.mu.mu)
                 verdicts.append(expected_converged)
         assert any(verdicts) and not all(verdicts)
+
+    def test_ladder_of_sizes_and_scales_converges(self):
+        """Every market from 2x2 to 40x40 at surplus scales 1 to 1000 gets
+        a certified matching, on both sides of the square."""
+        rng = np.random.default_rng(84)
+        model = EntropyModel.shannon()
+        for size in (2, 5, 10, 20, 30, 40):
+            for i, scale in enumerate((1, 10, 100, 400, 1000)):
+                d_x, d_y = (size, size + 3) if i % 2 else (size + 3, size)
+                margins = random_margins(rng, d_x, d_y)
+                phi = random_surplus(rng, d_x, d_y, scale=scale)
+                _, report = solve_regularized(model, phi, margins)
+                assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
+
+    def test_plateau_market_converges(self):
+        """A 10x10 market whose sweeps stall on a plateau: the reference
+        hits the cap, while the Newton phase finishes in under 500
+        iterations."""
+        rng = np.random.default_rng(97)
+        margins = random_margins(rng, 10, 10)
+        phi = random_surplus(rng, 10, 10, scale=50.0)
+        _, converged = ipfp_log_domain(phi.phi, margins.p, margins.q)
+        assert not converged
+        _, report = solve_regularized(EntropyModel.shannon(), phi, margins)
+        assert report.iterations < 500
+        assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
+
+    def test_types_with_tiny_mass_stay_on_the_newton_path(self):
+        """A row type of relative mass 1e-9 and a column type of 1e-12 do
+        not stall the continuation: each stage starts from margins fitted in
+        the log domain, not from bare doubled potentials."""
+        rng = np.random.default_rng(88)
+        model = EntropyModel.shannon()
+        for _ in range(4):
+            p, q = rng.uniform(0.2, 1.0, 8), rng.uniform(0.2, 1.0, 8)
+            p[0], q[-1] = 1e-9 * p.sum(), 1e-12 * q.sum()
+            margins = Margins(p / p.sum(), q / q.sum())
+            phi = random_surplus(rng, 8, 8, scale=50.0)
+            _, report = solve_regularized(model, phi, margins)
+            assert report.iterations < 200
+            assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
+
+    def test_sweeps_that_cannot_finish_under_the_cap_hand_over(self, monkeypatch):
+        """The sweeps finish this market in about 350 iterations, fewer than
+        the Newton phase is expected to cost; under a cap of 200 they cannot
+        finish, so the Newton phase takes over anyway."""
+        rng = np.random.default_rng(89)
+        margins = random_margins(rng, 40, 40)
+        phi = random_surplus(rng, 40, 40, scale=10.0)
+        model = EntropyModel.shannon()
+        _, uncapped = solve_regularized(model, phi, margins)
+        assert uncapped.iterations > 200
+        monkeypatch.setattr(entropy, "IPFP_MAX_ITER", 200)
+        _, report = solve_regularized(model, phi, margins)
+        assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
+
+    def test_stalled_newton_phase_hands_back_to_the_sweeps(self, monkeypatch):
+        """A Newton phase that stalls leaves the sweeps to finish exactly as
+        they would have alone; its steps still count as iterations."""
+        rng = np.random.default_rng(87)
+        margins = random_margins(rng, 12, 12)
+        phi = random_surplus(rng, 12, 12, scale=10.0)
+        model = EntropyModel.shannon()
+        monkeypatch.setattr(entropy, "_BLOCK", IPFP_MAX_ITER + 1)
+        _, sweeps_only = solve_regularized(model, phi, margins)
+        monkeypatch.undo()
+        _, newton = solve_regularized(model, phi, margins)
+        assert newton.iterations < sweeps_only.iterations
+        monkeypatch.setattr(entropy, "_MAX_STAGE_STEPS", 1)
+        _, stalled = solve_regularized(model, phi, margins)
+        np.testing.assert_array_equal(stalled.mu.mu, sweeps_only.mu.mu)
+        assert stalled.iterations > sweeps_only.iterations
 
     @pytest.mark.parametrize("scale", [1.0, 40.0])
     def test_zero_mass_types_get_zero_rows_without_warnings(self, scale):

@@ -319,6 +319,14 @@ class TestSimulateMarket:
         with pytest.raises(ValidationError):
             simulate_market(phi, margins, 10, seed=-1)
 
+    @pytest.mark.parametrize("households", [2.5, True, 10**19])
+    def test_rejects_households_that_are_not_a_drawable_count(
+        self, cross_market, households
+    ):
+        phi, margins = cross_market
+        with pytest.raises(ValidationError, match="households"):
+            simulate_market(phi, margins, households, seed=1)
+
     def test_identification_error_shrinks_with_sample_size(self, cross_market):
         """Re-identifying from larger samples gets closer to the truth."""
         phi, margins = cross_market

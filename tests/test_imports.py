@@ -1,6 +1,7 @@
 """The import graph of the package: no cycles, and the layering it relies on."""
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "matchident"
@@ -23,6 +24,18 @@ def imported_modules(path: Path) -> set[str]:
                 for alias in node.names
                 if alias.name.startswith("matchident.")
             )
+    return found
+
+
+def top_level_imports(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in ``path``, function-local
+    ones included."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
     return found
 
 
@@ -51,3 +64,12 @@ def test_verdicts_do_not_reach_for_the_lp_or_the_vertex_scan():
     assert "lp" not in graph["identify"]
     assert "polytope" not in graph["lp"]
     assert "identify" not in graph["entropy"]
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    """scipy and the other test dependencies stay out of ``src``: an import
+    there would add its load time to every CLI run."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "matchident"}
+    for path in PACKAGE.glob("*.py"):
+        outside = top_level_imports(path) - allowed
+        assert not outside, f"{path.name} imports {sorted(outside)}"
