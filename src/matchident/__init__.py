@@ -15,7 +15,7 @@ verdicts, and ``cli`` a small command-line front end.
 """
 
 from .core import (
-    CLAMP_TOL,
+    BOUNDARY_TOL,
     MASS_TOL,
     OPTIMALITY_TOL,
     SEPARABILITY_TOL,
@@ -58,14 +58,12 @@ from .identify import (
     simulate_market,
 )
 from .lp import (
-    REDUCED_COST_TOL,
     LpSolution,
     is_discriminating,
     is_maximizer,
     maximize_surplus,
 )
 from .polytope import (
-    BOUNDARY_TOL,
     VERTEX_CELL_GUARD,
     GaugeResult,
     contains,
@@ -82,7 +80,7 @@ __all__ = [
     "__version__",
     # core
     "MASS_TOL",
-    "CLAMP_TOL",
+    "BOUNDARY_TOL",
     "SEPARABILITY_TOL",
     "OPTIMALITY_TOL",
     "MarketError",
@@ -104,7 +102,6 @@ __all__ = [
     "barycenter",
     "conditionals",
     # polytope
-    "BOUNDARY_TOL",
     "VERTEX_CELL_GUARD",
     "GaugeResult",
     "dimension",
@@ -114,7 +111,6 @@ __all__ = [
     "face_normal",
     "is_boundary",
     # lp
-    "REDUCED_COST_TOL",
     "LpSolution",
     "maximize_surplus",
     "is_maximizer",

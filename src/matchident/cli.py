@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    MASS_TOL,
     ConvergenceError,
     DegenerateRayError,
     KinkPointError,
@@ -39,6 +40,8 @@ from .core import (
     Surplus,
     TypeValues,
     ValidationError,
+    _barycenter_mu,
+    _check_same_shape,
     decompose_separable,
 )
 from .entropy import EntropyModel
@@ -147,10 +150,7 @@ def _matching_from(data: dict, margins: Margins, tol: float) -> Matching:
 
 def _surplus_from(data: dict, margins: Margins) -> Surplus:
     phi = Surplus(_require(data, "phi"))
-    if phi.phi.shape != margins.shape:
-        raise ValidationError(
-            f"phi has shape {phi.phi.shape} but margins have shape {margins.shape}"
-        )
+    _check_same_shape("phi", phi.phi.shape, margins)
     return phi
 
 
@@ -313,7 +313,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
 
     low = max(0.0, p1 + q1 - 1.0)
     high = min(p1, q1)
-    bary = np.outer(margins.p, margins.q)
+    bary = _barycenter_mu(margins)
     ray_result = gauge(matching)
     stretches = np.linspace(0.0, ray_result.t_star, _RAY_POINTS)
     direction = matching.mu - bary
@@ -338,8 +338,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol",
         type=float,
-        default=1e-9,
-        help="feasibility tolerance for loaded matchings (default 1e-9)",
+        default=MASS_TOL,
+        help="feasibility tolerance for loaded matchings (default %(default)g)",
     )
 
 

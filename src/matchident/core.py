@@ -12,6 +12,16 @@ with the residual doubly centered under the margin weights.  The separable
 part ``f + g`` contributes the same total surplus to every feasible
 matching, so only the residual carries information about who should match
 with whom.  ``is_nonseparable`` asks whether that residual is nonzero.
+
+Tolerances.  Every answer of the package is a zero test; the thresholds
+live here, and only ``entropy``'s stopping and kink criteria stay with
+their algorithms.  Masses sum to one, so mass tests are absolute:
+``MASS_TOL`` for margins, and ``BOUNDARY_TOL`` as the one empty-cell test
+(clamp, boundary, witness, entropy gradients), so "rationalizable <=>
+boundary <=> witness" holds by construction.  Surplus tests are relative
+to ``max|phi|``, which bounds the rounding error of ``phi - f - g``:
+``SEPARABILITY_TOL`` for residuals and reduced costs, ``OPTIMALITY_TOL``
+for duality gaps.  The units of ``phi`` thus change no verdict.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import numpy as np
 
 __all__ = [
     "MASS_TOL",
-    "CLAMP_TOL",
+    "BOUNDARY_TOL",
     "SEPARABILITY_TOL",
     "OPTIMALITY_TOL",
     "MarketError",
@@ -48,15 +58,15 @@ __all__ = [
 #: Tolerance for mass constraints: margin sums, normalization, feasibility.
 MASS_TOL = 1e-9
 
-#: Entries of a matching in [-CLAMP_TOL, 0) are clamped to zero; anything
-#: more negative is rejected.
-CLAMP_TOL = 1e-12
+#: A cell with at most this much mass is empty.  Matching entries in
+#: ``[-BOUNDARY_TOL, 0)`` are clamped to zero; anything lower is rejected.
+BOUNDARY_TOL = 1e-12
 
-#: A surplus counts as nonseparable when its doubly centered residual has
-#: an entry larger than this in absolute value.
+#: Relative to ``max|phi|``: a doubly centered residual or a reduced cost
+#: counts as nonzero when it exceeds ``SEPARABILITY_TOL * max|phi|``.
 SEPARABILITY_TOL = 1e-10
 
-#: Slack allowed when comparing a candidate value against the true maximum.
+#: Relative to ``max|phi|``: slack when comparing a value with the maximum.
 OPTIMALITY_TOL = 1e-8
 
 
@@ -189,7 +199,7 @@ class Matching:
     """A feasible matching: nonnegative matrix with the given margins.
 
     Row sums must equal ``margins.p`` and column sums ``margins.q``, each
-    within ``tol``.  Entries in ``[-CLAMP_TOL, 0)`` are clamped to zero so
+    within ``tol``.  Entries in ``[-BOUNDARY_TOL, 0)`` are clamped to zero so
     that downstream boundary tests see exact zeros; anything more negative
     is rejected outright.
     """
@@ -202,16 +212,13 @@ class Matching:
         mu = _float_array("mu", self.mu)
         if mu.ndim != 2:
             raise ValidationError(f"mu must be a matrix, got shape {mu.shape}")
-        if mu.shape != self.margins.shape:
-            raise ValidationError(
-                f"mu has shape {mu.shape} but margins have shape {self.margins.shape}"
-            )
+        _check_same_shape("mu", mu.shape, self.margins)
         if not np.all(np.isfinite(mu)):
             raise ValidationError("mu must be finite")
-        if mu.min() < -CLAMP_TOL:
+        if mu.min() < -BOUNDARY_TOL:
             cell = np.unravel_index(np.argmin(mu), mu.shape)
             raise NotInPolytopeError(
-                f"mu[{cell[0]}, {cell[1]}] = {mu[cell]!r} is negative beyond {CLAMP_TOL}"
+                f"mu[{cell[0]}, {cell[1]}] = {mu[cell]!r} is negative beyond {BOUNDARY_TOL}"
             )
         np.clip(mu, 0.0, None, out=mu)
         row_err = np.abs(mu.sum(axis=1) - self.margins.p)
@@ -318,16 +325,22 @@ class TypeValues:
         _freeze(self, x_values=xv, y_values=yv)
 
 
-def _check_same_shape(a_name: str, a_shape, b_name: str, b_shape) -> None:
-    if tuple(a_shape) != tuple(b_shape):
+def _check_same_shape(name: str, shape, margins: Margins) -> None:
+    """Refuse a matrix whose shape is not the ``(d_x, d_y)`` of ``margins``."""
+    if tuple(shape) != margins.shape:
         raise ValidationError(
-            f"{a_name} has shape {tuple(a_shape)} but {b_name} has shape {tuple(b_shape)}"
+            f"{name} has shape {tuple(shape)} but margins have shape {margins.shape}"
         )
+
+
+def _barycenter_mu(margins: Margins) -> np.ndarray:
+    """The matrix ``p[x] * q[y]`` of ``barycenter``, without the validation."""
+    return np.outer(margins.p, margins.q)
 
 
 def total_surplus(mu: Matching, phi: Surplus) -> float:
     """Total surplus ``sum_xy mu[x, y] * phi[x, y]`` generated by a matching."""
-    _check_same_shape("mu", mu.mu.shape, "phi", phi.phi.shape)
+    _check_same_shape("phi", phi.phi.shape, mu.margins)
     return float(np.sum(mu.mu * phi.phi))
 
 
@@ -343,7 +356,7 @@ def decompose_separable(phi: Surplus, margins: Margins) -> SeparableParts:
     the canonical representative of ``phi`` modulo separable shifts: two
     surpluses differ by ``f + g`` exactly when their residuals coincide.
     """
-    _check_same_shape("phi", phi.phi.shape, "margins", margins.shape)
+    _check_same_shape("phi", phi.phi.shape, margins)
     p, q = margins.p, margins.q
     grand_mean = float(p @ phi.phi @ q)
     f = phi.phi @ q - grand_mean / 2.0
@@ -352,21 +365,22 @@ def decompose_separable(phi: Surplus, margins: Margins) -> SeparableParts:
     return SeparableParts(f=f, g=g, residual=residual)
 
 
-def is_nonseparable(phi: Surplus, margins: Margins, tol: float = SEPARABILITY_TOL) -> bool:
+def is_nonseparable(phi: Surplus, margins: Margins) -> bool:
     """Whether ``phi`` has a nonzero doubly centered residual.
 
     Separable surpluses value every feasible matching identically, so this
     is the exact condition for ``phi`` to discriminate among matchings.
     In the 2x2 case it reduces to the cross-difference test
-    ``phi[0,0] + phi[1,1] != phi[0,1] + phi[1,0]``.
+    ``phi[0,0] + phi[1,1] != phi[0,1] + phi[1,0]``.  Nonzero means above
+    ``SEPARABILITY_TOL * max|phi|``, so rescaling ``phi`` keeps the answer.
     """
     residual = decompose_separable(phi, margins).residual
-    return bool(np.abs(residual).max() > tol)
+    return bool(np.abs(residual).max() > SEPARABILITY_TOL * np.abs(phi.phi).max())
 
 
 def barycenter(margins: Margins) -> Matching:
     """The independent matching ``p[x] * q[y]``, the barycenter of the polytope."""
-    return Matching(np.outer(margins.p, margins.q), margins)
+    return Matching(_barycenter_mu(margins), margins)
 
 
 def conditionals(mu: Matching) -> tuple[np.ndarray, np.ndarray]:

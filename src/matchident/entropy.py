@@ -44,6 +44,7 @@ from .core import (
     Surplus,
     TypeValues,
     ValidationError,
+    _check_same_shape,
     conditionals,
     total_surplus,
 )
@@ -95,9 +96,6 @@ _MAX_STAGE_STEPS = 30
 #: Backtracking: sufficient-decrease constant and the smallest step tried.
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
-
-#: Entries at or below this are treated as boundary zeros by gradients.
-_INTERIOR_TOL = 1e-12
 
 #: Conditional mass increments at or below this collide two cumulative
 #: masses, putting the quantile entropy at a kink.
@@ -239,15 +237,16 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     relevant derivative on the polytope; it is defined up to a separable
     term, and the returned representative is the natural closed form for
     each entropy.  Shannon and quantile gradients require an interior
-    matching; the quantile gradient additionally requires all cumulative
-    conditional masses to be distinct (otherwise the entropy has a kink).
+    matching (``polytope.is_boundary`` is false); the quantile gradient
+    also requires all cumulative conditional masses to be distinct
+    (otherwise the entropy has a kink).
     The gauge gradient exists off the barycenter and equals the stretch
     factor times the normalized indicator of the binding boundary face.
     """
     if model.kind == "gauge":
         ray = polytope.gauge(mu)
         return Surplus(ray.t_star * polytope.face_normal(mu, ray))
-    if mu.mu.min() <= _INTERIOR_TOL:
+    if polytope.is_boundary(mu):
         cell = np.unravel_index(np.argmin(mu.mu), mu.mu.shape)
         raise NonInteriorError(
             f"boundary point: entropy gradient undefined, mu[{cell[0]}, {cell[1]}]"
@@ -454,10 +453,7 @@ def solve_regularized(
         raise ValidationError(
             f"regularized solver implemented for shannon entropy only, got {model.kind!r}"
         )
-    if phi.phi.shape != margins.shape:
-        raise ValidationError(
-            f"phi has shape {phi.phi.shape} but margins have shape {margins.shape}"
-        )
+    _check_same_shape("phi", phi.phi.shape, margins)
     # Zero-mass types carry no mass at any sweep, so IPFP runs on the
     # others and every scaling it sees is positive.
     rows, cols = margins.p > 0.0, margins.q > 0.0

@@ -25,12 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BOUNDARY_TOL,
     OPTIMALITY_TOL,
     DegenerateRayError,
     Margins,
     Matching,
     Surplus,
     ValidationError,
+    _barycenter_mu,
     decompose_separable,
     is_nonseparable,
 )
@@ -38,7 +40,6 @@ from .entropy import EntropyModel, grad_entropy, solve_regularized
 from .polytope import GaugeResult, face_normal, gauge, is_boundary
 
 __all__ = [
-    "WITNESS_ZERO_TOL",
     "RationalizabilityChecks",
     "RationalizabilityReport",
     "IdentifiedSurplus",
@@ -47,9 +48,6 @@ __all__ = [
     "identify_entropy",
     "simulate_market",
 ]
-
-#: Cells with at most this much mass count as unmatched for the witness.
-WITNESS_ZERO_TOL = 1e-12
 
 #: The largest sample size the multinomial draw takes (the int64 maximum).
 _MAX_HOUSEHOLDS = 2**63 - 1
@@ -118,20 +116,22 @@ class IdentifiedSurplus:
 
 def _certifies(phi: np.ndarray, mu: Matching) -> bool:
     """Whether the dual potentials ``f = g = 0`` prove ``mu`` optimal for ``phi``:
-    they are feasible when ``phi <= 0``, and the duality gap is ``-<mu, phi>``.
+    they are feasible when ``phi <= 0``, and the duality gap ``-<mu, phi>`` is
+    at most ``OPTIMALITY_TOL * max|phi|``.
     """
-    return bool(phi.max() <= 0.0 and np.sum(mu.mu * phi) >= -OPTIMALITY_TOL)
+    slack = OPTIMALITY_TOL * np.abs(phi).max()
+    return bool(phi.max() <= 0.0 and np.sum(mu.mu * phi) >= -slack)
 
 
 def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     """Decide whether an observed matching is rationalizable, with proof.
 
     The verdict is the boundary test.  On the boundary an explicit witness
-    is constructed: the surplus equal to -1 on the unmatched cells (mass at
-    most ``WITNESS_ZERO_TOL``) and 0 elsewhere.  Any feasible matching
-    scores at most 0 against it and the observation attains 0, so the
-    observation is optimal; the report records that dual certificate and
-    the nonseparability of the witness.
+    is constructed: the surplus equal to -1 on the empty cells (mass at
+    most ``BOUNDARY_TOL``, the threshold of the boundary test) and 0
+    elsewhere.  Any feasible matching scores at most 0 against it and the
+    observation attains 0, so the observation is optimal; the report
+    records that dual certificate and the nonseparability of the witness.
     """
     margins = mu_hat.margins
     boundary = is_boundary(mu_hat)
@@ -148,7 +148,7 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
             mu_star=mu_star,
             checks=RationalizabilityChecks(False, False, False),
         )
-    witness = Surplus(np.where(mu_hat.mu <= WITNESS_ZERO_TOL, -1.0, 0.0))
+    witness = Surplus(np.where(mu_hat.mu <= BOUNDARY_TOL, -1.0, 0.0))
     checks = RationalizabilityChecks(
         boundary=True,
         maximizer=_certifies(witness.phi, mu_hat),
@@ -182,7 +182,7 @@ def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]
     phi_star = Surplus(face_normal(mu_hat, ray))
     phi_raw = Surplus(ray.t_star * phi_star.phi)
     parts = decompose_separable(phi_raw, margins)
-    direction = mu_hat.mu - np.outer(margins.p, margins.q)
+    direction = mu_hat.mu - _barycenter_mu(margins)
     diagnostics = {
         "t_star": ray.t_star,
         "normalization": float(np.sum(phi_star.phi * direction)),

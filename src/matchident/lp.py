@@ -6,9 +6,10 @@ transportation (network) simplex on the complete bipartite type graph.
 The implementation is deliberately exact and deterministic rather than
 fast: a northwest-corner starting basis, Bland's smallest-index pivot rule
 (which also rules out cycling on degenerate instances), and dual
-potentials read off the basis tree.  Reduced-cost comparisons against a
-fixed tolerance make the pivot sequence, and hence the returned vertex,
-reproducible run to run and invariant under positive rescaling of ``phi``.
+potentials read off the basis tree.  Reduced costs are compared against
+``SEPARABILITY_TOL * max|phi|``, so the pivot sequence, and hence the
+returned vertex, is reproducible run to run and the same for any positive
+multiple of ``phi`` (barring a reduced cost within rounding of that bound).
 Verdicts elsewhere use closed-form certificates instead of re-solving;
 ``is_maximizer`` is the brute-force oracle they are tested against.
 """
@@ -22,26 +23,23 @@ import numpy as np
 
 from .core import (
     OPTIMALITY_TOL,
+    SEPARABILITY_TOL,
     ConvergenceError,
     Margins,
     Matching,
     Surplus,
-    ValidationError,
+    _check_same_shape,
     is_nonseparable,
     total_surplus,
 )
 
 __all__ = [
-    "REDUCED_COST_TOL",
     "OPTIMALITY_TOL",
     "LpSolution",
     "maximize_surplus",
     "is_maximizer",
     "is_discriminating",
 ]
-
-#: A nonbasic cell enters the basis only if its reduced cost exceeds this.
-REDUCED_COST_TOL = 1e-10
 
 _MAX_PIVOTS = 10_000
 
@@ -163,22 +161,21 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     pivot rule is Bland's rule on lexicographic cell order, so the solver
     terminates on degenerate instances and always returns the same vertex
     for the same input (and for any positive rescaling of the input).
-    Raises ``ConvergenceError`` if the pivot cap is reached; its residual is
-    the largest reduced cost left above ``REDUCED_COST_TOL``.
+    A nonbasic cell enters the basis only if its reduced cost exceeds
+    ``SEPARABILITY_TOL * max|phi|``.  Raises ``ConvergenceError`` if the
+    pivot cap is reached; its residual is the largest reduced cost left.
     """
-    if phi.phi.shape != margins.shape:
-        raise ValidationError(
-            f"phi has shape {phi.phi.shape} but margins have shape {margins.shape}"
-        )
+    _check_same_shape("phi", phi.phi.shape, margins)
     n = margins.d_y
     cost = phi.phi
+    entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
     mu, basis = _northwest_corner(margins.p, margins.q)
     basis_set = set(basis)
     for pivots in range(_MAX_PIVOTS + 1):
         u, v = _potentials(basis, cost)
         reduced = cost - u[:, None] - v[None, :]
         reduced[tuple(np.transpose(basis))] = -np.inf  # zero up to rounding
-        candidates = np.flatnonzero(reduced > REDUCED_COST_TOL)
+        candidates = np.flatnonzero(reduced > entering_tol)
         if candidates.size == 0:
             break
         if pivots == _MAX_PIVOTS:
@@ -209,10 +206,12 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     )
 
 
-def is_maximizer(phi: Surplus, mu: Matching, tol: float = OPTIMALITY_TOL) -> bool:
-    """Whether ``mu`` attains the maximal total surplus for ``phi`` within ``tol``."""
+def is_maximizer(phi: Surplus, mu: Matching) -> bool:
+    """Whether ``mu`` attains the maximal total surplus for ``phi`` within
+    ``OPTIMALITY_TOL * max|phi|``."""
     solution = maximize_surplus(phi, mu.margins)
-    return total_surplus(mu, phi) >= solution.value - tol
+    slack = OPTIMALITY_TOL * np.abs(phi.phi).max()
+    return total_surplus(mu, phi) >= solution.value - slack
 
 
 def is_discriminating(phi: Surplus, margins: Margins) -> bool:

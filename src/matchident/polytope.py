@@ -18,14 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    CLAMP_TOL,
+    BOUNDARY_TOL,
     MASS_TOL,
     DegenerateRayError,
     InstanceTooLargeError,
     Margins,
     MarketError,
     Matching,
-    ValidationError,
+    _barycenter_mu,
+    _check_same_shape,
 )
 
 __all__ = [
@@ -39,9 +40,6 @@ __all__ = [
     "face_normal",
     "is_boundary",
 ]
-
-#: A matching is on the boundary when its smallest entry is at most this.
-BOUNDARY_TOL = 1e-12
 
 #: Exhaustive vertex enumeration refuses instances with more cells.
 VERTEX_CELL_GUARD = 16
@@ -60,10 +58,7 @@ def dimension(margins: Margins) -> int:
 def contains(mu, margins: Margins, tol: float = MASS_TOL) -> bool:
     """Whether a raw matrix lies in the polytope, all constraints within ``tol``."""
     arr = np.asarray(mu, dtype=float)
-    if arr.shape != margins.shape:
-        raise ValidationError(
-            f"matrix has shape {arr.shape} but margins have shape {margins.shape}"
-        )
+    _check_same_shape("matrix", arr.shape, margins)
     if not np.all(np.isfinite(arr)):
         return False
     if arr.min() < -tol:
@@ -132,7 +127,7 @@ def enumerate_vertices(margins: Margins) -> list[Matching]:
     bipartite type graph with nonnegative tree flows.  Candidate supports
     are scanned in lexicographic order, so the output order is reproducible.
     Degenerate instances yield the same vertex from several trees; results
-    are deduplicated entrywise within 1e-9.
+    are deduplicated entrywise within ``MASS_TOL``.
 
     Raises ``InstanceTooLargeError`` when ``d_x * d_y > VERTEX_CELL_GUARD``.
     """
@@ -144,9 +139,7 @@ def enumerate_vertices(margins: Margins) -> list[Matching]:
         )
     p, q = margins.p, margins.q
     cells = [(x, y) for x in range(m) for y in range(n)]
-    # Degenerate instances produce the same vertex from several trees, so
-    # candidates are deduplicated entrywise within 1e-9; bucketing them by
-    # support pattern keeps that scan short.
+    # Bucketing candidates by support pattern keeps the deduplication short.
     buckets: dict[tuple[int, ...], list[np.ndarray]] = {}
     kept: list[np.ndarray] = []
     for support in itertools.combinations(range(m * n), m + n - 1):
@@ -157,9 +150,9 @@ def enumerate_vertices(margins: Margins) -> list[Matching]:
         mu = np.zeros((m, n))
         for (x, y), flow in zip(edges, flows):
             mu[x, y] = max(flow, 0.0)
-        pattern = tuple(np.flatnonzero(mu.ravel() > 1e-9))
+        pattern = tuple(np.flatnonzero(mu.ravel() > MASS_TOL))
         bucket = buckets.setdefault(pattern, [])
-        if any(np.abs(mu - other).max() <= 1e-9 for other in bucket):
+        if any(np.abs(mu - other).max() <= MASS_TOL for other in bucket):
             continue
         bucket.append(mu)
         kept.append(mu)
@@ -195,9 +188,9 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     which case the ray has no direction.
     """
     margins = mu_hat.margins
-    bary = np.outer(margins.p, margins.q)
+    bary = _barycenter_mu(margins)
     diff = mu_hat.mu - bary
-    if np.abs(diff).max() <= CLAMP_TOL:
+    if np.abs(diff).max() <= BOUNDARY_TOL:
         raise DegenerateRayError(
             "matching equals the barycenter; the ray to the boundary is undefined"
         )
@@ -205,9 +198,10 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     ratios = np.full(mu_hat.mu.shape, np.inf)
     ratios[shrinking] = bary[shrinking] / -diff[shrinking]
     t_star = float(ratios.min())
-    binding = frozenset(
-        (int(x), int(y)) for x, y in np.argwhere(ratios <= t_star + 1e-12)
-    )
+    # A cell whose ratio is within a relative BOUNDARY_TOL of t* keeps less
+    # than BOUNDARY_TOL of its barycenter mass at mu*: it is empty there too.
+    last = t_star * (1.0 + BOUNDARY_TOL)
+    binding = frozenset((int(x), int(y)) for x, y in np.argwhere(ratios <= last))
     mu_star = np.clip(bary + t_star * diff, 0.0, None)
     # A matching admitted with a loose feasibility tolerance carries a
     # margin defect that the stretch scales by t*; allow exactly that much.
@@ -230,11 +224,10 @@ def face_normal(mu_hat: Matching, ray: GaugeResult) -> np.ndarray:
     ``ray.mu_star``, and ``ray.t_star`` times it is the gauge entropy's
     gradient at ``mu_hat``.
     """
-    margins = mu_hat.margins
     indicator = np.zeros(mu_hat.mu.shape)
     for x, y in ray.binding_cells:
         indicator[x, y] = 1.0
-    direction = mu_hat.mu - np.outer(margins.p, margins.q)
+    direction = mu_hat.mu - _barycenter_mu(mu_hat.margins)
     normalizer = float(np.sum(indicator * direction))
     if normalizer >= 0.0:
         # Binding cells shrink along the ray by construction, so this
@@ -245,10 +238,11 @@ def face_normal(mu_hat: Matching, ray: GaugeResult) -> np.ndarray:
     return indicator / normalizer + 0.0  # + 0.0 clears negative zeros
 
 
-def is_boundary(mu: Matching, tol: float = BOUNDARY_TOL) -> bool:
+def is_boundary(mu: Matching) -> bool:
     """Whether the matching sits on the (relative) boundary of the polytope.
 
     Margins are equalities everywhere on the polytope, so the relative
-    boundary is reached exactly when some entry vanishes.
+    boundary is reached exactly when some entry vanishes, that is, is at
+    most ``BOUNDARY_TOL``.
     """
-    return bool(mu.mu.min() <= tol)
+    return bool(mu.mu.min() <= BOUNDARY_TOL)

@@ -7,6 +7,10 @@ from matchident import Margins, Matching, Surplus, decompose_separable, enumerat
 
 _VERTEX_CACHE: dict[tuple[bytes, bytes], list[Matching]] = {}
 
+#: Rescalings of a surplus (or of type values) that no verdict may notice:
+#: their units are arbitrary.
+UNIT_CHANGES = (1e-12, 1e-6, 1e6, 1e12)
+
 
 def vertices_for(margins: Margins) -> list[Matching]:
     """Enumerated vertices, cached per margins (enumeration is the slow part)."""

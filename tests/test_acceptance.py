@@ -35,6 +35,7 @@ from matchident import (
 )
 from matchident.cli import main
 from conftest import (
+    UNIT_CHANGES,
     random_boundary_matching,
     random_interior_matching,
     random_margins,
@@ -180,7 +181,7 @@ class TestAcceptance:
                 margins = margins_by_shape[shape]
                 phi = random_surplus(rng, *shape)
                 base = maximize_surplus(phi, margins)
-                for t in (0.5, 2.0, 10.0):
+                for t in (0.5, 2.0, 10.0, *UNIT_CHANGES):
                     scaled = maximize_surplus(Surplus(t * phi.phi), margins)
                     assert scaled.value == pytest.approx(t * base.value, rel=1e-10)
                     assert np.array_equal(scaled.mu_opt.mu, base.mu_opt.mu)

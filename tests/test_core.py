@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matchident import (
+    SEPARABILITY_TOL,
     Margins,
     Matching,
     NotInPolytopeError,
@@ -197,16 +198,19 @@ class TestIsNonseparable:
 
     def test_cross_difference_equivalence_2x2_uniform(self, uniform2):
         """With uniform 2x2 margins the residual is a quarter of the
-        cross-difference, so the verdict flips at cross-difference 4e-10."""
+        cross-difference, so the verdict flips at cross-difference
+        ``4 * SEPARABILITY_TOL * max|phi|``."""
         rng = np.random.default_rng(22)
         for _ in range(200):
             phi = random_surplus(rng, 2, 2, scale=2.0)
             cross = phi.phi[0, 0] + phi.phi[1, 1] - phi.phi[0, 1] - phi.phi[1, 0]
-            assert is_nonseparable(phi, uniform2) == (abs(cross) > 4e-10)
+            flip = 4.0 * SEPARABILITY_TOL * np.abs(phi.phi).max()
+            assert is_nonseparable(phi, uniform2) == (abs(cross) > flip)
+        # max|phi| = 4 here, so the flip sits at cross-difference 1.6e-9.
         base = Surplus([[1.0, 2.0], [3.0, 4.0]])
         bump = np.array([[1.0, 0.0], [0.0, 0.0]])
-        assert not is_nonseparable(Surplus(base.phi + 3e-10 * bump), uniform2)
-        assert is_nonseparable(Surplus(base.phi + 5e-10 * bump), uniform2)
+        assert not is_nonseparable(Surplus(base.phi + 1.2e-9 * bump), uniform2)
+        assert is_nonseparable(Surplus(base.phi + 2e-9 * bump), uniform2)
 
 
 class TestBarycenter:

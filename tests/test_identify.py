@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from matchident import (
+    BOUNDARY_TOL,
     DegenerateRayError,
     EntropyModel,
     Margins,
@@ -30,13 +31,14 @@ from matchident import (
     total_surplus,
 )
 from conftest import (
+    UNIT_CHANGES,
     random_boundary_matching,
     random_interior_matching,
     random_margins,
     random_nonseparable_surplus,
     random_surplus,
 )
-from matchident.identify import WITNESS_ZERO_TOL, _certifies
+from matchident.identify import _certifies
 
 
 def sample_matchings(rng, margins):
@@ -137,7 +139,7 @@ class TestCertificates:
                 for mu in sample_matchings(rng, margins).values():
                     ray, identified = rationalize_gauge(mu)
                     normal = Surplus(face_normal(mu, ray))
-                    witness = Surplus(np.where(mu.mu <= WITNESS_ZERO_TOL, -1.0, 0.0))
+                    witness = Surplus(np.where(mu.mu <= BOUNDARY_TOL, -1.0, 0.0))
                     for phi, point in ((witness, mu), (normal, ray.mu_star), (normal, mu)):
                         answer = _certifies(phi.phi, point)
                         assert answer == is_maximizer(phi, point)
@@ -150,6 +152,40 @@ class TestCertificates:
                         _certifies(normal.phi, ray.mu_star)
                     )
         assert answers == {False, True}
+
+
+class TestScaleInvariance:
+    """The units of a surplus, or of type values, are arbitrary: no
+    separability or rationalizability answer may depend on them."""
+
+    def test_separability_and_verdict_flags_hold_at_every_scale(self):
+        rng = np.random.default_rng(96)
+        for d_x, d_y in [(2, 2), (3, 4), (6, 6)]:
+            margins = random_margins(rng, d_x, d_y)
+            phi = random_nonseparable_surplus(rng, margins).phi
+            separable = rng.normal(0.0, 2.0, (d_x, 1)) + rng.normal(0.0, 2.0, (1, d_y))
+            for t in UNIT_CHANGES:
+                assert is_nonseparable(Surplus(t * phi), margins)
+                assert not is_nonseparable(Surplus(t * separable), margins)
+                vertex = maximize_surplus(Surplus(t * phi), margins).mu_opt
+                report = check_rationalizable(vertex)
+                assert report.rationalizable
+                assert report.checks.maximizer and report.checks.nonseparable
+
+    def test_quantile_identification_holds_in_any_units_of_the_type_values(self):
+        rng = np.random.default_rng(97)
+        margins = random_margins(rng, 3, 4)
+        mu = sample_matchings(rng, margins)["interior"]
+        x_values, y_values = np.array([1.0, 2.5, 3.0]), np.array([0.5, 1.0, 2.0, 4.0])
+        base = identify_entropy(mu, EntropyModel.quantile(TypeValues(x_values, y_values)))
+        assert base.diagnostics["nonseparable"] == 1.0
+        for t in UNIT_CHANGES:
+            values = TypeValues(t * x_values, t * y_values)
+            scaled = identify_entropy(mu, EntropyModel.quantile(values))
+            assert scaled.diagnostics["nonseparable"] == 1.0
+            np.testing.assert_allclose(
+                scaled.phi_canonical.phi, t * base.phi_canonical.phi, rtol=1e-9
+            )
 
 
 class TestRationalizeGauge:

@@ -18,6 +18,7 @@ from matchident import (
     total_surplus,
 )
 from conftest import (
+    UNIT_CHANGES,
     random_interior_matching,
     random_margins,
     random_nonseparable_surplus,
@@ -119,7 +120,7 @@ class TestHomogeneity:
             margins = random_margins(rng, d_x, d_y)
             phi = random_surplus(rng, d_x, d_y)
             base = maximize_surplus(phi, margins)
-            for t in (0.5, 2.0, 10.0):
+            for t in (0.5, 2.0, 10.0, *UNIT_CHANGES):
                 scaled = maximize_surplus(Surplus(t * phi.phi), margins)
                 assert scaled.value == pytest.approx(t * base.value, rel=1e-10)
                 np.testing.assert_array_equal(scaled.mu_opt.mu, base.mu_opt.mu)
@@ -147,6 +148,14 @@ class TestIsMaximizer:
         assert is_maximizer(identity, assortative_matching)
         assert not is_maximizer(identity, interior_matching)
         assert is_maximizer(Surplus(np.zeros((2, 2))), interior_matching)
+
+    def test_verdict_does_not_depend_on_the_units_of_phi(
+        self, interior_matching, assortative_matching
+    ):
+        for t in UNIT_CHANGES:
+            identity = Surplus(t * np.eye(2))
+            assert is_maximizer(identity, assortative_matching)
+            assert not is_maximizer(identity, interior_matching)
 
     def test_optimum_always_passes(self):
         rng = np.random.default_rng(56)
