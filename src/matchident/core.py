@@ -365,6 +365,11 @@ def decompose_separable(phi: Surplus, margins: Margins) -> SeparableParts:
     return SeparableParts(f=f, g=g, residual=residual)
 
 
+def _is_nonzero_residual(residual: np.ndarray, phi: np.ndarray) -> bool:
+    """Whether the residual of ``phi`` exceeds ``SEPARABILITY_TOL * max|phi|``."""
+    return bool(np.abs(residual).max() > SEPARABILITY_TOL * np.abs(phi).max())
+
+
 def is_nonseparable(phi: Surplus, margins: Margins) -> bool:
     """Whether ``phi`` has a nonzero doubly centered residual.
 
@@ -374,8 +379,7 @@ def is_nonseparable(phi: Surplus, margins: Margins) -> bool:
     ``phi[0,0] + phi[1,1] != phi[0,1] + phi[1,0]``.  Nonzero means above
     ``SEPARABILITY_TOL * max|phi|``, so rescaling ``phi`` keeps the answer.
     """
-    residual = decompose_separable(phi, margins).residual
-    return bool(np.abs(residual).max() > SEPARABILITY_TOL * np.abs(phi.phi).max())
+    return _is_nonzero_residual(decompose_separable(phi, margins).residual, phi.phi)
 
 
 def barycenter(margins: Margins) -> Matching:

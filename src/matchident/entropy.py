@@ -314,7 +314,13 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
                 if newton_error <= IPFP_TOL:
                     return mu, sweeps + steps, newton_error
         previous = error
-    return a[:, None] * kernel * b[None, :], sweeps + steps, error
+    mu = a[:, None] * kernel * b[None, :]
+    # Where the kernel is subnormal, a * kernel * b keeps few digits.
+    rows, cols = np.nonzero(kernel < np.finfo(float).tiny)
+    mu[rows, cols] = np.exp(
+        phi[rows, cols] + f[rows] + np.log(a[rows]) + g[cols] + np.log(b[cols])
+    )
+    return mu, sweeps + steps, error
 
 
 def _sweeps_needed(previous: float, error: float) -> float:

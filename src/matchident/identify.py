@@ -33,6 +33,7 @@ from .core import (
     Surplus,
     ValidationError,
     _barycenter_mu,
+    _is_nonzero_residual,
     decompose_separable,
     is_nonseparable,
 )
@@ -187,7 +188,7 @@ def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]
         "t_star": ray.t_star,
         "normalization": float(np.sum(phi_star.phi * direction)),
         "maximizer_verified": float(_certifies(phi_star.phi, ray.mu_star)),
-        "nonseparable": float(is_nonseparable(phi_raw, margins)),
+        "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
     }
     identified = IdentifiedSurplus(
         phi_raw=phi_raw,
@@ -220,7 +221,7 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
         phi_raw = grad_entropy(model, mu_hat)
     parts = decompose_separable(phi_raw, margins)
     diagnostics: dict[str, float] = {
-        "nonseparable": float(is_nonseparable(phi_raw, margins)),
+        "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
     }
     if model.kind == "shannon":
         # For rows x, x' the cross-differences are d[y] - d[y'] with

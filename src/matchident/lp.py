@@ -1,22 +1,24 @@
 """Exact maximization of total surplus over the matching polytope.
 
 The maximization of ``<mu, phi>`` subject to margin constraints is a
-transportation problem, and this module solves it with the classical
-transportation (network) simplex on the complete bipartite type graph.
-The implementation is deliberately exact and deterministic rather than
-fast: a northwest-corner starting basis, Bland's smallest-index pivot rule
-(which also rules out cycling on degenerate instances), and dual
-potentials read off the basis tree.  Reduced costs are compared against
-``SEPARABILITY_TOL * max|phi|``, so the pivot sequence, and hence the
-returned vertex, is reproducible run to run and the same for any positive
-multiple of ``phi`` (barring a reduced cost within rounding of that bound).
-Verdicts elsewhere use closed-form certificates instead of re-solving;
-``is_maximizer`` is the brute-force oracle they are tested against.
+transportation problem, and this module solves it exactly with the
+classical transportation (network) simplex on the complete bipartite type
+graph: a northwest-corner starting basis and Bland's smallest-index pivot
+rule, which also rules out cycling on degenerate instances.  The basis is
+a spanning tree on the ``m + n`` type nodes, kept as an adjacency that each
+pivot updates in place.  One walk of the tree per pivot yields the dual
+potentials and the parent links along which the pivot cycle is read; both
+are unique on the tree, so the order of the walk changes no result.
+Reduced costs are compared against ``SEPARABILITY_TOL * max|phi|``, so the
+pivot sequence, and hence the returned vertex, is reproducible run to run
+and the same for any positive multiple of ``phi`` (barring a reduced cost
+within rounding of that bound).  Verdicts elsewhere use closed-form
+certificates instead of re-solving; ``is_maximizer`` is the brute-force
+oracle they are tested against.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,17 +69,22 @@ class LpSolution:
 
 
 def _northwest_corner(p: np.ndarray, q: np.ndarray):
-    """Initial basic feasible solution with exactly m + n - 1 basic cells."""
+    """Initial basic feasible solution with exactly m + n - 1 basic cells:
+    the matching, the mask of basic cells and the adjacency of the basis
+    tree on the type nodes (rows ``0 .. m-1``, columns ``m .. m+n-1``)."""
     m, n = p.size, q.size
     mu = np.zeros((m, n))
-    basis: list[tuple[int, int]] = []
+    basic = np.zeros((m, n), dtype=bool)
+    adjacency: list[set[int]] = [set() for _ in range(m + n)]
     remaining_p = p.copy()
     remaining_q = q.copy()
     x, y = 0, 0
     for _ in range(m + n - 1):
         t = min(remaining_p[x], remaining_q[y])
         mu[x, y] = t
-        basis.append((x, y))
+        basic[x, y] = True
+        adjacency[x].add(m + y)
+        adjacency[m + y].add(x)
         remaining_p[x] -= t
         remaining_q[y] -= t
         if x == m - 1:
@@ -88,69 +95,49 @@ def _northwest_corner(p: np.ndarray, q: np.ndarray):
             x += 1
         else:
             y += 1
-    return mu, basis
+    return mu, basic, adjacency
 
 
-def _potentials(basis, phi: np.ndarray):
-    """Dual potentials solving u[x] + v[y] = phi[x, y] on the basis tree."""
-    m, n = phi.shape
-    adjacency: dict[int, list[int]] = defaultdict(list)
-    for x, y in basis:
-        adjacency[x].append(m + y)
-        adjacency[m + y].append(x)
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    queue = deque([0])
-    seen = {0}
-    while queue:
-        node = queue.popleft()
-        for neighbor in adjacency[node]:
-            if neighbor in seen:
+def _tree(adjacency: list[set[int]], rows: list[list[float]], m: int):
+    """Parents, depths and the potentials ``u[x] + v[y] = rows[x][y]`` of
+    the basis tree, walked from row 0 (``u[0] = 0``)."""
+    parent = [-1] * len(adjacency)
+    depth = [0] * len(adjacency)
+    potential = [0.0] * len(adjacency)
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for child in adjacency[node]:
+            if child == parent[node]:
                 continue
-            seen.add(neighbor)
+            parent[child] = node
+            depth[child] = depth[node] + 1
             if node < m:  # row node fixes the column potential
-                v[neighbor - m] = phi[node, neighbor - m] - u[node]
+                potential[child] = rows[node][child - m] - potential[node]
             else:
-                u[neighbor] = phi[neighbor, node - m] - v[node - m]
-            queue.append(neighbor)
-    return u, v
+                potential[child] = rows[child][node - m] - potential[node]
+            stack.append(child)
+    return parent, depth, np.array(potential[:m]), np.array(potential[m:])
 
 
-def _cycle_signs(basis, entering):
+def _cycle(parent: list[int], depth: list[int], entering: tuple[int, int], m: int):
     """Split the pivot cycle of ``entering`` into gaining and losing cells.
 
-    The basis tree contains a unique path between the row and column nodes
-    of the entering cell; adding the entering edge closes a cycle.  Flow
-    pushed around the cycle alternates sign edge by edge, starting with a
-    gain on the entering cell.
+    The cycle is the tree path between the entering cell's row and column
+    nodes, walked up from both to their common ancestor.  Flow pushed
+    around it alternates sign, starting with a gain on the entering cell,
+    so a tree edge loses exactly when the path from the row node crosses
+    it from a row node to a column node.
     """
-    x0, y0 = entering
-    m = 1 + max(x for x, _ in basis)
-    adjacency: dict[int, list[int]] = defaultdict(list)
-    for x, y in basis:
-        adjacency[x].append(m + y)
-        adjacency[m + y].append(x)
-    parent: dict[int, int] = {x0: x0}
-    queue = deque([x0])
-    while queue:
-        node = queue.popleft()
-        if node == m + y0:
-            break
-        for neighbor in adjacency[node]:
-            if neighbor not in parent:
-                parent[neighbor] = node
-                queue.append(neighbor)
-    path = [m + y0]
-    while path[-1] != x0:
-        path.append(parent[path[-1]])
-    path.reverse()  # row node of entering cell ... column node of entering cell
-    plus = [entering]
-    minus = []
-    for i in range(len(path) - 1):
-        a, b = path[i], path[i + 1]
-        cell = (a, b - m) if a < m else (b, a - m)
-        (minus if i % 2 == 0 else plus).append(cell)
+    plus, minus = [entering], []
+    a, b = entering[0], m + entering[1]
+    while a != b:
+        from_row = depth[a] >= depth[b]
+        child = a if from_row else b
+        up = parent[child]
+        cell = (child, up - m) if child < m else (up, child - m)
+        (minus if (child < m) == from_row else plus).append(cell)
+        a, b = (up, b) if from_row else (a, up)
     return plus, minus
 
 
@@ -166,15 +153,15 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     pivot cap is reached; its residual is the largest reduced cost left.
     """
     _check_same_shape("phi", phi.phi.shape, margins)
-    n = margins.d_y
+    m, n = margins.shape
     cost = phi.phi
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
-    mu, basis = _northwest_corner(margins.p, margins.q)
-    basis_set = set(basis)
+    rows = cost.tolist()
+    mu, basic, adjacency = _northwest_corner(margins.p, margins.q)
     for pivots in range(_MAX_PIVOTS + 1):
-        u, v = _potentials(basis, cost)
+        parent, depth, u, v = _tree(adjacency, rows, m)
         reduced = cost - u[:, None] - v[None, :]
-        reduced[tuple(np.transpose(basis))] = -np.inf  # zero up to rounding
+        reduced[basic] = -np.inf  # zero up to rounding
         candidates = np.flatnonzero(reduced > entering_tol)
         if candidates.size == 0:
             break
@@ -185,7 +172,7 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
                 residual=float(reduced.max()),
             )
         entering = divmod(int(candidates[0]), n)
-        plus, minus = _cycle_signs(basis, entering)
+        plus, minus = _cycle(parent, depth, entering, m)
         theta = min(mu[cell] for cell in minus)
         leaving = min(cell for cell in minus if mu[cell] <= theta)
         for cell in plus:
@@ -193,13 +180,13 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
         for cell in minus:
             mu[cell] -= theta
         mu[leaving] = 0.0
-        basis_set.remove(leaving)
-        basis_set.add(entering)
-        basis = sorted(basis_set)
+        for x, y in (leaving, entering):  # one edge leaves the tree, one joins
+            basic[x, y] = not basic[x, y]
+            adjacency[x] ^= {m + y}
+            adjacency[m + y] ^= {x}
     shift = v[-1]
-    solution_mu = Matching(mu, margins)
     return LpSolution(
-        mu_opt=solution_mu,
+        mu_opt=Matching(mu, margins),
         value=float(np.sum(mu * cost)),
         dual_f=u + shift,
         dual_g=v - shift,

@@ -466,6 +466,22 @@ class TestSolveRegularized:
             assert report.iterations < 200
             assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
 
+    def test_subnormal_kernel_cells_on_the_sweep_path_keep_their_digits(self):
+        """A 2x8 market at surplus scale about 1090 with column masses down to
+        2e-11: the sweeps finish before any hand-over is weighed, with
+        kernel entries far below the smallest normal float.  Its cells near
+        1e-287 must still satisfy the separability certificate."""
+        rng = np.random.default_rng(5)
+        for _ in range(1079):  # the 1079th draw of this generator
+            d_x, d_y = rng.integers(2, 10, 2)
+            p = rng.uniform(0.2, 1.0, d_x) * 10.0 ** rng.uniform(-12, 0, d_x)
+            q = rng.uniform(0.2, 1.0, d_y) * 10.0 ** rng.uniform(-12, 0, d_y)
+            phi = (10.0 ** rng.uniform(0, 4)) * rng.standard_normal((d_x, d_y))
+        margins = Margins(p / p.sum(), q / q.sum())
+        _, report = solve_regularized(EntropyModel.shannon(), Surplus(phi), margins)
+        assert report.iterations < 2 * entropy._BLOCK
+        assert_ipfp_certificate(phi, margins, report.mu.mu)
+
     def test_sweeps_that_cannot_finish_under_the_cap_hand_over(self, monkeypatch):
         """The sweeps finish this market in about 350 iterations, fewer than
         the Newton phase is expected to cost; under a cap of 200 they cannot

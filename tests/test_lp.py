@@ -1,10 +1,15 @@
 """Exact surplus maximization: optimality, duality, determinism, homogeneity."""
 
+from collections import defaultdict, deque
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from matchident import (
     OPTIMALITY_TOL,
+    SEPARABILITY_TOL,
+    ConvergenceError,
     Margins,
     Matching,
     Surplus,
@@ -17,6 +22,7 @@ from matchident import (
     maximize_surplus,
     total_surplus,
 )
+from matchident import lp
 from conftest import (
     UNIT_CHANGES,
     random_interior_matching,
@@ -32,6 +38,115 @@ SMALL_SHAPES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (5, 2), (2, 6), 
 def vertex_scan_value(phi: Surplus, margins: Margins) -> float:
     """Brute-force oracle: the maximum of the objective over all vertices."""
     return max(total_surplus(v, phi) for v in vertices_for(margins))
+
+
+def _reference_potentials(basis, phi: np.ndarray):
+    """Dual potentials solving u[x] + v[y] = phi[x, y] on the basis tree."""
+    m, n = phi.shape
+    adjacency: dict[int, list[int]] = defaultdict(list)
+    for x, y in basis:
+        adjacency[x].append(m + y)
+        adjacency[m + y].append(x)
+    u = np.full(m, np.nan)
+    v = np.full(n, np.nan)
+    u[0] = 0.0
+    queue = deque([0])
+    seen = {0}
+    while queue:
+        node = queue.popleft()
+        for neighbor in adjacency[node]:
+            if neighbor in seen:
+                continue
+            seen.add(neighbor)
+            if node < m:  # row node fixes the column potential
+                v[neighbor - m] = phi[node, neighbor - m] - u[node]
+            else:
+                u[neighbor] = phi[neighbor, node - m] - v[node - m]
+            queue.append(neighbor)
+    return u, v
+
+
+def _reference_cycle_signs(basis, entering, m: int):
+    """Gaining and losing cells of the pivot cycle, by a breadth-first search
+    for the tree path from the entering cell's row node to its column node."""
+    x0, y0 = entering
+    adjacency: dict[int, list[int]] = defaultdict(list)
+    for x, y in basis:
+        adjacency[x].append(m + y)
+        adjacency[m + y].append(x)
+    parent: dict[int, int] = {x0: x0}
+    queue = deque([x0])
+    while queue:
+        node = queue.popleft()
+        if node == m + y0:
+            break
+        for neighbor in adjacency[node]:
+            if neighbor not in parent:
+                parent[neighbor] = node
+                queue.append(neighbor)
+    path = [m + y0]
+    while path[-1] != x0:
+        path.append(parent[path[-1]])
+    path.reverse()  # row node of entering cell ... column node of entering cell
+    plus = [entering]
+    minus = []
+    for i in range(len(path) - 1):
+        a, b = path[i], path[i + 1]
+        cell = (a, b - m) if a < m else (b, a - m)
+        (minus if i % 2 == 0 else plus).append(cell)
+    return plus, minus
+
+
+def transportation_simplex_reference(phi: Surplus, margins: Margins):
+    """The transportation simplex with both tree searches redone from the
+    basis list on every pivot: the same start, pricing and tie-breaking as
+    ``maximize_surplus``.  Returns mu, value, dual_f and dual_g."""
+    m, n = margins.shape
+    cost = phi.phi
+    entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
+    mu, basic, _ = lp._northwest_corner(margins.p, margins.q)
+    basis_set = {tuple(cell) for cell in np.argwhere(basic).tolist()}
+    basis = sorted(basis_set)
+    for pivots in range(lp._MAX_PIVOTS + 1):
+        u, v = _reference_potentials(basis, cost)
+        reduced = cost - u[:, None] - v[None, :]
+        reduced[tuple(np.transpose(basis))] = -np.inf
+        candidates = np.flatnonzero(reduced > entering_tol)
+        if candidates.size == 0:
+            break
+        if pivots == lp._MAX_PIVOTS:
+            raise ConvergenceError(
+                f"transportation simplex did not terminate within {lp._MAX_PIVOTS} pivots",
+                iterations=lp._MAX_PIVOTS,
+                residual=float(reduced.max()),
+            )
+        entering = divmod(int(candidates[0]), n)
+        plus, minus = _reference_cycle_signs(basis, entering, m)
+        theta = min(mu[cell] for cell in minus)
+        leaving = min(cell for cell in minus if mu[cell] <= theta)
+        for cell in plus:
+            mu[cell] += theta
+        for cell in minus:
+            mu[cell] -= theta
+        mu[leaving] = 0.0
+        basis_set.remove(leaving)
+        basis_set.add(entering)
+        basis = sorted(basis_set)
+    shift = v[-1]
+    return mu, float(np.sum(mu * cost)), u + shift, v - shift
+
+
+def stress_market(rng: np.random.Generator, i: int, d_x: int, d_y: int, uniform_every: int):
+    """Margins uniform on every ``uniform_every``-th market, a surplus of
+    quarter integers (many ties) on every other one."""
+    if i % uniform_every == 0:
+        margins = Margins(np.full(d_x, 1.0 / d_x), np.full(d_y, 1.0 / d_y))
+    else:
+        margins = random_margins(rng, d_x, d_y)
+    phi = rng.normal(0.0, 2.0, (d_x, d_y))
+    if i % 2 == 0:
+        phi = np.round(4.0 * phi) / 4.0
+    return margins, Surplus(phi)
 
 
 class TestFixtures:
@@ -193,3 +308,64 @@ class TestIsDiscriminating:
         margins = random_margins(rng, 5, 4)
         phi = random_surplus(rng, 5, 4)
         assert is_discriminating(phi, margins) == is_nonseparable(phi, margins)
+
+
+class TestAgainstReference:
+    """``maximize_surplus`` reads potentials and the pivot cycle from one walk
+    of the basis tree; both are unique on the tree, so every answer is
+    bit-identical to the reference that searches the tree twice per pivot."""
+
+    SHAPES = [(2, 2), (2, 7), (7, 2), (3, 3), (4, 6), (6, 4), (5, 5), (8, 8), (9, 13),
+              (13, 9), (12, 12), (16, 16), (20, 14), (14, 20), (20, 20), (25, 25),
+              (30, 24), (30, 30), (36, 40), (40, 40)]
+
+    def test_answers_are_bit_identical(self):
+        rng = np.random.default_rng(60)
+        for i, (d_x, d_y) in enumerate(self.SHAPES * 2):
+            margins, phi = stress_market(rng, i, d_x, d_y, uniform_every=3)
+            mu, value, dual_f, dual_g = transportation_simplex_reference(phi, margins)
+            solution = maximize_surplus(phi, margins)
+            np.testing.assert_array_equal(solution.mu_opt.mu, mu)
+            assert solution.value == value
+            np.testing.assert_array_equal(solution.dual_f, dual_f)
+            np.testing.assert_array_equal(solution.dual_g, dual_g)
+
+    def test_pivot_cap_raises_with_the_same_residual(self, monkeypatch):
+        monkeypatch.setattr(lp, "_MAX_PIVOTS", 7)
+        rng = np.random.default_rng(61)
+        margins, phi = stress_market(rng, 1, 12, 10, uniform_every=3)
+        with pytest.raises(ConvergenceError) as expected:
+            transportation_simplex_reference(phi, margins)
+        with pytest.raises(ConvergenceError) as raised:
+            maximize_surplus(phi, margins)
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.iterations == expected.value.iterations == 7
+        assert raised.value.residual == expected.value.residual > 0.0
+
+
+class TestAgainstHighs:
+    def test_value_and_dual_certificate_agree_with_linprog(self):
+        """Strong duality against HiGHS: the same optimal value, dual
+        feasibility everywhere and complementary slackness on the support,
+        all relative to ``max|phi|``."""
+        rng = np.random.default_rng(62)
+        for i in range(40):
+            d_x, d_y = 2 + (i * 38) // 39, int(rng.integers(2, 41))
+            margins, phi = stress_market(rng, i, d_x, d_y, uniform_every=4)
+            cost = phi.phi
+            scale = np.abs(cost).max()
+            rows = np.kron(np.eye(d_x), np.ones(d_y))
+            cols = np.kron(np.ones(d_x), np.eye(d_y))
+            highs = linprog(
+                -cost.ravel(),
+                A_eq=np.vstack([rows, cols]),
+                b_eq=np.concatenate([margins.p, margins.q]),
+                method="highs",
+            )
+            assert highs.status == 0
+            solution = maximize_surplus(phi, margins)
+            assert abs(solution.value + highs.fun) <= OPTIMALITY_TOL * scale
+            slack = solution.dual_f[:, None] + solution.dual_g[None, :] - cost
+            assert slack.min() >= -SEPARABILITY_TOL * scale
+            support = solution.mu_opt.mu > 0.0
+            assert np.abs(slack[support]).max() <= SEPARABILITY_TOL * scale
