@@ -26,7 +26,7 @@ print(observed.mu)
 print("\nstretch to the boundary: t* =", ray.t_star)
 print("boundary proxy mu* = bary + t*(mu - bary):")
 print(ray.mu_star.mu)
-print("binding cells (their mass hits zero first):", sorted(ray.binding_cells))
+print("binding cells (their mass hits zero first):", np.argwhere(ray.binding).tolist())
 
 # The identified surplus penalizes the binding cells and nothing else; its
 # scale is fixed by the normalization <phi*, mu - bary> = 1.

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +48,7 @@ from .identify import check_rationalizable, identify_entropy, rationalize_gauge,
 from .lp import is_discriminating, maximize_surplus
 from .polytope import gauge
 
-__all__ = ["GeometryEmission", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -59,36 +58,10 @@ EXIT_NUMERIC = 3
 _RAY_POINTS = 33
 
 
-@dataclass(frozen=True, eq=False)
-class GeometryEmission:
-    """Plottable objects for a 2x2 market, all as full matrices.
-
-    A 2x2 polytope is the segment of matrices parametrized by the first
-    cell ``mu[0, 0]``; ``segment`` holds its two endpoints.  ``ray`` samples
-    the path from the barycenter through ``mu_hat`` out to ``mu_star``.
-    """
-
-    segment: tuple[np.ndarray, np.ndarray]
-    barycenter: np.ndarray
-    mu_hat: np.ndarray
-    mu_star: np.ndarray
-    ray: tuple[np.ndarray, ...]
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
-
-
 def _print_json(document: dict, out: str | None = None) -> None:
-    text = json.dumps(_jsonable(document), indent=2) + "\n"
+    # Arrays and the numpy scalars that are not float subclasses (bools,
+    # ints) reach ``default``; ``tolist`` turns either into plain Python.
+    text = json.dumps(document, indent=2, default=lambda value: value.tolist()) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -103,8 +76,9 @@ def _print_error(code: str, message: str, extra: dict | None = None) -> None:
 
 
 def _read_csv_rows(path: Path, name: str) -> list[list[float]]:
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
+    # UnicodeDecodeError is a ValueError: undecodable text fails the parse.
     try:
+        lines = [line for line in path.read_text().splitlines() if line.strip()]
         return [[float(token) for token in line.split(",")] for line in lines]
     except ValueError as exc:
         raise ValidationError(f"{path}: could not parse {name}: {exc}") from None
@@ -125,9 +99,11 @@ def _load_market_data(path: Path, matrix_slot: str) -> dict:
                 f"{sidecar}: expected exactly two rows (p then q), got {len(rows)}"
             )
         return {"p": rows[0], "q": rows[1], matrix_slot: _read_csv_rows(path, matrix_slot)}
+    # ValueError covers undecodable text, JSON syntax and integers beyond
+    # the digit limit; RecursionError covers arrays nested too deeply.
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object at the top level")
@@ -211,7 +187,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
         ray, identified = rationalize_gauge(matching)
         report["t_star"] = ray.t_star
         report["mu_star"] = ray.mu_star.mu
-        report["binding_cells"] = sorted(ray.binding_cells)
+        report["binding_cells"] = np.argwhere(ray.binding)
     else:
         if args.entropy == "quantile":
             values = TypeValues(_require(data, "x_values"), _require(data, "y_values"))
@@ -278,21 +254,6 @@ def _format_matrix_row(matrix: np.ndarray) -> str:
     return f"{matrix[0, 0]:.17g} {matrix[0, 1]:.17g}"
 
 
-def _format_geometry(emission: GeometryEmission) -> str:
-    blocks = [
-        ("segment", list(emission.segment)),
-        ("barycenter", [emission.barycenter]),
-        ("mu_hat", [emission.mu_hat]),
-        ("mu_star", [emission.mu_star]),
-        ("ray", list(emission.ray)),
-    ]
-    lines = []
-    for name, matrices in blocks:
-        lines.append(f"# {name}")
-        lines.extend(_format_matrix_row(matrix) for matrix in matrices)
-    return "\n".join(lines) + "\n"
-
-
 def cmd_geometry(args: argparse.Namespace) -> int:
     data = _load_market_data(Path(args.input), "mu")
     margins = _margins_from(data)
@@ -317,14 +278,20 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     ray_result = gauge(matching)
     stretches = np.linspace(0.0, ray_result.t_star, _RAY_POINTS)
     direction = matching.mu - bary
-    emission = GeometryEmission(
-        segment=(full_matrix(low), full_matrix(high)),
-        barycenter=bary,
-        mu_hat=matching.mu,
-        mu_star=ray_result.mu_star.mu,
-        ray=tuple(bary + t * direction for t in stretches),
-    )
-    text = _format_geometry(emission)
+    # A 2x2 polytope is the segment of matrices parametrized by the first
+    # cell; each block lists full matrices by their first row.
+    blocks = [
+        ("segment", [full_matrix(low), full_matrix(high)]),
+        ("barycenter", [bary]),
+        ("mu_hat", [matching.mu]),
+        ("mu_star", [ray_result.mu_star.mu]),
+        ("ray", [bary + t * direction for t in stretches]),
+    ]
+    lines = []
+    for name, matrices in blocks:
+        lines.append(f"# {name}")
+        lines.extend(_format_matrix_row(matrix) for matrix in matrices)
+    text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:

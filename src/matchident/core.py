@@ -129,7 +129,7 @@ class InstanceTooLargeError(MarketError):
 def _float_array(name: str, values) -> np.ndarray:
     try:
         return np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} is not a numeric array: {exc}") from None
 
 
@@ -177,7 +177,7 @@ class Margins:
         for name, arr in (("p", p), ("q", q)):
             if abs(arr.sum() - 1.0) > MASS_TOL:
                 raise ValidationError(
-                    f"{name} must sum to 1 within {MASS_TOL}, got {arr.sum()!r}"
+                    f"{name} must sum to 1 within {MASS_TOL}, got {float(arr.sum())!r}"
                 )
         _freeze(self, p=p, q=q)
 
@@ -199,9 +199,9 @@ class Matching:
     """A feasible matching: nonnegative matrix with the given margins.
 
     Row sums must equal ``margins.p`` and column sums ``margins.q``, each
-    within ``tol``.  Entries in ``[-BOUNDARY_TOL, 0)`` are clamped to zero so
-    that downstream boundary tests see exact zeros; anything more negative
-    is rejected outright.
+    within ``tol``, which must be finite and nonnegative.  Entries in
+    ``[-BOUNDARY_TOL, 0)`` are clamped to zero so that downstream boundary
+    tests see exact zeros; anything more negative is rejected outright.
     """
 
     mu: np.ndarray
@@ -209,6 +209,8 @@ class Matching:
     tol: InitVar[float] = MASS_TOL
 
     def __post_init__(self, tol: float) -> None:
+        if not 0.0 <= tol < np.inf:
+            raise ValidationError(f"tol must be finite and nonnegative, got {tol!r}")
         mu = _float_array("mu", self.mu)
         if mu.ndim != 2:
             raise ValidationError(f"mu must be a matrix, got shape {mu.shape}")
@@ -218,20 +220,23 @@ class Matching:
         if mu.min() < -BOUNDARY_TOL:
             cell = np.unravel_index(np.argmin(mu), mu.shape)
             raise NotInPolytopeError(
-                f"mu[{cell[0]}, {cell[1]}] = {mu[cell]!r} is negative beyond {BOUNDARY_TOL}"
+                f"mu[{cell[0]}, {cell[1]}] = {float(mu[cell])!r}"
+                f" is negative beyond {BOUNDARY_TOL}"
             )
         np.clip(mu, 0.0, None, out=mu)
         row_err = np.abs(mu.sum(axis=1) - self.margins.p)
         if row_err.max() > tol:
             x = int(np.argmax(row_err))
             raise NotInPolytopeError(
-                f"row {x} sums to {mu[x].sum()!r}, expected p[{x}] = {self.margins.p[x]!r}"
+                f"row {x} sums to {float(mu[x].sum())!r},"
+                f" expected p[{x}] = {float(self.margins.p[x])!r}"
             )
         col_err = np.abs(mu.sum(axis=0) - self.margins.q)
         if col_err.max() > tol:
             y = int(np.argmax(col_err))
             raise NotInPolytopeError(
-                f"column {y} sums to {mu[:, y].sum()!r}, expected q[{y}] = {self.margins.q[y]!r}"
+                f"column {y} sums to {float(mu[:, y].sum())!r},"
+                f" expected q[{y}] = {float(self.margins.q[y])!r}"
             )
         _freeze(self, mu=mu)
 

@@ -250,7 +250,7 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
         cell = np.unravel_index(np.argmin(mu.mu), mu.mu.shape)
         raise NonInteriorError(
             f"boundary point: entropy gradient undefined, mu[{cell[0]}, {cell[1]}]"
-            f" = {mu.mu[cell]!r}",
+            f" = {float(mu.mu[cell])!r}",
             cell=(int(cell[0]), int(cell[1])),
         )
     if model.kind == "shannon":
@@ -261,7 +261,7 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
             cell = np.unravel_index(np.argmin(cond), cond.shape)
             raise KinkPointError(
                 "kink point: a conditional mass increment of"
-                f" {cond.min()!r} at cell ({cell[0]}, {cell[1]}) makes two"
+                f" {float(cond.min())!r} at cell ({cell[0]}, {cell[1]}) makes two"
                 " cumulative masses coincide",
                 cell=(int(cell[0]), int(cell[1])),
             )

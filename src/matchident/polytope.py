@@ -165,13 +165,13 @@ class GaugeResult:
 
     ``t_star`` is the largest stretch that keeps the scaled matching
     feasible (always >= 1), ``mu_star`` the boundary matching it lands on,
-    and ``binding_cells`` the cells whose nonnegativity constraint stops
-    the ray.
+    and ``binding`` a read-only boolean mask, shaped like the matching, of
+    the cells whose nonnegativity constraint stops the ray: the exit face.
     """
 
     t_star: float
     mu_star: Matching
-    binding_cells: frozenset[tuple[int, int]]
+    binding: np.ndarray
 
 
 def gauge(mu_hat: Matching) -> GaugeResult:
@@ -182,7 +182,8 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     feasibility only ever fails at a cell with ``mu_hat < bary``, where the
     entry hits zero at ``t = bary / (bary - mu_hat)``.  The exit stretch is
     the smallest such ratio; because ``mu_hat`` itself is feasible it is
-    always at least 1, with equality exactly on the boundary.
+    always at least 1, with equality exactly on the boundary.  The cells
+    whose ratio attains it form the ``binding`` mask.
 
     Raises ``DegenerateRayError`` when ``mu_hat`` equals the barycenter, in
     which case the ray has no direction.
@@ -201,7 +202,8 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     # A cell whose ratio is within a relative BOUNDARY_TOL of t* keeps less
     # than BOUNDARY_TOL of its barycenter mass at mu*: it is empty there too.
     last = t_star * (1.0 + BOUNDARY_TOL)
-    binding = frozenset((int(x), int(y)) for x, y in np.argwhere(ratios <= last))
+    binding = ratios <= last
+    binding.setflags(write=False)
     mu_star = np.clip(bary + t_star * diff, 0.0, None)
     # A matching admitted with a loose feasibility tolerance carries a
     # margin defect that the stretch scales by t*; allow exactly that much.
@@ -212,30 +214,27 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     return GaugeResult(
         t_star=t_star,
         mu_star=Matching(mu_star, margins, tol=MASS_TOL + t_star * defect),
-        binding_cells=binding,
+        binding=binding,
     )
 
 
 def face_normal(mu_hat: Matching, ray: GaugeResult) -> np.ndarray:
     """Normal of the face where the gauge ray of ``mu_hat`` exits.
 
-    The indicator of ``ray.binding_cells`` scaled to inner product one with
-    the ray direction ``mu_hat - bary``: nonpositive, zero on the support of
+    The ``ray.binding`` mask scaled to inner product one with the ray
+    direction ``mu_hat - bary``: nonpositive, zero on the support of
     ``ray.mu_star``, and ``ray.t_star`` times it is the gauge entropy's
     gradient at ``mu_hat``.
     """
-    indicator = np.zeros(mu_hat.mu.shape)
-    for x, y in ray.binding_cells:
-        indicator[x, y] = 1.0
     direction = mu_hat.mu - _barycenter_mu(mu_hat.margins)
-    normalizer = float(np.sum(indicator * direction))
+    normalizer = float(np.sum(ray.binding * direction))
     if normalizer >= 0.0:
         # Binding cells shrink along the ray by construction, so this
         # can only happen through an internal error.
         raise MarketError(
             f"degenerate binding-face normalization ({normalizer!r})"
         )
-    return indicator / normalizer + 0.0  # + 0.0 clears negative zeros
+    return ray.binding / normalizer + 0.0  # + 0.0 clears negative zeros
 
 
 def is_boundary(mu: Matching) -> bool:

@@ -27,6 +27,8 @@ from conftest import random_margins, random_surplus
 INTERIOR_MU = [[0.35, 0.15], [0.15, 0.35]]
 ASSORTATIVE_MU = [[0.5, 0.0], [0.0, 0.5]]
 UNIFORM_P = [0.5, 0.5]
+#: Rows sum to 1.0, against 0.5 in UNIFORM_P.
+OFF_MARGIN_MU = [[0.9, 0.1], [0.1, 0.9]]
 
 CHECK_REPORT_SCHEMA = {
     "type": "object",
@@ -70,6 +72,88 @@ IDENTIFY_REPORT_SCHEMA = {
         "phi_canonical": {"type": "array"},
         "diagnostics": {"type": "object"},
     },
+}
+
+
+def market_bytes(**fields) -> bytes:
+    return json.dumps(fields).encode()
+
+
+#: Input files (the first is passed as --input), extra options for check and
+#: a fragment of the error message.
+MALFORMED_INPUTS = {
+    "401-digit-margin": (
+        {"m.json": market_bytes(p=[10**400, 1], q=UNIFORM_P, mu=INTERIOR_MU)},
+        [],
+        "p is not a numeric array",
+    ),
+    "json-not-utf8": ({"m.json": b"\xff\xfe{}"}, [], "invalid JSON"),
+    "csv-not-utf8": (
+        {"m.csv": b"\xff\xfe0.35,0.15\n", "m.margins.csv": b"0.5,0.5\n0.5,0.5\n"},
+        [],
+        "could not parse mu",
+    ),
+    "sidecar-not-utf8": (
+        {"m.csv": b"0.35,0.15\n0.15,0.35\n", "m.margins.csv": b"\xff\xfe0.5,0.5\n"},
+        [],
+        "could not parse margins",
+    ),
+    "json-nested-100000-deep": (
+        {"m.json": b"[" * 100_000 + b"]" * 100_000},
+        [],
+        "invalid JSON",
+    ),
+    "tol-nan": (
+        {"m.json": market_bytes(p=UNIFORM_P, q=UNIFORM_P, mu=OFF_MARGIN_MU)},
+        ["--tol", "nan"],
+        "tol must be finite and nonnegative",
+    ),
+    "tol-inf": (
+        {"m.json": market_bytes(p=UNIFORM_P, q=UNIFORM_P, mu=OFF_MARGIN_MU)},
+        ["--tol", "inf"],
+        "tol must be finite and nonnegative",
+    ),
+    "tol-negative": (
+        {"m.json": market_bytes(p=UNIFORM_P, q=UNIFORM_P, mu=INTERIOR_MU)},
+        ["--tol=-1"],
+        "tol must be finite and nonnegative",
+    ),
+}
+
+#: Market fields, subcommand and the plainly printed number in the message.
+NUMERIC_MESSAGES = {
+    "margin-sum": ({"p": [0.5, 0.6], "q": UNIFORM_P, "mu": INTERIOR_MU}, ["check"], "got 1.1"),
+    "negative-cell": (
+        {"p": UNIFORM_P, "q": UNIFORM_P, "mu": [[0.6, -0.1], [-0.1, 0.6]]},
+        ["check"],
+        "mu[0, 1] = -0.1 is",
+    ),
+    "row-sum": (
+        {"p": UNIFORM_P, "q": UNIFORM_P, "mu": [[0.25, 0.5], [0.25, 0.0]]},
+        ["check"],
+        "row 0 sums to 0.75, expected p[0] = 0.5",
+    ),
+    "column-sum": (
+        {"p": UNIFORM_P, "q": [0.25, 0.75], "mu": [[0.25, 0.25], [0.25, 0.25]]},
+        ["check"],
+        "column 0 sums to 0.5, expected q[0] = 0.25",
+    ),
+    "boundary-point": (
+        {"p": UNIFORM_P, "q": UNIFORM_P, "mu": ASSORTATIVE_MU},
+        ["identify", "--entropy", "shannon"],
+        "mu[0, 1] = 0.0",
+    ),
+    "kink-point": (
+        {
+            "p": UNIFORM_P,
+            "q": UNIFORM_P,
+            "mu": [[0.5 - 1e-10, 1e-10], [1e-10, 0.5 - 1e-10]],
+            "x_values": [0.0, 1.0],
+            "y_values": [0.0, 1.0],
+        },
+        ["identify", "--entropy", "quantile"],
+        "increment of 2e-10 at",
+    ),
 }
 
 ERROR_DOCUMENT_SCHEMA = {
@@ -716,3 +800,30 @@ class TestInputErrors:
         code, document = run_json(capsys, ["solve", "--input", market])
         assert code == 2
         assert "shape" in document["message"]
+
+    @pytest.mark.parametrize(
+        "files, options, named", MALFORMED_INPUTS.values(), ids=list(MALFORMED_INPUTS)
+    )
+    def test_malformed_input_exits_2_without_a_traceback(
+        self, tmp_path, capsys, files, options, named
+    ):
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        market = str(tmp_path / next(iter(files)))
+        code, document = run_json(capsys, ["check", "--input", market, *options])
+        assert code == 2
+        validate(document, ERROR_DOCUMENT_SCHEMA)
+        assert document["error"] == "invalid-input"
+        assert named in document["message"]
+
+    @pytest.mark.parametrize(
+        "fields, command, number", NUMERIC_MESSAGES.values(), ids=list(NUMERIC_MESSAGES)
+    )
+    def test_messages_print_numbers_as_plain_floats(
+        self, tmp_path, capsys, fields, command, number
+    ):
+        market = write_market(tmp_path / "m.json", **fields)
+        code, document = run_json(capsys, [*command, "--input", market])
+        assert code in (1, 2)
+        assert number in document["message"]
+        assert "np." not in document["message"]

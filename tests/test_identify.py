@@ -206,7 +206,7 @@ class TestRationalizeGauge:
         assert ray.t_star == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(ray.mu_star.mu, assortative_matching.mu, atol=1e-12)
         # witness surplus is supported on the unmatched cells
-        assert set(ray.binding_cells) == {(0, 1), (1, 0)}
+        np.testing.assert_array_equal(ray.binding, [[False, True], [True, False]])
 
     def test_barycenter_raises(self, uniform2):
         with pytest.raises(DegenerateRayError):

@@ -134,7 +134,8 @@ class TestGauge:
         result = gauge(interior_matching)
         assert result.t_star == pytest.approx(2.5, abs=1e-12)
         np.testing.assert_allclose(result.mu_star.mu, 0.5 * np.eye(2), atol=1e-12)
-        assert result.binding_cells == frozenset({(0, 1), (1, 0)})
+        np.testing.assert_array_equal(result.binding, [[False, True], [True, False]])
+        assert not result.binding.flags.writeable
 
     def test_boundary_matching_is_its_own_exit(self, assortative_matching):
         result = gauge(assortative_matching)
@@ -163,8 +164,7 @@ class TestGauge:
             formula = bary + result.t_star * (mu.mu - bary)
             np.testing.assert_allclose(result.mu_star.mu, formula, atol=1e-12)
             assert abs(result.mu_star.mu.min()) <= 1e-12
-            for cell in result.binding_cells:
-                assert result.mu_star.mu[cell] <= 1e-12
+            assert np.all(result.mu_star.mu[result.binding] <= 1e-12)
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(11)

@@ -9,19 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchident import (
+    BOUNDARY_TOL,
     Margins,
+    Matching,
     Surplus,
     barycenter,
     check_rationalizable,
+    face_normal,
+    gauge,
+    is_boundary,
     is_maximizer,
     is_nonseparable,
     maximize_surplus,
 )
+from matchident.identify import _certifies
 
 
 @st.composite
-def markets(draw) -> tuple[Margins, np.ndarray]:
-    d_x, d_y = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+def markets(draw, max_side: int = 5) -> tuple[Margins, np.ndarray]:
+    d_x, d_y = draw(st.integers(2, max_side)), draw(st.integers(2, max_side))
     p = np.array(draw(st.lists(st.integers(1, 9), min_size=d_x, max_size=d_x)), float)
     q = np.array(draw(st.lists(st.integers(1, 9), min_size=d_y, max_size=d_y)), float)
     cells = draw(st.lists(st.integers(-20, 20), min_size=d_x * d_y, max_size=d_x * d_y))
@@ -44,3 +50,50 @@ def test_surplus_verdicts_are_invariant_under_rescaling(market, exponent):
     assert is_maximizer(scaled, base.mu_opt)
     bary = barycenter(margins)
     assert is_maximizer(scaled, bary) == is_maximizer(Surplus(phi), bary)
+
+
+@st.composite
+def observations(draw) -> Matching:
+    """A mixture, with small integer weights, of the barycenter and up to
+    three LP vertices.  Without barycenter weight the cells that all chosen
+    vertices leave empty stay exact zeros, so boundary points occur too."""
+    margins, phi = draw(markets(max_side=8))
+    d_x, d_y = margins.shape
+    cells = st.lists(st.integers(-20, 20), min_size=d_x * d_y, max_size=d_x * d_y)
+    surpluses = [phi] + [
+        np.reshape(draw(cells), (d_x, d_y)) for _ in range(draw(st.integers(0, 2)))
+    ]
+    vertices = [maximize_surplus(Surplus(s), margins).mu_opt.mu for s in surpluses]
+    weights = draw(
+        st.lists(st.integers(0, 4), min_size=len(vertices) + 1, max_size=len(vertices) + 1)
+        .filter(lambda w: any(w[1:]))
+    )
+    mixture = weights[0] * barycenter(margins).mu
+    for weight, vertex in zip(weights[1:], vertices):
+        mixture = mixture + weight * vertex
+    return Matching(mixture / sum(weights), margins)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(mu=observations())
+def test_gauge_ray_exits_through_a_face_it_shrinks_toward(mu):
+    """t* >= 1; rationalizable <=> boundary, with a certified witness; the
+    exit face is a nonempty set of shrinking cells, empty at mu*, and its
+    normal is nonpositive, zero off the face and of unit pairing with the
+    ray."""
+    verdict = check_rationalizable(mu)
+    assert verdict.rationalizable == is_boundary(mu)
+    if verdict.rationalizable:
+        assert _certifies(verdict.witness.phi, mu)
+    if verdict.t_star is None:  # the barycenter itself: no ray
+        return
+    ray = gauge(mu)
+    assert ray.t_star >= 1.0 and verdict.t_star == ray.t_star
+    direction = mu.mu - barycenter(mu.margins).mu
+    assert ray.binding.any()
+    assert not np.any(ray.binding & (direction >= 0.0))
+    assert ray.mu_star.mu[ray.binding].max() <= BOUNDARY_TOL
+    normal = face_normal(mu, ray)
+    assert normal.max() <= 0.0
+    assert np.all(normal[~ray.binding] == 0.0)
+    assert abs(np.sum(normal * direction) - 1.0) <= 1e-12
