@@ -3,18 +3,21 @@
 The maximization of ``<mu, phi>`` subject to margin constraints is a
 transportation problem, and this module solves it exactly with the
 classical transportation (network) simplex on the complete bipartite type
-graph: a northwest-corner starting basis and Bland's smallest-index pivot
-rule, which also rules out cycling on degenerate instances.  The basis is
-a spanning tree on the ``m + n`` type nodes, kept as an adjacency that each
-pivot updates in place.  One walk of the tree per pivot yields the dual
-potentials and the parent links along which the pivot cycle is read; both
-are unique on the tree, so the order of the walk changes no result.
-Reduced costs are compared against ``SEPARABILITY_TOL * max|phi|``, so the
-pivot sequence, and hence the returned vertex, is reproducible run to run
-and the same for any positive multiple of ``phi`` (barring a reduced cost
-within rounding of that bound).  Verdicts elsewhere use closed-form
-certificates instead of re-solving; ``is_maximizer`` is the brute-force
-oracle they are tested against.
+graph.  The basis is a spanning tree on the ``m + n`` type nodes, rooted at
+row 0 and kept as an adjacency that each pivot updates in place.  One walk
+of the tree per pivot yields the dual potentials and the parent links along
+which the pivot cycle is read.  Dantzig pricing picks the entering cell and
+Cunningham's rule the leaving one, which keeps the northwest-corner start
+strongly feasible (every zero-flow cell hangs below its column node).  A
+pivot that moves mass raises the value, and one that moves none strictly
+lowers ``sum(v) - sum(u)`` of the potentials (``u[0] = 0``), so no basis
+repeats and the simplex terminates (Ahuja, Magnanti & Orlin, *Network
+Flows*, 1993, ch. 11).  Every comparison is relative to ``max|phi|``, so
+the returned vertex is reproducible run to run and the same for any
+positive multiple of ``phi`` (barring a reduced cost within rounding of a
+tolerance).  Verdicts elsewhere use closed-form certificates instead of
+re-solving; ``is_maximizer`` is the brute-force oracle they are tested
+against.
 """
 
 from __future__ import annotations
@@ -54,12 +57,16 @@ class LpSolution:
     ``dual_f[x] + dual_g[y] >= phi[x, y]`` everywhere, with equality on the
     support of ``mu_opt``, and ``p @ dual_f + q @ dual_g`` equals ``value``.
     The potentials are normalized so the last entry of ``dual_g`` is zero.
+    ``pivots`` counts the simplex pivots the solve took, and
+    ``degenerate_pivots`` those among them that moved no mass.
     """
 
     mu_opt: Matching
     value: float
     dual_f: np.ndarray
     dual_g: np.ndarray
+    pivots: int
+    degenerate_pivots: int
 
     def __post_init__(self) -> None:
         for name in ("dual_f", "dual_g"):
@@ -124,10 +131,12 @@ def _cycle(parent: list[int], depth: list[int], entering: tuple[int, int], m: in
     """Split the pivot cycle of ``entering`` into gaining and losing cells.
 
     The cycle is the tree path between the entering cell's row and column
-    nodes, walked up from both to their common ancestor.  Flow pushed
-    around it alternates sign, starting with a gain on the entering cell,
-    so a tree edge loses exactly when the path from the row node crosses
-    it from a row node to a column node.
+    nodes, walked up from both to their common ancestor, the apex.  Flow
+    pushed around it alternates sign, starting with a gain on the entering
+    cell, so a tree edge loses exactly when the path from the row node
+    crosses it from a row node to a column node.  The losing cells come in
+    the order of the walk apex -> row node -> entering cell -> column node
+    -> apex, which the leaving rule reads.
     """
     plus, minus = [entering], []
     a, b = entering[0], m + entering[1]
@@ -136,7 +145,10 @@ def _cycle(parent: list[int], depth: list[int], entering: tuple[int, int], m: in
         child = a if from_row else b
         up = parent[child]
         cell = (child, up - m) if child < m else (up, child - m)
-        (minus if (child < m) == from_row else plus).append(cell)
+        if (child < m) != from_row:
+            plus.append(cell)
+        else:
+            minus.insert(0 if from_row else len(minus), cell)
         a, b = (up, b) if from_row else (a, up)
     return plus, minus
 
@@ -145,12 +157,14 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     """Solve ``max <mu, phi>`` over the matching polytope exactly.
 
     Returns an optimal vertex together with optimal dual potentials.  The
-    pivot rule is Bland's rule on lexicographic cell order, so the solver
+    entering cell is the first, in row-major order, whose reduced cost is
+    within ``SEPARABILITY_TOL * max|phi|`` of the largest, and the solve
+    stops when none exceeds that bound.  The leaving cell is the last
+    blocking cell of the cycle walked from its apex, so the solver
     terminates on degenerate instances and always returns the same vertex
     for the same input (and for any positive rescaling of the input).
-    A nonbasic cell enters the basis only if its reduced cost exceeds
-    ``SEPARABILITY_TOL * max|phi|``.  Raises ``ConvergenceError`` if the
-    pivot cap is reached; its residual is the largest reduced cost left.
+    Raises ``ConvergenceError`` if the pivot cap is reached; its residual is
+    the largest reduced cost left.
     """
     _check_same_shape("phi", phi.phi.shape, margins)
     m, n = margins.shape
@@ -158,23 +172,25 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
     rows = cost.tolist()
     mu, basic, adjacency = _northwest_corner(margins.p, margins.q)
+    degenerate = 0
     for pivots in range(_MAX_PIVOTS + 1):
         parent, depth, u, v = _tree(adjacency, rows, m)
         reduced = cost - u[:, None] - v[None, :]
         reduced[basic] = -np.inf  # zero up to rounding
-        candidates = np.flatnonzero(reduced > entering_tol)
-        if candidates.size == 0:
+        best = float(reduced.max())
+        if best <= entering_tol:
             break
         if pivots == _MAX_PIVOTS:
             raise ConvergenceError(
                 f"transportation simplex did not terminate within {_MAX_PIVOTS} pivots",
                 iterations=_MAX_PIVOTS,
-                residual=float(reduced.max()),
+                residual=best,
             )
-        entering = divmod(int(candidates[0]), n)
+        entering = divmod(int(np.argmax(reduced >= best - entering_tol)), n)
         plus, minus = _cycle(parent, depth, entering, m)
         theta = min(mu[cell] for cell in minus)
-        leaving = min(cell for cell in minus if mu[cell] <= theta)
+        degenerate += bool(theta == 0.0)
+        leaving = [cell for cell in minus if mu[cell] <= theta][-1]
         for cell in plus:
             mu[cell] += theta
         for cell in minus:
@@ -190,6 +206,8 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
         value=float(np.sum(mu * cost)),
         dual_f=u + shift,
         dual_g=v - shift,
+        pivots=pivots,
+        degenerate_pivots=degenerate,
     )
 
 

@@ -4,6 +4,7 @@ from collections import defaultdict, deque
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from matchident import (
@@ -41,7 +42,8 @@ def vertex_scan_value(phi: Surplus, margins: Margins) -> float:
 
 
 def _reference_potentials(basis, phi: np.ndarray):
-    """Dual potentials solving u[x] + v[y] = phi[x, y] on the basis tree."""
+    """Dual potentials solving u[x] + v[y] = phi[x, y] on the basis tree, and
+    the parent of every node on its path to the root, row 0."""
     m, n = phi.shape
     adjacency: dict[int, list[int]] = defaultdict(list)
     for x, y in basis:
@@ -51,24 +53,28 @@ def _reference_potentials(basis, phi: np.ndarray):
     v = np.full(n, np.nan)
     u[0] = 0.0
     queue = deque([0])
-    seen = {0}
+    parent = {0: None}
     while queue:
         node = queue.popleft()
         for neighbor in adjacency[node]:
-            if neighbor in seen:
+            if neighbor in parent:
                 continue
-            seen.add(neighbor)
+            parent[neighbor] = node
             if node < m:  # row node fixes the column potential
                 v[neighbor - m] = phi[node, neighbor - m] - u[node]
             else:
                 u[neighbor] = phi[neighbor, node - m] - v[node - m]
             queue.append(neighbor)
-    return u, v
+    return u, v, parent
 
 
-def _reference_cycle_signs(basis, entering, m: int):
+def _reference_cycle_signs(basis, entering, m: int, root_parent):
     """Gaining and losing cells of the pivot cycle, by a breadth-first search
-    for the tree path from the entering cell's row node to its column node."""
+    for the tree path from the entering cell's row node to its column node.
+
+    The losing cells come in Cunningham's order: the cycle walked from its
+    apex, the first common node of the two root paths, down to the row
+    node, across the entering cell and back up from the column node."""
     x0, y0 = entering
     adjacency: dict[int, list[int]] = defaultdict(list)
     for x, y in basis:
@@ -88,42 +94,54 @@ def _reference_cycle_signs(basis, entering, m: int):
     while path[-1] != x0:
         path.append(parent[path[-1]])
     path.reverse()  # row node of entering cell ... column node of entering cell
-    plus = [entering]
-    minus = []
-    for i in range(len(path) - 1):
-        a, b = path[i], path[i + 1]
-        cell = (a, b - m) if a < m else (b, a - m)
-        (minus if i % 2 == 0 else plus).append(cell)
+    row_ancestors = set()
+    node = x0
+    while node is not None:
+        row_ancestors.add(node)
+        node = root_parent[node]
+    apex = m + y0
+    while apex not in row_ancestors:
+        apex = root_parent[apex]
+    k = path.index(apex)
+    cells = [(a, b - m) if a < m else (b, a - m) for a, b in zip(path, path[1:])]
+    plus = [entering] + cells[1::2]
+    walk = list(range(k))[::-1] + list(range(k, len(cells)))[::-1]
+    minus = [cells[i] for i in walk if i % 2 == 0]
     return plus, minus
 
 
 def transportation_simplex_reference(phi: Surplus, margins: Margins):
     """The transportation simplex with both tree searches redone from the
-    basis list on every pivot: the same start, pricing and tie-breaking as
-    ``maximize_surplus``.  Returns mu, value, dual_f and dual_g."""
+    basis list on every pivot: the same start, pricing and leaving rule as
+    ``maximize_surplus``.  Returns mu, value, dual_f, dual_g and the numbers
+    of pivots and of degenerate pivots."""
     m, n = margins.shape
     cost = phi.phi
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
     mu, basic, _ = lp._northwest_corner(margins.p, margins.q)
     basis_set = {tuple(cell) for cell in np.argwhere(basic).tolist()}
     basis = sorted(basis_set)
+    degenerate = 0
     for pivots in range(lp._MAX_PIVOTS + 1):
-        u, v = _reference_potentials(basis, cost)
+        u, v, root_parent = _reference_potentials(basis, cost)
         reduced = cost - u[:, None] - v[None, :]
         reduced[tuple(np.transpose(basis))] = -np.inf
-        candidates = np.flatnonzero(reduced > entering_tol)
-        if candidates.size == 0:
+        best = reduced.max()
+        if best <= entering_tol:
             break
         if pivots == lp._MAX_PIVOTS:
             raise ConvergenceError(
                 f"transportation simplex did not terminate within {lp._MAX_PIVOTS} pivots",
                 iterations=lp._MAX_PIVOTS,
-                residual=float(reduced.max()),
+                residual=float(best),
             )
+        candidates = np.flatnonzero(reduced >= best - entering_tol)
         entering = divmod(int(candidates[0]), n)
-        plus, minus = _reference_cycle_signs(basis, entering, m)
+        plus, minus = _reference_cycle_signs(basis, entering, m, root_parent)
         theta = min(mu[cell] for cell in minus)
-        leaving = min(cell for cell in minus if mu[cell] <= theta)
+        if theta == 0.0:
+            degenerate += 1
+        leaving = [cell for cell in minus if mu[cell] <= theta][-1]
         for cell in plus:
             mu[cell] += theta
         for cell in minus:
@@ -133,7 +151,7 @@ def transportation_simplex_reference(phi: Surplus, margins: Margins):
         basis_set.add(entering)
         basis = sorted(basis_set)
     shift = v[-1]
-    return mu, float(np.sum(mu * cost)), u + shift, v - shift
+    return mu, float(np.sum(mu * cost)), u + shift, v - shift, pivots, degenerate
 
 
 def stress_market(rng: np.random.Generator, i: int, d_x: int, d_y: int, uniform_every: int):
@@ -311,9 +329,9 @@ class TestIsDiscriminating:
 
 
 class TestAgainstReference:
-    """``maximize_surplus`` reads potentials and the pivot cycle from one walk
-    of the basis tree; both are unique on the tree, so every answer is
-    bit-identical to the reference that searches the tree twice per pivot."""
+    """The reference redoes both tree searches from the basis list on every
+    pivot and applies the same pricing and leaving rule; potentials, cycle
+    and apex are unique on the tree, so every answer is bit-identical."""
 
     SHAPES = [(2, 2), (2, 7), (7, 2), (3, 3), (4, 6), (6, 4), (5, 5), (8, 8), (9, 13),
               (13, 9), (12, 12), (16, 16), (20, 14), (14, 20), (20, 20), (25, 25),
@@ -323,12 +341,15 @@ class TestAgainstReference:
         rng = np.random.default_rng(60)
         for i, (d_x, d_y) in enumerate(self.SHAPES * 2):
             margins, phi = stress_market(rng, i, d_x, d_y, uniform_every=3)
-            mu, value, dual_f, dual_g = transportation_simplex_reference(phi, margins)
+            mu, value, dual_f, dual_g, pivots, degenerate = transportation_simplex_reference(
+                phi, margins
+            )
             solution = maximize_surplus(phi, margins)
             np.testing.assert_array_equal(solution.mu_opt.mu, mu)
             assert solution.value == value
             np.testing.assert_array_equal(solution.dual_f, dual_f)
             np.testing.assert_array_equal(solution.dual_g, dual_g)
+            assert (solution.pivots, solution.degenerate_pivots) == (pivots, degenerate)
 
     def test_pivot_cap_raises_with_the_same_residual(self, monkeypatch):
         monkeypatch.setattr(lp, "_MAX_PIVOTS", 7)
@@ -343,29 +364,95 @@ class TestAgainstReference:
         assert raised.value.residual == expected.value.residual > 0.0
 
 
+class TestPivotCounts:
+    def test_separable_surplus_needs_no_pivot(self):
+        rng = np.random.default_rng(63)
+        margins = random_margins(rng, 6, 5)
+        phi = Surplus(rng.normal(0.0, 2.0, 6)[:, None] + rng.normal(0.0, 2.0, 5)[None, :])
+        solution = maximize_surplus(phi, margins)
+        assert (solution.pivots, solution.degenerate_pivots) == (0, 0)
+
+    def test_uniform_margins_with_ties_pivot_degenerately(self):
+        rng = np.random.default_rng(64)
+        margins, phi = degenerate_market(rng, 0, 12)
+        solution = maximize_surplus(phi, margins)
+        assert 0 < solution.degenerate_pivots <= solution.pivots
+
+
+    def test_basis_tree_stays_strongly_feasible(self, monkeypatch):
+        """Before every pivot, each basic cell without mass has its row node
+        as the child of its column node in the tree rooted at row 0."""
+        start, walk = lp._northwest_corner, lp._tree
+        state, checked = {}, []
+
+        def northwest_corner(p, q):
+            state["mu"], state["basic"], adjacency = start(p, q)
+            return state["mu"], state["basic"], adjacency
+
+        def tree(adjacency, rows, m):
+            parent, depth, u, v = walk(adjacency, rows, m)
+            for x, y in np.argwhere(state["basic"] & (state["mu"] == 0.0)):
+                checked.append(parent[x] == m + y)
+            return parent, depth, u, v
+
+        monkeypatch.setattr(lp, "_northwest_corner", northwest_corner)
+        monkeypatch.setattr(lp, "_tree", tree)
+        rng = np.random.default_rng(66)
+        for i in range(12):
+            margins, phi = degenerate_market(rng, i, 6 + 2 * i)
+            maximize_surplus(phi, margins)
+        assert len(checked) > 1000 and all(checked)
+
+def degenerate_market(rng: np.random.Generator, i: int, d: int):
+    """A d x d market with uniform margins on even ``i`` and margins in small
+    integer ratios on odd ``i`` (equal partial sums, so degenerate bases),
+    and a quarter-integer surplus (ties)."""
+    if i % 2 == 0:
+        p, q = np.ones(d), np.ones(d)
+    else:
+        p, q = (rng.integers(1, 4, d).astype(float) for _ in range(2))
+    phi = np.round(4.0 * rng.normal(0.0, 2.0, (d, d))) / 4.0
+    return Margins(p / p.sum(), q / q.sum()), Surplus(phi)
+
+
+def assert_agrees_with_highs(phi: Surplus, margins: Margins, solution) -> None:
+    """Strong duality against HiGHS: the same optimal value, dual
+    feasibility everywhere and complementary slackness on the support, all
+    relative to ``max|phi|``.  The constraints are sparse, one row per
+    margin entry."""
+    d_x, d_y = margins.shape
+    cost = phi.phi
+    scale = np.abs(cost).max()
+    rows = sparse.kron(sparse.eye(d_x), np.ones((1, d_y)))
+    cols = sparse.kron(np.ones((1, d_x)), sparse.eye(d_y))
+    highs = linprog(
+        -cost.ravel(),
+        A_eq=sparse.vstack([rows, cols], format="csr"),
+        b_eq=np.concatenate([margins.p, margins.q]),
+        method="highs",
+    )
+    assert highs.status == 0
+    assert abs(solution.value + highs.fun) <= OPTIMALITY_TOL * scale
+    slack = solution.dual_f[:, None] + solution.dual_g[None, :] - cost
+    assert slack.min() >= -SEPARABILITY_TOL * scale
+    support = solution.mu_opt.mu > 0.0
+    assert np.abs(slack[support]).max() <= SEPARABILITY_TOL * scale
+
+
 class TestAgainstHighs:
     def test_value_and_dual_certificate_agree_with_linprog(self):
-        """Strong duality against HiGHS: the same optimal value, dual
-        feasibility everywhere and complementary slackness on the support,
-        all relative to ``max|phi|``."""
         rng = np.random.default_rng(62)
         for i in range(40):
             d_x, d_y = 2 + (i * 38) // 39, int(rng.integers(2, 41))
             margins, phi = stress_market(rng, i, d_x, d_y, uniform_every=4)
-            cost = phi.phi
-            scale = np.abs(cost).max()
-            rows = np.kron(np.eye(d_x), np.ones(d_y))
-            cols = np.kron(np.ones(d_x), np.eye(d_y))
-            highs = linprog(
-                -cost.ravel(),
-                A_eq=np.vstack([rows, cols]),
-                b_eq=np.concatenate([margins.p, margins.q]),
-                method="highs",
-            )
-            assert highs.status == 0
+            assert_agrees_with_highs(phi, margins, maximize_surplus(phi, margins))
+
+    def test_degenerate_markets_solve_within_the_cap(self):
+        """Uniform and integer-ratio margins with tied surpluses, 8x8 to
+        120x120 in geometric steps: every solve ends before the pivot cap."""
+        rng = np.random.default_rng(65)
+        for i in range(30):
+            margins, phi = degenerate_market(rng, i, round(8 * 15 ** (i / 29)))
             solution = maximize_surplus(phi, margins)
-            assert abs(solution.value + highs.fun) <= OPTIMALITY_TOL * scale
-            slack = solution.dual_f[:, None] + solution.dual_g[None, :] - cost
-            assert slack.min() >= -SEPARABILITY_TOL * scale
-            support = solution.mu_opt.mu > 0.0
-            assert np.abs(slack[support]).max() <= SEPARABILITY_TOL * scale
+            assert solution.pivots < lp._MAX_PIVOTS
+            assert_agrees_with_highs(phi, margins, solution)

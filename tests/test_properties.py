@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from matchident import (
     BOUNDARY_TOL,
+    OPTIMALITY_TOL,
+    SEPARABILITY_TOL,
     Margins,
     Matching,
     Surplus,
@@ -21,8 +23,10 @@ from matchident import (
     is_maximizer,
     is_nonseparable,
     maximize_surplus,
+    total_surplus,
 )
 from matchident.identify import _certifies
+from conftest import vertices_for
 
 
 @st.composite
@@ -50,6 +54,24 @@ def test_surplus_verdicts_are_invariant_under_rescaling(market, exponent):
     assert is_maximizer(scaled, base.mu_opt)
     bary = barycenter(margins)
     assert is_maximizer(scaled, bary) == is_maximizer(Surplus(phi), bary)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(market=markets(max_side=4))
+def test_lp_optimum_is_certified_on_degenerate_margins(market):
+    """Integer-weight margins have equal partial sums, so the bases are
+    degenerate: the LP value is still the vertex maximum, and the duals
+    certify it in closed form."""
+    margins, phi = market
+    solution = maximize_surplus(Surplus(phi), margins)
+    scale = float(np.abs(phi).max())
+    best = max(total_surplus(v, Surplus(phi)) for v in vertices_for(margins))
+    assert abs(solution.value - best) <= OPTIMALITY_TOL * scale
+    slack = solution.dual_f[:, None] + solution.dual_g[None, :] - phi
+    assert slack.min() >= -SEPARABILITY_TOL * scale
+    assert np.abs(slack[solution.mu_opt.mu > 0.0]).max() <= SEPARABILITY_TOL * scale
+    dual_value = margins.p @ solution.dual_f + margins.q @ solution.dual_g
+    assert abs(solution.value - dual_value) <= OPTIMALITY_TOL * scale
 
 
 @st.composite
