@@ -69,7 +69,6 @@ from .polytope import (
     contains,
     dimension,
     enumerate_vertices,
-    face_normal,
     gauge,
     is_boundary,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "contains",
     "enumerate_vertices",
     "gauge",
-    "face_normal",
     "is_boundary",
     # lp
     "LpSolution",

@@ -299,9 +299,11 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_common_arguments(parser: argparse.ArgumentParser, reads_matching: bool) -> None:
     parser.add_argument("--input", required=True, help="market file (JSON or CSV)")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
+    if not reads_matching:
+        return
     parser.add_argument(
         "--tol",
         type=float,
@@ -318,15 +320,15 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     solve = subparsers.add_parser("solve", help="maximize total surplus over matchings")
-    _add_common_arguments(solve)
+    _add_common_arguments(solve, reads_matching=False)
     solve.set_defaults(func=cmd_solve)
 
     check = subparsers.add_parser("check", help="decide rationalizability of a matching")
-    _add_common_arguments(check)
+    _add_common_arguments(check, reads_matching=True)
     check.set_defaults(func=cmd_check)
 
     identify = subparsers.add_parser("identify", help="recover a surplus from a matching")
-    _add_common_arguments(identify)
+    _add_common_arguments(identify, reads_matching=True)
     identify.add_argument(
         "--entropy",
         required=True,
@@ -349,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate)
 
     geometry = subparsers.add_parser("geometry", help="plottable geometry of a 2x2 market")
-    _add_common_arguments(geometry)
+    _add_common_arguments(geometry, reads_matching=True)
     geometry.set_defaults(func=cmd_geometry)
 
     return parser

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import polytope
 from .core import (
+    BOUNDARY_TOL,
     ConvergenceError,
     KinkPointError,
     Margins,
@@ -236,17 +237,18 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     The gradient is taken with the margins held fixed, which is the
     relevant derivative on the polytope; it is defined up to a separable
     term, and the returned representative is the natural closed form for
-    each entropy.  Shannon and quantile gradients require an interior
-    matching (``polytope.is_boundary`` is false); the quantile gradient
+    each entropy.  Shannon and quantile gradients require every cell to
+    hold more than ``BOUNDARY_TOL``, zero-mass types included, so the
+    shannon gradient never takes ``log 0``; the quantile gradient
     also requires all cumulative conditional masses to be distinct
     (otherwise the entropy has a kink).
     The gauge gradient exists off the barycenter and equals the stretch
-    factor times the normalized indicator of the binding boundary face.
+    factor times the normal of the face where the gauge ray exits.
     """
     if model.kind == "gauge":
         ray = polytope.gauge(mu)
-        return Surplus(ray.t_star * polytope.face_normal(mu, ray))
-    if polytope.is_boundary(mu):
+        return Surplus(ray.t_star * ray.normal)
+    if mu.mu.min() <= BOUNDARY_TOL:
         cell = np.unravel_index(np.argmin(mu.mu), mu.mu.shape)
         raise NonInteriorError(
             f"boundary point: entropy gradient undefined, mu[{cell[0]}, {cell[1]}]"

@@ -12,20 +12,19 @@ When a point verdict is too brittle (real data never sits exactly on a
 face), identification proceeds through an entropy: the observed matching
 is read as the optimizer of ``<mu, phi> - I(mu)``, which pins the surplus
 down to ``grad I(mu_hat)`` modulo separable terms.  ``identify_entropy``
-inverts any of the supported entropies this way, and ``rationalize_gauge``
-does the geometric version, scaling the matching to the boundary and
-reading the surplus off the binding face.  ``simulate_market`` closes the
-loop for finite-sample experiments.
+inverts any of the supported entropies this way; for the gauge it calls
+``rationalize_gauge``, which scales the matching to the boundary and reads
+the surplus off the exit face.  ``simulate_market`` closes the loop for
+finite-sample experiments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
-    BOUNDARY_TOL,
     OPTIMALITY_TOL,
     DegenerateRayError,
     Margins,
@@ -38,7 +37,7 @@ from .core import (
     is_nonseparable,
 )
 from .entropy import EntropyModel, grad_entropy, solve_regularized
-from .polytope import GaugeResult, face_normal, gauge, is_boundary
+from .polytope import GaugeResult, _empty_cells, gauge
 
 __all__ = [
     "RationalizabilityChecks",
@@ -100,9 +99,9 @@ class RationalizabilityReport:
 class IdentifiedSurplus:
     """A surplus recovered from an observed matching.
 
-    ``phi_raw`` is the representative produced by the chosen route (an
-    entropy gradient, or the scaled binding-face indicator); since the data
-    only ever pin the surplus down modulo separable terms,
+    ``phi_raw`` is the gradient of the entropy ``entropy_kind`` at the
+    observation (for the gauge, ``t_star`` times the exit face's normal);
+    since the data only ever pin the surplus down modulo separable terms,
     ``phi_canonical`` is the doubly centered residual of ``phi_raw`` under
     the observation's margins, which is the route-independent part.
     ``diagnostics`` is a map of named reals recording the verification
@@ -111,7 +110,7 @@ class IdentifiedSurplus:
 
     phi_raw: Surplus
     phi_canonical: Surplus
-    entropy_kind: EntropyModel | str
+    entropy_kind: EntropyModel
     diagnostics: dict[str, float]
 
 
@@ -128,14 +127,15 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     """Decide whether an observed matching is rationalizable, with proof.
 
     The verdict is the boundary test.  On the boundary an explicit witness
-    is constructed: the surplus equal to -1 on the empty cells (mass at
-    most ``BOUNDARY_TOL``, the threshold of the boundary test) and 0
-    elsewhere.  Any feasible matching scores at most 0 against it and the
-    observation attains 0, so the observation is optimal; the report
-    records that dual certificate and the nonseparability of the witness.
+    is constructed: the surplus equal to -1 on the empty cells of the
+    boundary test and 0 elsewhere.  Any feasible matching scores at most 0
+    against it and the observation attains 0, so the observation is
+    optimal; the report records that dual certificate and the
+    nonseparability of the witness.
     """
     margins = mu_hat.margins
-    boundary = is_boundary(mu_hat)
+    empty = _empty_cells(mu_hat)
+    boundary = bool(empty.any())
     try:
         ray = gauge(mu_hat)
         t_star, mu_star = ray.t_star, ray.mu_star
@@ -149,7 +149,7 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
             mu_star=mu_star,
             checks=RationalizabilityChecks(False, False, False),
         )
-    witness = Surplus(np.where(mu_hat.mu <= BOUNDARY_TOL, -1.0, 0.0))
+    witness = Surplus(np.where(empty, -1.0, 0.0))
     checks = RationalizabilityChecks(
         boundary=True,
         maximizer=_certifies(witness.phi, mu_hat),
@@ -168,32 +168,29 @@ def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]
     """Identify a surplus by scaling the observation to the boundary.
 
     The ray from the barycenter through ``mu_hat`` exits the polytope at
-    stretch ``t_star`` on the face where the binding cells hit zero.  The
-    face normal, scaled so that its inner product with the ray direction
-    ``mu_hat - bary`` is one, is a surplus ``phi_star`` for which the exit
-    point ``mu_star`` is optimal (with dual certificate ``f = g = 0``);
-    ``t_star * phi_star`` is then the gradient representative of the gauge
-    entropy at ``mu_hat``.  A boundary observation is its own exit point
-    (``t_star = 1``).
+    stretch ``t_star`` on the face where the binding cells hit zero.  Its
+    normal ``ray.normal`` is a surplus for which the exit point ``mu_star``
+    is optimal (with dual certificate ``f = g = 0``), and ``phi_raw``,
+    ``t_star`` times it, is the gauge entropy's gradient at ``mu_hat``.  A
+    boundary observation is its own exit point (``t_star = 1``).
 
     Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter.
     """
     margins = mu_hat.margins
     ray = gauge(mu_hat)
-    phi_star = Surplus(face_normal(mu_hat, ray))
-    phi_raw = Surplus(ray.t_star * phi_star.phi)
+    phi_raw = Surplus(ray.t_star * ray.normal)
     parts = decompose_separable(phi_raw, margins)
     direction = mu_hat.mu - _barycenter_mu(margins)
     diagnostics = {
         "t_star": ray.t_star,
-        "normalization": float(np.sum(phi_star.phi * direction)),
-        "maximizer_verified": float(_certifies(phi_star.phi, ray.mu_star)),
+        "normalization": float(np.sum(ray.normal * direction)),
+        "maximizer_verified": float(_certifies(ray.normal, ray.mu_star)),
         "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
     }
     identified = IdentifiedSurplus(
         phi_raw=phi_raw,
         phi_canonical=Surplus(parts.residual),
-        entropy_kind="gauge-geometric",
+        entropy_kind=EntropyModel.gauge(),
         diagnostics=diagnostics,
     )
     return ray, identified
@@ -206,19 +203,17 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
     ``phi`` as ``grad I(mu_hat)`` up to separable terms, so the closed-form
     gradient is the raw answer and its doubly centered residual the
     canonical one.  Gradient domain errors (boundary point, kink,
-    barycenter) propagate and name the offending cell.
+    barycenter) propagate and name the offending cell.  The gauge entropy
+    takes the route, and reports the diagnostics, of ``rationalize_gauge``.
 
     For the shannon entropy the canonical part is, equivalently, the matrix
     of log cross-difference contrasts of the observation; the diagnostics
     report the largest in magnitude (and, for 2x2, the only one).
     """
-    margins = mu_hat.margins
     if model.kind == "gauge":
-        # grad_entropy's gauge gradient, built here so t_star reuses its ray.
-        ray = gauge(mu_hat)
-        phi_raw = Surplus(ray.t_star * face_normal(mu_hat, ray))
-    else:
-        phi_raw = grad_entropy(model, mu_hat)
+        return replace(rationalize_gauge(mu_hat)[1], entropy_kind=model)
+    margins = mu_hat.margins
+    phi_raw = grad_entropy(model, mu_hat)
     parts = decompose_separable(phi_raw, margins)
     diagnostics: dict[str, float] = {
         "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
@@ -232,8 +227,6 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
         )
         if mu_hat.mu.shape == (2, 2):
             diagnostics["cross_difference"] = float(lm[0, 0] + lm[1, 1] - lm[0, 1] - lm[1, 0])
-    elif model.kind == "gauge":
-        diagnostics["t_star"] = ray.t_star
     return IdentifiedSurplus(
         phi_raw=phi_raw,
         phi_canonical=Surplus(parts.residual),

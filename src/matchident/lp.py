@@ -46,6 +46,7 @@ __all__ = [
     "is_discriminating",
 ]
 
+#: Pivots allowed per started block of 10,000 cells (see ``_pivot_cap``).
 _MAX_PIVOTS = 10_000
 
 
@@ -73,6 +74,12 @@ class LpSolution:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+
+def _pivot_cap(m: int, n: int) -> int:
+    """The pivot cap of an ``m x n`` solve, never below ``m * n`` (700x700
+    was measured at 11,531 pivots, about ``(m * n) ** 0.75``)."""
+    return _MAX_PIVOTS * -(-(m * n) // 10_000)
 
 
 def _northwest_corner(p: np.ndarray, q: np.ndarray):
@@ -163,8 +170,8 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     blocking cell of the cycle walked from its apex, so the solver
     terminates on degenerate instances and always returns the same vertex
     for the same input (and for any positive rescaling of the input).
-    Raises ``ConvergenceError`` if the pivot cap is reached; its residual is
-    the largest reduced cost left.
+    Raises ``ConvergenceError`` if the pivot cap, which grows with ``m * n``,
+    is reached; its residual is the largest reduced cost left.
     """
     _check_same_shape("phi", phi.phi.shape, margins)
     m, n = margins.shape
@@ -172,18 +179,19 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
     rows = cost.tolist()
     mu, basic, adjacency = _northwest_corner(margins.p, margins.q)
+    cap = _pivot_cap(m, n)
     degenerate = 0
-    for pivots in range(_MAX_PIVOTS + 1):
+    for pivots in range(cap + 1):
         parent, depth, u, v = _tree(adjacency, rows, m)
         reduced = cost - u[:, None] - v[None, :]
         reduced[basic] = -np.inf  # zero up to rounding
         best = float(reduced.max())
         if best <= entering_tol:
             break
-        if pivots == _MAX_PIVOTS:
+        if pivots == cap:
             raise ConvergenceError(
-                f"transportation simplex did not terminate within {_MAX_PIVOTS} pivots",
-                iterations=_MAX_PIVOTS,
+                f"transportation simplex did not terminate within {cap} pivots",
+                iterations=cap,
                 residual=best,
             )
         entering = divmod(int(np.argmax(reduced >= best - entering_tol)), n)

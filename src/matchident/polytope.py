@@ -6,7 +6,7 @@ matrices with prescribed row and column sums.  This module provides its
 dimension, a membership test, exhaustive vertex enumeration for small
 instances, the boundary test, and the gauge construction that scales a
 matching away from the barycenter until it first hits the boundary,
-together with the normal of the face where it does.
+together with the face where it does and that face's normal.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .core import (
     DegenerateRayError,
     InstanceTooLargeError,
     Margins,
-    MarketError,
     Matching,
     _barycenter_mu,
     _check_same_shape,
@@ -37,7 +36,6 @@ __all__ = [
     "contains",
     "enumerate_vertices",
     "gauge",
-    "face_normal",
     "is_boundary",
 ]
 
@@ -167,11 +165,15 @@ class GaugeResult:
     feasible (always >= 1), ``mu_star`` the boundary matching it lands on,
     and ``binding`` a read-only boolean mask, shaped like the matching, of
     the cells whose nonnegativity constraint stops the ray: the exit face.
+    ``normal``, read-only, is ``binding`` scaled to inner product one with
+    the ray direction ``mu_hat - bary``: nonpositive, zero on the support
+    of ``mu_star``, and ``t_star`` times it is the gauge entropy's gradient.
     """
 
     t_star: float
     mu_star: Matching
     binding: np.ndarray
+    normal: np.ndarray
 
 
 def gauge(mu_hat: Matching) -> GaugeResult:
@@ -183,19 +185,20 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     entry hits zero at ``t = bary / (bary - mu_hat)``.  The exit stretch is
     the smallest such ratio; because ``mu_hat`` itself is feasible it is
     always at least 1, with equality exactly on the boundary.  The cells
-    whose ratio attains it form the ``binding`` mask.
+    whose ratio attains it form the ``binding`` mask, of shrinking cells.
 
-    Raises ``DegenerateRayError`` when ``mu_hat`` equals the barycenter, in
-    which case the ray has no direction.
+    Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter, up to
+    ``BOUNDARY_TOL`` or within its margin defect (no cell shrinks): the ray
+    then has no direction or no exit.
     """
     margins = mu_hat.margins
     bary = _barycenter_mu(margins)
     diff = mu_hat.mu - bary
-    if np.abs(diff).max() <= BOUNDARY_TOL:
+    shrinking = diff < 0.0
+    if np.abs(diff).max() <= BOUNDARY_TOL or not shrinking.any():
         raise DegenerateRayError(
             "matching equals the barycenter; the ray to the boundary is undefined"
         )
-    shrinking = diff < 0.0
     ratios = np.full(mu_hat.mu.shape, np.inf)
     ratios[shrinking] = bary[shrinking] / -diff[shrinking]
     t_star = float(ratios.min())
@@ -203,7 +206,10 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     # than BOUNDARY_TOL of its barycenter mass at mu*: it is empty there too.
     last = t_star * (1.0 + BOUNDARY_TOL)
     binding = ratios <= last
+    # Binding cells shrink, so the normalizer is negative; + 0.0 clears -0.0.
+    normal = binding / float(np.sum(binding * diff)) + 0.0
     binding.setflags(write=False)
+    normal.setflags(write=False)
     mu_star = np.clip(bary + t_star * diff, 0.0, None)
     # A matching admitted with a loose feasibility tolerance carries a
     # margin defect that the stretch scales by t*; allow exactly that much.
@@ -215,26 +221,14 @@ def gauge(mu_hat: Matching) -> GaugeResult:
         t_star=t_star,
         mu_star=Matching(mu_star, margins, tol=MASS_TOL + t_star * defect),
         binding=binding,
+        normal=normal,
     )
 
 
-def face_normal(mu_hat: Matching, ray: GaugeResult) -> np.ndarray:
-    """Normal of the face where the gauge ray of ``mu_hat`` exits.
-
-    The ``ray.binding`` mask scaled to inner product one with the ray
-    direction ``mu_hat - bary``: nonpositive, zero on the support of
-    ``ray.mu_star``, and ``ray.t_star`` times it is the gauge entropy's
-    gradient at ``mu_hat``.
-    """
-    direction = mu_hat.mu - _barycenter_mu(mu_hat.margins)
-    normalizer = float(np.sum(ray.binding * direction))
-    if normalizer >= 0.0:
-        # Binding cells shrink along the ray by construction, so this
-        # can only happen through an internal error.
-        raise MarketError(
-            f"degenerate binding-face normalization ({normalizer!r})"
-        )
-    return ray.binding / normalizer + 0.0  # + 0.0 clears negative zeros
+def _empty_cells(mu: Matching) -> np.ndarray:
+    """Cells of at most ``BOUNDARY_TOL`` between types of positive mass."""
+    p, q = mu.margins.p, mu.margins.q
+    return (mu.mu <= BOUNDARY_TOL) & (p > 0.0)[:, None] & (q > 0.0)[None, :]
 
 
 def is_boundary(mu: Matching) -> bool:
@@ -242,6 +236,7 @@ def is_boundary(mu: Matching) -> bool:
 
     Margins are equalities everywhere on the polytope, so the relative
     boundary is reached exactly when some entry vanishes, that is, is at
-    most ``BOUNDARY_TOL``.
+    most ``BOUNDARY_TOL``.  The cells of a zero-mass type are empty in
+    every feasible matching and constrain nothing, so they do not count.
     """
-    return bool(mu.mu.min() <= BOUNDARY_TOL)
+    return bool(_empty_cells(mu).any())

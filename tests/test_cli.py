@@ -241,6 +241,17 @@ class TestSolve:
         assert document["error"] == "no-convergence"
         assert math.isfinite(document["residual"]) and document["residual"] > 0.0
 
+    @pytest.mark.parametrize("tol", ["nan", "1e-5"])
+    def test_feasibility_tolerance_is_not_an_option(self, tmp_path, capsys, tol):
+        """solve reads no matching, so it takes no feasibility tolerance."""
+        market = write_market(
+            tmp_path / "m.json", p=UNIFORM_P, q=UNIFORM_P, phi=np.eye(2).tolist()
+        )
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--input", market, "--tol", tol])
+        assert info.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_report_can_be_written_to_a_file(self, tmp_path, capsys):
         market = write_market(
             tmp_path / "m.json", p=UNIFORM_P, q=UNIFORM_P, phi=[[1.0, 0.0], [0.0, 1.0]]
@@ -311,6 +322,26 @@ class TestCheck:
         assert report["t_star"] is None
         assert report["mu_star"] is None
         assert "barycenter" in report["note"]
+
+    @pytest.mark.parametrize(
+        "command, error",
+        [(["check"], None), (["identify", "--entropy", "gauge"], "barycenter"),
+         (["geometry"], "barycenter")],
+    )
+    def test_no_shrinking_cell_is_the_barycenter(self, tmp_path, capsys, command, error):
+        """A matching above the barycenter in every cell, admitted by a loose
+        --tol, is the barycenter within its margin defect."""
+        market = write_market(
+            tmp_path / "m.json", p=UNIFORM_P, q=UNIFORM_P, mu=[[0.250001] * 2] * 2
+        )
+        code, document = run_json(capsys, [*command, "--input", market, "--tol", "1e-5"])
+        assert code == 1
+        if error is None:
+            assert document["rationalizable"] is False
+            assert document["t_star"] is None
+            assert "barycenter" in document["note"]
+        else:
+            assert document["error"] == error
 
     def test_custom_tolerance_admits_slightly_off_margins(self, tmp_path, capsys):
         mu = [[0.5, 0.0], [0.0, 0.5 - 1e-6]]

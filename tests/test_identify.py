@@ -18,7 +18,6 @@ from matchident import (
     barycenter,
     check_rationalizable,
     decompose_separable,
-    face_normal,
     gauge,
     identify_entropy,
     is_boundary,
@@ -90,6 +89,32 @@ class TestCheckRationalizable:
         assert report.t_star is None
         assert report.mu_star is None
 
+    def test_zero_mass_types_do_not_rationalize(self):
+        """An interior matching of the positive types stays interior when a
+        type has zero mass; the entropy gradients still refuse its empty
+        cells, naming the same cell as before."""
+        margins = Margins([0.5, 0.5, 0.0], [0.5, 0.5], allow_zero_mass=True)
+        bary = Matching([[0.25, 0.25], [0.25, 0.25], [0.0, 0.0]], margins)
+        report = check_rationalizable(bary)
+        assert not report.rationalizable and report.t_star is None
+        interior = Matching([[0.3, 0.2], [0.2, 0.3], [0.0, 0.0]], margins)
+        report = check_rationalizable(interior)
+        assert not report.rationalizable and report.witness is None
+        assert report.t_star == pytest.approx(5.0, rel=1e-12)
+        with pytest.raises(NonInteriorError) as info:
+            identify_entropy(interior, EntropyModel.shannon())
+        assert info.value.cell == (2, 0)
+
+    def test_zero_mass_market_with_an_empty_cell_has_a_nonseparable_witness(self):
+        margins = Margins([0.5, 0.5, 0.0], [0.5, 0.5], allow_zero_mass=True)
+        mu = Matching([[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]], margins)
+        report = check_rationalizable(mu)
+        assert report.rationalizable
+        np.testing.assert_array_equal(
+            report.witness.phi, [[0.0, -1.0], [-1.0, 0.0], [0.0, 0.0]]
+        )
+        assert report.checks.maximizer and report.checks.nonseparable
+
     def test_witness_makes_the_observation_optimal(self):
         """On the boundary, the observation scores 0 against its witness and
         nothing scores more."""
@@ -138,7 +163,7 @@ class TestCertificates:
                 margins = random_margins(rng, d_x, d_y)
                 for mu in sample_matchings(rng, margins).values():
                     ray, identified = rationalize_gauge(mu)
-                    normal = Surplus(face_normal(mu, ray))
+                    normal = Surplus(ray.normal)
                     witness = Surplus(np.where(mu.mu <= BOUNDARY_TOL, -1.0, 0.0))
                     for phi, point in ((witness, mu), (normal, ray.mu_star), (normal, mu)):
                         answer = _certifies(phi.phi, point)
@@ -196,7 +221,7 @@ class TestRationalizeGauge:
         np.testing.assert_allclose(
             identified.phi_raw.phi, [[0.0, -12.5], [-12.5, 0.0]], atol=1e-9
         )
-        assert identified.entropy_kind == "gauge-geometric"
+        assert identified.entropy_kind.kind == "gauge"
         assert identified.diagnostics["normalization"] == pytest.approx(1.0, abs=1e-10)
         assert identified.diagnostics["maximizer_verified"] == 1.0
         assert identified.diagnostics["nonseparable"] == 1.0
@@ -269,6 +294,21 @@ class TestIdentifyEntropy:
         np.testing.assert_allclose(
             identified.phi_raw.phi, [[0.0, -12.5], [-12.5, 0.0]], atol=1e-9
         )
+
+    def test_gauge_kind_is_the_rationalize_gauge_route(self):
+        rng = np.random.default_rng(98)
+        model = EntropyModel.gauge()
+        for d_x, d_y in [(2, 2), (3, 5), (6, 4)]:
+            mu = sample_matchings(rng, random_margins(rng, d_x, d_y))["interior"]
+            identified = identify_entropy(mu, model)
+            _, geometric = rationalize_gauge(mu)
+            assert identified.entropy_kind is model
+            assert geometric.entropy_kind.kind == "gauge"
+            assert identified.diagnostics == geometric.diagnostics
+            np.testing.assert_array_equal(identified.phi_raw.phi, geometric.phi_raw.phi)
+            np.testing.assert_array_equal(
+                identified.phi_canonical.phi, geometric.phi_canonical.phi
+            )
 
     def test_canonical_parts_are_centered_for_every_route(
         self, interior_matching, uniform2

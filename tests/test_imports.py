@@ -73,3 +73,15 @@ def test_package_imports_only_numpy_and_the_standard_library():
     for path in PACKAGE.glob("*.py"):
         outside = top_level_imports(path) - allowed
         assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_package_exports_exactly_the_public_names_of_its_modules():
+    import matchident
+    from matchident import core, entropy, identify, lp, polytope
+
+    modules = (core, polytope, lp, entropy, identify)
+    assert set(matchident.__all__) - {"__version__"} == set().union(
+        *(module.__all__ for module in modules)
+    )
+    for name in matchident.__all__:
+        assert hasattr(matchident, name), name

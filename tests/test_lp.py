@@ -119,20 +119,21 @@ def transportation_simplex_reference(phi: Surplus, margins: Margins):
     cost = phi.phi
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
     mu, basic, _ = lp._northwest_corner(margins.p, margins.q)
+    cap = lp._pivot_cap(m, n)
     basis_set = {tuple(cell) for cell in np.argwhere(basic).tolist()}
     basis = sorted(basis_set)
     degenerate = 0
-    for pivots in range(lp._MAX_PIVOTS + 1):
+    for pivots in range(cap + 1):
         u, v, root_parent = _reference_potentials(basis, cost)
         reduced = cost - u[:, None] - v[None, :]
         reduced[tuple(np.transpose(basis))] = -np.inf
         best = reduced.max()
         if best <= entering_tol:
             break
-        if pivots == lp._MAX_PIVOTS:
+        if pivots == cap:
             raise ConvergenceError(
-                f"transportation simplex did not terminate within {lp._MAX_PIVOTS} pivots",
-                iterations=lp._MAX_PIVOTS,
+                f"transportation simplex did not terminate within {cap} pivots",
+                iterations=cap,
                 residual=float(best),
             )
         candidates = np.flatnonzero(reduced >= best - entering_tol)
@@ -371,6 +372,16 @@ class TestPivotCounts:
         phi = Surplus(rng.normal(0.0, 2.0, 6)[:, None] + rng.normal(0.0, 2.0, 5)[None, :])
         solution = maximize_surplus(phi, margins)
         assert (solution.pivots, solution.degenerate_pivots) == (0, 0)
+
+    def test_cap_grows_with_the_market(self, monkeypatch):
+        """The cap is never below ``m * n`` (700x700 was measured at 11,531
+        pivots); with ``_MAX_PIVOTS`` per 10,000 cells lowered to 500, a
+        101x100 market gets two blocks and finishes its 746 pivots."""
+        assert all(lp._pivot_cap(k, k + 1) >= k * (k + 1) for k in (1, 99, 100, 699, 2000))
+        monkeypatch.setattr(lp, "_MAX_PIVOTS", 500)
+        rng = np.random.default_rng(1)
+        margins, phi = random_margins(rng, 101, 100), random_surplus(rng, 101, 100)
+        assert maximize_surplus(phi, margins).pivots > 500
 
     def test_uniform_margins_with_ties_pivot_degenerately(self):
         rng = np.random.default_rng(64)

@@ -152,6 +152,21 @@ class TestGauge:
         with pytest.raises(DegenerateRayError):
             gauge(barycenter(uniform2))
 
+    def test_no_shrinking_cell_is_degenerate(self, uniform2):
+        """Admitted with a loose tolerance, a matching can sit above the
+        barycenter in every cell: it is the barycenter within its margin
+        defect, and the ray has no exit."""
+        mu = Matching(np.full((2, 2), 0.250001), uniform2, tol=1e-5)
+        with pytest.raises(DegenerateRayError):
+            gauge(mu)
+
+    def test_normal_is_the_scaled_exit_face(self, interior_matching):
+        result = gauge(interior_matching)
+        np.testing.assert_allclose(result.normal, [[0.0, -5.0], [-5.0, 0.0]], rtol=1e-12)
+        assert not result.normal.flags.writeable
+        direction = interior_matching.mu - barycenter(interior_matching.margins).mu
+        assert np.sum(result.normal * direction) == pytest.approx(1.0, abs=1e-12)
+
     def test_ray_identity_and_zero_touch(self):
         """mu_star equals the ray formula entrywise and touches zero."""
         rng = np.random.default_rng(10)
@@ -208,6 +223,15 @@ class TestIsBoundary:
                 mu = random_boundary_matching(rng, margins)
                 assert is_boundary(mu)
                 assert gauge(mu).t_star == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_mass_types_are_not_a_boundary(self):
+        """The cells of a zero-mass type are empty in every feasible matching;
+        only the cells between types of positive mass count."""
+        margins = Margins([0.5, 0.5, 0.0], [0.5, 0.5], allow_zero_mass=True)
+        for mu in ([[0.25, 0.25], [0.25, 0.25], [0.0, 0.0]],
+                   [[0.3, 0.2], [0.2, 0.3], [0.0, 0.0]]):
+            assert not is_boundary(Matching(mu, margins))
+        assert is_boundary(Matching([[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]], margins))
 
     def test_convexity_of_membership(self):
         """Segments between feasible matchings stay feasible."""

@@ -17,7 +17,6 @@ from matchident import (
     Surplus,
     barycenter,
     check_rationalizable,
-    face_normal,
     gauge,
     is_boundary,
     is_maximizer,
@@ -115,7 +114,7 @@ def test_gauge_ray_exits_through_a_face_it_shrinks_toward(mu):
     assert ray.binding.any()
     assert not np.any(ray.binding & (direction >= 0.0))
     assert ray.mu_star.mu[ray.binding].max() <= BOUNDARY_TOL
-    normal = face_normal(mu, ray)
+    normal = ray.normal
     assert normal.max() <= 0.0
     assert np.all(normal[~ray.binding] == 0.0)
     assert abs(np.sum(normal * direction) - 1.0) <= 1e-12
