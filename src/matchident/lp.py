@@ -4,9 +4,12 @@ The maximization of ``<mu, phi>`` subject to margin constraints is a
 transportation problem, and this module solves it exactly with the
 classical transportation (network) simplex on the complete bipartite type
 graph.  The basis is a spanning tree on the ``m + n`` type nodes, rooted at
-row 0 and kept as an adjacency that each pivot updates in place.  One walk
-of the tree per pivot yields the dual potentials and the parent links along
-which the pivot cycle is read.  Dantzig pricing picks the entering cell and
+row 0.  Its adjacency, parent links, depths and dual potentials are kept
+across pivots: the tree is walked in full once, at the start, and after
+that a pivot's leaving edge cuts one subtree off, its entering edge
+re-hangs it, and only that subtree is walked again.  Every other node keeps
+its path to row 0 and so its potential, bit for bit.  The pivot cycle is
+read along the parent links.  Dantzig pricing picks the entering cell and
 Cunningham's rule the leaving one, which keeps the northwest-corner start
 strongly feasible (every zero-flow cell hangs below its column node).  A
 pivot that moves mass raises the value, and one that moves none strictly
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BOUNDARY_TOL,
     OPTIMALITY_TOL,
     SEPARABILITY_TOL,
     ConvergenceError,
@@ -90,8 +94,8 @@ def _northwest_corner(p: np.ndarray, q: np.ndarray):
     mu = np.zeros((m, n))
     basic = np.zeros((m, n), dtype=bool)
     adjacency: list[set[int]] = [set() for _ in range(m + n)]
-    remaining_p = p.copy()
-    remaining_q = q.copy()
+    remaining_p = p.tolist()
+    remaining_q = q.tolist()
     x, y = 0, 0
     for _ in range(m + n - 1):
         t = min(remaining_p[x], remaining_q[y])
@@ -101,6 +105,12 @@ def _northwest_corner(p: np.ndarray, q: np.ndarray):
         adjacency[m + y].add(x)
         remaining_p[x] -= t
         remaining_q[y] -= t
+        # A remainder within rounding of zero is zero: margins whose partial
+        # sums tie in exact arithmetic then tie here too.
+        if remaining_p[x] <= BOUNDARY_TOL:
+            remaining_p[x] = 0.0
+        if remaining_q[y] <= BOUNDARY_TOL:
+            remaining_q[y] = 0.0
         if x == m - 1:
             y += 1
         elif y == n - 1:
@@ -112,26 +122,35 @@ def _northwest_corner(p: np.ndarray, q: np.ndarray):
     return mu, basic, adjacency
 
 
+def _hang(adjacency, rows, m, parent, depth, potential, stack: list[int]) -> None:
+    """Walk down from the nodes on ``stack``, whose parents are set: give
+    them and every node below them a depth and the potential that solves
+    ``u[x] + v[y] = rows[x][y]`` on the edge to the parent, and give the
+    nodes below them their parents.  Empties ``stack``."""
+    while stack:
+        child = stack.pop()
+        node = parent[child]
+        depth[child] = depth[node] + 1
+        if node < m:  # row node fixes the column potential
+            potential[child] = rows[node][child - m] - potential[node]
+        else:
+            potential[child] = rows[child][node - m] - potential[node]
+        for grandchild in adjacency[child]:
+            if grandchild != node:
+                parent[grandchild] = child
+                stack.append(grandchild)
+
+
 def _tree(adjacency: list[set[int]], rows: list[list[float]], m: int):
-    """Parents, depths and the potentials ``u[x] + v[y] = rows[x][y]`` of
-    the basis tree, walked from row 0 (``u[0] = 0``)."""
+    """Parents, depths and the potentials (rows, then columns) of the basis
+    tree, walked in full from row 0 (``u[0] = 0``)."""
     parent = [-1] * len(adjacency)
     depth = [0] * len(adjacency)
     potential = [0.0] * len(adjacency)
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for child in adjacency[node]:
-            if child == parent[node]:
-                continue
-            parent[child] = node
-            depth[child] = depth[node] + 1
-            if node < m:  # row node fixes the column potential
-                potential[child] = rows[node][child - m] - potential[node]
-            else:
-                potential[child] = rows[child][node - m] - potential[node]
-            stack.append(child)
-    return parent, depth, np.array(potential[:m]), np.array(potential[m:])
+    for child in adjacency[0]:
+        parent[child] = 0
+    _hang(adjacency, rows, m, parent, depth, potential, list(adjacency[0]))
+    return parent, depth, potential
 
 
 def _cycle(parent: list[int], depth: list[int], entering: tuple[int, int], m: int):
@@ -160,6 +179,47 @@ def _cycle(parent: list[int], depth: list[int], entering: tuple[int, int], m: in
     return plus, minus
 
 
+def _pivot(entering, mu, priced, adjacency, rows, parent, depth, potential) -> bool:
+    """Pivot ``entering`` into the basis and return whether no mass moved.
+
+    Mass moves around the cycle, and the leaving cell drops out of the
+    basis: out of ``adjacency``, and back to its surplus in ``priced``,
+    where the entering cell is blocked at ``-inf``.  The leaving edge cut
+    one subtree off the tree and the entering edge re-hangs it; only that
+    subtree is walked again.  Every other node keeps its path to row 0, so
+    its parent, depth and potential stay what a full walk gives, bit for
+    bit.
+    """
+    m = len(mu)
+    plus, minus = _cycle(parent, depth, entering, m)
+    theta = float("inf")
+    for x, y in minus:  # the last blocking cell leaves
+        if mu[x][y] <= theta:
+            theta, leaving = mu[x][y], (x, y)
+    for x, y in plus:
+        mu[x][y] += theta
+    for x, y in minus:
+        mu[x][y] -= theta
+    x, y = leaving
+    mu[x][y] = 0.0
+    priced[x, y] = rows[x][y]
+    adjacency[x].remove(m + y)
+    adjacency[m + y].remove(x)
+    cut = x if parent[x] == m + y else m + y  # the leaving edge's lower end
+    x, y = entering
+    priced[x, y] = -np.inf
+    adjacency[x].add(m + y)
+    adjacency[m + y].add(x)
+    node = x  # climb from the entering row node to the depth of the cut
+    while depth[node] > depth[cut]:
+        node = parent[node]
+    # the entering edge's end inside the cut subtree hangs below the other end
+    top, hung = (m + y, x) if node == cut else (x, m + y)
+    parent[hung] = top
+    _hang(adjacency, rows, m, parent, depth, potential, [hung])
+    return theta == 0.0
+
+
 def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     """Solve ``max <mu, phi>`` over the matching polytope exactly.
 
@@ -170,6 +230,8 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     blocking cell of the cycle walked from its apex, so the solver
     terminates on degenerate instances and always returns the same vertex
     for the same input (and for any positive rescaling of the input).
+    The basis tree is walked in full once, at the start; after that each
+    pivot re-walks only the subtree it re-hangs.
     Raises ``ConvergenceError`` if the pivot cap, which grows with ``m * n``,
     is reached; its residual is the largest reduced cost left.
     """
@@ -178,13 +240,18 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     cost = phi.phi
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
     rows = cost.tolist()
-    mu, basic, adjacency = _northwest_corner(margins.p, margins.q)
+    start, basic, adjacency = _northwest_corner(margins.p, margins.q)
+    mu = start.tolist()
+    # Basic cells price at zero up to rounding; at -inf they never enter.
+    priced = np.where(basic, -np.inf, cost)
+    reduced = np.empty((m, n))
+    parent, depth, potential = _tree(adjacency, rows, m)
     cap = _pivot_cap(m, n)
     degenerate = 0
     for pivots in range(cap + 1):
-        parent, depth, u, v = _tree(adjacency, rows, m)
-        reduced = cost - u[:, None] - v[None, :]
-        reduced[basic] = -np.inf  # zero up to rounding
+        duals = np.array(potential)
+        np.subtract(priced, duals[:m, None], out=reduced)
+        reduced -= duals[m:]
         best = float(reduced.max())
         if best <= entering_tol:
             break
@@ -194,26 +261,15 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
                 iterations=cap,
                 residual=best,
             )
-        entering = divmod(int(np.argmax(reduced >= best - entering_tol)), n)
-        plus, minus = _cycle(parent, depth, entering, m)
-        theta = min(mu[cell] for cell in minus)
-        degenerate += bool(theta == 0.0)
-        leaving = [cell for cell in minus if mu[cell] <= theta][-1]
-        for cell in plus:
-            mu[cell] += theta
-        for cell in minus:
-            mu[cell] -= theta
-        mu[leaving] = 0.0
-        for x, y in (leaving, entering):  # one edge leaves the tree, one joins
-            basic[x, y] = not basic[x, y]
-            adjacency[x] ^= {m + y}
-            adjacency[m + y] ^= {x}
-    shift = v[-1]
+        entering = divmod(int((reduced >= best - entering_tol).argmax()), n)
+        degenerate += _pivot(entering, mu, priced, adjacency, rows, parent, depth, potential)
+    mu = np.array(mu)
+    shift = potential[-1]
     return LpSolution(
         mu_opt=Matching(mu, margins),
         value=float(np.sum(mu * cost)),
-        dual_f=u + shift,
-        dual_g=v - shift,
+        dual_f=duals[:m] + shift,
+        dual_g=duals[m:] - shift,
         pivots=pivots,
         degenerate_pivots=degenerate,
     )

@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from matchident import (
+    MASS_TOL,
     OPTIMALITY_TOL,
     SEPARABILITY_TOL,
     ConvergenceError,
@@ -336,7 +337,7 @@ class TestAgainstReference:
 
     SHAPES = [(2, 2), (2, 7), (7, 2), (3, 3), (4, 6), (6, 4), (5, 5), (8, 8), (9, 13),
               (13, 9), (12, 12), (16, 16), (20, 14), (14, 20), (20, 20), (25, 25),
-              (30, 24), (30, 30), (36, 40), (40, 40)]
+              (30, 24), (30, 30), (36, 40), (40, 40), (60, 60), (80, 80)]
 
     def test_answers_are_bit_identical(self):
         rng = np.random.default_rng(60)
@@ -393,26 +394,49 @@ class TestPivotCounts:
     def test_basis_tree_stays_strongly_feasible(self, monkeypatch):
         """Before every pivot, each basic cell without mass has its row node
         as the child of its column node in the tree rooted at row 0."""
-        start, walk = lp._northwest_corner, lp._tree
-        state, checked = {}, []
+        pivot, checked = lp._pivot, []
 
-        def northwest_corner(p, q):
-            state["mu"], state["basic"], adjacency = start(p, q)
-            return state["mu"], state["basic"], adjacency
+        def checked_pivot(entering, mu, priced, adjacency, rows, parent, depth, potential):
+            m = len(mu)
+            for x in range(m):
+                for column in adjacency[x]:
+                    if mu[x][column - m] == 0.0:
+                        checked.append(parent[x] == column)
+            return pivot(entering, mu, priced, adjacency, rows, parent, depth, potential)
 
-        def tree(adjacency, rows, m):
-            parent, depth, u, v = walk(adjacency, rows, m)
-            for x, y in np.argwhere(state["basic"] & (state["mu"] == 0.0)):
-                checked.append(parent[x] == m + y)
-            return parent, depth, u, v
-
-        monkeypatch.setattr(lp, "_northwest_corner", northwest_corner)
-        monkeypatch.setattr(lp, "_tree", tree)
+        monkeypatch.setattr(lp, "_pivot", checked_pivot)
         rng = np.random.default_rng(66)
         for i in range(12):
             margins, phi = degenerate_market(rng, i, 6 + 2 * i)
             maximize_surplus(phi, margins)
         assert len(checked) > 1000 and all(checked)
+
+
+class TestKeptTree:
+    def test_kept_tree_equals_a_fresh_walk(self, monkeypatch):
+        """After every pivot, the parents, depths and potentials kept across
+        pivots are those of a full walk of the updated basis, bit for bit."""
+        pivot, compared = lp._pivot, []
+
+        def compared_pivot(entering, mu, priced, adjacency, rows, parent, depth, potential):
+            degenerate = pivot(entering, mu, priced, adjacency, rows, parent, depth, potential)
+            fresh_parent, fresh_depth, fresh_potential = lp._tree(adjacency, rows, len(mu))
+            assert parent == fresh_parent
+            assert depth == fresh_depth
+            assert np.array(potential).tobytes() == np.array(fresh_potential).tobytes()
+            compared.append(degenerate)
+            return degenerate
+
+        monkeypatch.setattr(lp, "_pivot", compared_pivot)
+        rng = np.random.default_rng(67)
+        for i, d in enumerate((8, 13, 21, 34, 60, 64)):
+            for margins, phi in (
+                degenerate_market(rng, i, d),
+                stress_market(rng, i, d, d + i % 3, uniform_every=3),
+            ):
+                maximize_surplus(phi, margins)
+        assert len(compared) > 1000 and any(compared) and not all(compared)
+
 
 def degenerate_market(rng: np.random.Generator, i: int, d: int):
     """A d x d market with uniform margins on even ``i`` and margins in small
@@ -467,3 +491,17 @@ class TestAgainstHighs:
             solution = maximize_surplus(phi, margins)
             assert solution.pivots < lp._MAX_PIVOTS
             assert_agrees_with_highs(phi, margins, solution)
+
+    def test_start_basis_has_no_rounding_size_masses(self):
+        """The 32x32 integer-ratio market above: its partial sums tie only in
+        exact arithmetic, and the start basis puts no mass in (0, 1e-14)
+        where exact arithmetic gives zero, yet keeps the margins."""
+        rng = np.random.default_rng(65)
+        for i in range(16):
+            margins, phi = degenerate_market(rng, i, round(8 * 15 ** (i / 29)))
+        assert margins.shape == (32, 32)
+        mu, _, _ = lp._northwest_corner(margins.p, margins.q)
+        assert not np.any((mu > 0.0) & (mu < 1e-14))
+        assert np.abs(mu.sum(axis=1) - margins.p).max() <= MASS_TOL
+        assert np.abs(mu.sum(axis=0) - margins.q).max() <= MASS_TOL
+        assert_agrees_with_highs(phi, margins, maximize_surplus(phi, margins))
