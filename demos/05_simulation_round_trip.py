@@ -29,8 +29,8 @@ model = EntropyModel.shannon()
 
 # The population matching the surplus induces (IPFP fixed point).
 value, report = solve_regularized(model, phi_true, margins)
-print("population matching (IPFP, margin error "
-      f"{report.margin_error:.1e} after {report.iterations} iterations):")
+print(f"population matching (IPFP margin error {report.margin_error:.1e};"
+      f" sweeps {report.sweeps}, Newton steps {report.newton_steps}):")
 print(report.mu.mu)
 print("true cross-difference:", true_cross)
 

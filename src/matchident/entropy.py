@@ -22,9 +22,11 @@ loop covers every surplus scale: the kernel is kept as
 absorbed into the log potentials ``f`` and ``g`` (Schmitzer, SIAM J. Sci.
 Comput. 2019), so nothing overflows.  At large scales the sweeps slow
 down or stall on a plateau; when the sweeps still needed would cost more
-than a Newton phase, damped Newton steps on the dual take over, along a
-continuation in the surplus scale (Brauer, Clason, Lorenz & Wirth,
-"A Sinkhorn-Newton method for entropic optimal transport", 2017).
+than a Newton phase, damped Newton steps on the dual take over at full
+scale (Brauer, Clason, Lorenz & Wirth, "A Sinkhorn-Newton method for
+entropic optimal transport", 2017).  They start from the exact LP's dual
+potentials, to which the regularized ones tend as the scale grows
+(Cominetti & San Martín, Math. Prog. 1994).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import polytope
+from . import lp, polytope
 from .core import (
     BOUNDARY_TOL,
     ConvergenceError,
@@ -77,22 +79,13 @@ _SCALING_RANGE = 1e50
 #: IPFP weighs a hand-over to Newton steps every this many sweeps.
 _BLOCK = 20
 
-#: The Newton phase's first continuation stage solves a surplus whose
-#: doubly centred spread is at most this; a cold start converges there.
-_FIRST_SPREAD = 2.0
-
-#: Margin error at which an intermediate continuation stage stops.
-_STAGE_TOL = 1e-6
-
-#: A continuation stage of the Newton phase costs about as many sweeps as
-#: ``_STAGE_SWEEPS + _STAGE_SWEEPS_PER_TYPE * min(m, n)``: some four steps,
-#: each a fixed overhead plus a Schur complement on the shorter side.
-_STAGE_SWEEPS = 20.0
-_STAGE_SWEEPS_PER_TYPE = 4.0 / 3.0
-
-#: A continuation stage converges in at most about 10 Newton steps; one
-#: that takes this many has stalled.
-_MAX_STAGE_STEPS = 30
+#: The Newton phase costs about as many sweeps as ``_NEWTON_SWEEPS +
+#: _NEWTON_SWEEPS_PER_CELL * m * n``: a fixed part for the refit and some
+#: five to twenty Newton steps, and the LP warm start, which takes about a
+#: quarter of a sweep per cell up to 200x200.  Fitted to timings of 2x60 to
+#: 140x140 markets at scales 10 to 1,000.
+_NEWTON_SWEEPS = 60.0
+_NEWTON_SWEEPS_PER_CELL = 0.25
 
 #: Backtracking: sufficient-decrease constant and the smallest step tried.
 _ARMIJO = 1e-4
@@ -141,17 +134,19 @@ class EntropyModel:
 class IpfpReport:
     """Diagnostics of an IPFP run: the fitted matching and how it converged.
 
-    ``iterations`` counts the IPFP sweeps plus the Newton steps of the
-    phase that takes over when the sweeps stall.  ``margin_error`` is what
-    the stopping test last read: the row error after a sweep (the sweep
-    ends by fitting the columns), the larger of the row and column errors
-    after a Newton step.
+    ``sweeps`` counts the IPFP sweeps, ``newton_steps`` the steps of the
+    Newton phase that takes over when the sweeps stall, and ``iterations``
+    their sum.  ``margin_error`` is what the stopping test last read: the
+    row error after a sweep (the sweep ends by fitting the columns), the
+    larger of the row and column errors after a Newton step.
     """
 
     mu: Matching
     iterations: int
     margin_error: float
     converged: bool
+    sweeps: int
+    newton_steps: int
 
 
 def _check_values_shape(model: EntropyModel, shape) -> TypeValues:
@@ -271,16 +266,18 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
 
 
 def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """Fit ``exp(phi)`` to positive margins; returns mu, iterations and the error.
+    """Fit ``exp(phi)`` to positive margins; returns mu, the sweeps, the
+    Newton steps and the error.
 
     The sweeps start with a 1 in every row and column of the kernel and
     nothing above 1.  Their error is read off the row sums ``a * (kernel @
     b)``, whose ``kernel @ b`` the next row update divides by.  Every
     ``_BLOCK`` sweeps the loop estimates how many more it needs at the
-    last block's rate, and hands over to ``_newton`` once they would cost
-    more than the Newton phase or cannot finish within ``IPFP_MAX_ITER``.
-    If the Newton phase stalls, the sweeps go on from where they stopped.
-    Iterations count sweeps and Newton steps together.
+    last block's rate.  It hands over to ``_newton``, started from
+    ``_warm_start``, once they would cost more than the Newton phase with
+    its LP, or cannot finish within ``IPFP_MAX_ITER``.  If the Newton phase
+    stalls, the sweeps go on from where they stopped, exactly as they would
+    have alone.
     """
     f = -phi.max(axis=1)
     g = -(phi + f[:, None]).max(axis=0)
@@ -288,7 +285,8 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     b = np.ones(q.size)
     kernel_b = kernel @ b
     sweeps = steps = 0
-    previous = plan = None
+    previous = None
+    cost = _NEWTON_SWEEPS + _NEWTON_SWEEPS_PER_CELL * phi.size
     while sweeps + steps < IPFP_MAX_ITER:
         sweeps += 1
         a = p / kernel_b
@@ -304,17 +302,16 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
             break
         if sweeps % _BLOCK or steps:  # a stalled Newton phase is not retried
             continue
-        if previous is not None:
-            plan = plan or _continuation(phi)
-            centred, halvings, cost = plan
-            # Sweeps that cannot finish under the cap are not worth their
-            # cost either.
-            if _sweeps_needed(previous, error) > min(cost, IPFP_MAX_ITER - sweeps):
-                mu, steps, newton_error = _newton(
-                    centred, halvings, p, q, IPFP_MAX_ITER - sweeps
-                )
-                if newton_error <= IPFP_TOL:
-                    return mu, sweeps + steps, newton_error
+        # Sweeps that cannot finish under the cap are not worth their cost
+        # either.
+        if previous is not None and _sweeps_needed(previous, error) > min(
+            cost, IPFP_MAX_ITER - sweeps
+        ):
+            mu, steps, newton_error = _newton(
+                *_warm_start(phi, p, q), p, q, IPFP_MAX_ITER - sweeps
+            )
+            if newton_error <= IPFP_TOL:
+                return mu, sweeps, steps, newton_error
         previous = error
     mu = a[:, None] * kernel * b[None, :]
     # Where the kernel is subnormal, a * kernel * b keeps few digits.
@@ -322,7 +319,7 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     mu[rows, cols] = np.exp(
         phi[rows, cols] + f[rows] + np.log(a[rows]) + g[cols] + np.log(b[cols])
     )
-    return mu, sweeps + steps, error
+    return mu, sweeps, steps, error
 
 
 def _sweeps_needed(previous: float, error: float) -> float:
@@ -333,15 +330,21 @@ def _sweeps_needed(previous: float, error: float) -> float:
     return _BLOCK * math.log(error / IPFP_TOL) / math.log(previous / error)
 
 
-def _continuation(phi: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """The doubly centred ``phi``, the halvings that bring its spread down
-    to ``_FIRST_SPREAD``, and the Newton phase's expected cost in sweeps."""
+def _warm_start(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """The doubly centred ``phi`` and log potentials that nearly fit it.
+
+    Centring keeps large separable shifts out of the exponent.  The exact
+    LP's duals on the centred ``phi``, scaled back by its largest entry, are
+    the limit of the regularized potentials as the scale grows.  One
+    log-domain sweep from the column duals then fits the margins, so no
+    type, however small its mass, starts far off it.
+    """
     centred = phi - phi.mean(axis=1)[:, None]
     centred -= centred.mean(axis=0)[None, :]
-    spread = max(float(np.ptp(centred)), _FIRST_SPREAD)
-    halvings = math.ceil(math.log2(spread / _FIRST_SPREAD))
-    stage = _STAGE_SWEEPS + _STAGE_SWEEPS_PER_TYPE * min(phi.shape)
-    return centred, halvings, (halvings + 1) * stage
+    spread = float(np.abs(centred).max()) or 1.0
+    duals = lp.maximize_surplus(Surplus(centred / spread), Margins(p, q))
+    f, g = _fit_margins(centred, -spread * duals.dual_g, p, q)
+    return centred, f, g
 
 
 def _dual(
@@ -357,74 +360,63 @@ def _dual(
 
 
 def _newton(
-    centred: np.ndarray, halvings: int, p: np.ndarray, q: np.ndarray, budget: int
+    phi: np.ndarray,
+    f: np.ndarray,
+    g: np.ndarray,
+    p: np.ndarray,
+    q: np.ndarray,
+    budget: int,
 ):
-    """Damped Newton steps on the dual ``sum exp(phi + f + g) - p.f - q.g``.
+    """Damped Newton steps on the dual ``sum exp(phi + f + g) - p.f - q.g``
+    from the start ``(f, g)``, at full scale.
 
     The last ``g`` stays fixed, which makes the (m+n-1)-square Hessian
     positive definite; eliminating ``f`` leaves its Schur complement on
     ``g``, which is the shorter side once the problem is transposed so that
-    ``m >= n``.  A cold start does not converge at large scales, so the
-    stages follow ``phi * 2^-k`` for ``k = halvings, ..., 0``: the first
-    has a spread of at most ``_FIRST_SPREAD``, and each later one starts
-    from the previous stage's potentials doubled, refitted to the margins
-    by one log-domain sweep (doubling alone leaves a type of tiny mass far
-    off its margin, where a Newton step overshoots).  All but the last
-    stage stop at ``_STAGE_TOL``.  Backtracking also accepts a step that
-    lowers the margin error, because near the solution the dual's decrease
-    falls below rounding.  Returns mu, the steps taken (at most ``budget``)
-    and the margin error; a stage that fails its line search, meets a
-    singular Hessian or takes ``_MAX_STAGE_STEPS`` steps ends the phase
-    unconverged.
+    ``m >= n``.  Backtracking also accepts a step that lowers the margin
+    error, because near the solution the dual's decrease falls below
+    rounding.  Returns mu, the steps taken (at most ``budget``) and the
+    margin error; a failed line search or a singular Schur complement ends
+    the phase unconverged.
     """
     if p.size < q.size:
-        mu, steps, error = _newton(centred.T, halvings, q, p, budget)
+        mu, steps, error = _newton(phi.T, g, f, q, p, budget)
         return mu.T, steps, error
-    f, g = np.log(p), np.log(q)
+    mu, rows, cols, value, error = _dual(phi, f, g, p, q)
     steps = 0
     # A trial step may overflow exp; its dual value is then inf and the
     # backtracking rejects it.
     with np.errstate(over="ignore"):
-        for k in range(halvings, -1, -1):
-            phi = np.ldexp(centred, -k)
-            if k < halvings:
-                f, g = _fit_margins(phi, 2.0 * f, 2.0 * g, p, q)
-            tol = _STAGE_TOL if k else IPFP_TOL
-            mu, rows, cols, value, error = _dual(phi, f, g, p, q)
-            stage_budget = min(budget, steps + _MAX_STAGE_STEPS)
-            while error > tol:
-                if steps == stage_budget:
+        while error > IPFP_TOL and steps < budget:
+            steps += 1
+            gradient_f, gradient_g = rows - p, (cols - q)[:-1]
+            scaled = mu[:, :-1] / rows[:, None]
+            schur = np.diag(cols[:-1]) - mu[:, :-1].T @ scaled
+            try:
+                dg = np.linalg.solve(schur, scaled.T @ gradient_f - gradient_g)
+            except np.linalg.LinAlgError:
+                break
+            df = -(gradient_f + mu[:, :-1] @ dg) / rows
+            slope = float(gradient_f @ df + gradient_g @ dg)
+            dg = np.append(dg, 0.0)
+            t = 1.0
+            while True:
+                trial = _dual(phi, f + t * df, g + t * dg, p, q)
+                trial_value, trial_error = trial[3:]
+                decrease = trial_value <= value + _ARMIJO * t * slope
+                if decrease or trial_error < error:
+                    break
+                t *= 0.5
+                if t < _MIN_STEP:
                     return mu, steps, error
-                steps += 1
-                gradient_f, gradient_g = rows - p, (cols - q)[:-1]
-                scaled = mu[:, :-1] / rows[:, None]
-                schur = np.diag(cols[:-1]) - mu[:, :-1].T @ scaled
-                try:
-                    dg = np.linalg.solve(schur, scaled.T @ gradient_f - gradient_g)
-                except np.linalg.LinAlgError:
-                    return mu, steps, error
-                df = -(gradient_f + mu[:, :-1] @ dg) / rows
-                slope = float(gradient_f @ df + gradient_g @ dg)
-                dg = np.append(dg, 0.0)
-                t = 1.0
-                while True:
-                    trial = _dual(phi, f + t * df, g + t * dg, p, q)
-                    trial_value, trial_error = trial[3:]
-                    decrease = trial_value <= value + _ARMIJO * t * slope
-                    if decrease or trial_error < error:
-                        break
-                    t *= 0.5
-                    if t < _MIN_STEP:
-                        return mu, steps, error
-                f, g = f + t * df, g + t * dg
-                mu, rows, cols, value, error = trial
+            f, g = f + t * df, g + t * dg
+            mu, rows, cols, value, error = trial
     return mu, steps, error
 
 
-def _fit_margins(
-    phi: np.ndarray, f: np.ndarray, g: np.ndarray, p: np.ndarray, q: np.ndarray
-):
-    """One sweep in the log domain: ``f`` fits the rows, then ``g`` the columns."""
+def _fit_margins(phi: np.ndarray, g: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """One sweep in the log domain: ``f`` fits the rows to ``g``, then ``g``
+    the columns to ``f``."""
     z = phi + g[None, :]
     peak = z.max(axis=1)
     f = np.log(p) - peak - np.log(np.exp(z - peak[:, None]).sum(axis=1))
@@ -446,8 +438,9 @@ def solve_regularized(
     kernel ``exp(phi + f + g)`` and folds any scaling that leaves a fixed
     range into the potentials ``f`` and ``g``, so large surpluses neither
     overflow nor underflow it.  When the sweeps converge too slowly to be
-    worth finishing, damped Newton steps on the dual take over; if those
-    stall, the sweeps resume where they stopped.  Zero-mass types get zero
+    worth finishing, damped Newton steps on the dual take over, started
+    from the exact LP's dual potentials; if those stall, the sweeps resume
+    where they stopped.  Zero-mass types get zero
     rows and columns and stay out of both.  Returns the optimal value and
     an ``IpfpReport``; raises ``ConvergenceError`` (with iteration
     diagnostics attached) if the margin error is not within ``IPFP_TOL``
@@ -467,9 +460,10 @@ def solve_regularized(
     rows, cols = margins.p > 0.0, margins.q > 0.0
     support = np.ix_(rows, cols)
     mu = np.zeros(margins.shape)
-    mu[support], iterations, error = _ipfp(
+    mu[support], sweeps, steps, error = _ipfp(
         phi.phi[support], margins.p[rows], margins.q[cols]
     )
+    iterations = sweeps + steps
     if not error <= IPFP_TOL:
         raise ConvergenceError(
             f"IPFP failed to converge: margin error {error:.3e} after"
@@ -480,6 +474,11 @@ def solve_regularized(
     matching = Matching(mu, margins)
     value = total_surplus(matching, phi) - _shannon_value(matching.mu)
     report = IpfpReport(
-        mu=matching, iterations=iterations, margin_error=error, converged=True
+        mu=matching,
+        iterations=iterations,
+        margin_error=error,
+        converged=True,
+        sweeps=sweeps,
+        newton_steps=steps,
     )
     return value, report

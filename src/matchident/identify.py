@@ -221,9 +221,12 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
     if model.kind == "shannon":
         # For rows x, x' the cross-differences are d[y] - d[y'] with
         # d = lm[x] - lm[x'], so the largest in magnitude is the range of d.
+        # Pairs of the shorter side cost O(min(m, n)^2 max(m, n)).
         lm = np.log(mu_hat.mu)
+        pairs = lm if lm.shape[0] <= lm.shape[1] else lm.T
         diagnostics["max_abs_cross_difference"] = max(
-            float(np.ptp(lm[x] - lm[x + 1 :], axis=1).max()) for x in range(len(lm) - 1)
+            float(np.ptp(pairs[x] - pairs[x + 1 :], axis=1).max())
+            for x in range(len(pairs) - 1)
         )
         if mu_hat.mu.shape == (2, 2):
             diagnostics["cross_difference"] = float(lm[0, 0] + lm[1, 1] - lm[0, 1] - lm[1, 0])

@@ -63,7 +63,9 @@ class LpSolution:
     support of ``mu_opt``, and ``p @ dual_f + q @ dual_g`` equals ``value``.
     The potentials are normalized so the last entry of ``dual_g`` is zero.
     ``pivots`` counts the simplex pivots the solve took, and
-    ``degenerate_pivots`` those among them that moved no mass.
+    ``degenerate_pivots`` those among them that moved no mass beyond
+    rounding (at most ``BOUNDARY_TOL``).  No cell of ``mu_opt`` holds a mass
+    in ``(0, BOUNDARY_TOL]``.
     """
 
     mu_opt: Matching
@@ -180,7 +182,8 @@ def _cycle(parent: list[int], depth: list[int], entering: tuple[int, int], m: in
 
 
 def _pivot(entering, mu, priced, adjacency, rows, parent, depth, potential) -> bool:
-    """Pivot ``entering`` into the basis and return whether no mass moved.
+    """Pivot ``entering`` into the basis and return whether no mass moved
+    beyond rounding.
 
     Mass moves around the cycle, and the leaving cell drops out of the
     basis: out of ``adjacency``, and back to its surplus in ``priced``,
@@ -217,7 +220,7 @@ def _pivot(entering, mu, priced, adjacency, rows, parent, depth, potential) -> b
     top, hung = (m + y, x) if node == cut else (x, m + y)
     parent[hung] = top
     _hang(adjacency, rows, m, parent, depth, potential, [hung])
-    return theta == 0.0
+    return theta <= BOUNDARY_TOL
 
 
 def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
@@ -264,6 +267,11 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
         entering = divmod(int((reduced >= best - entering_tol).argmax()), n)
         degenerate += _pivot(entering, mu, priced, adjacency, rows, parent, depth, potential)
     mu = np.array(mu)
+    # The cycles leave rounding-size masses where exact arithmetic empties a
+    # cell.  They are zero, as in the start basis; zeroing them while
+    # pivoting would unbalance the margins, and the next tie would then
+    # leave a larger remainder.
+    mu[mu <= BOUNDARY_TOL] = 0.0
     shift = potential[-1]
     return LpSolution(
         mu_opt=Matching(mu, margins),

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from matchident import Margins, Matching, Surplus, decompose_separable, enumerate_vertices
+from matchident import (
+    IPFP_TOL,
+    Margins,
+    Matching,
+    Surplus,
+    decompose_separable,
+    enumerate_vertices,
+)
 
 _VERTEX_CACHE: dict[tuple[bytes, bytes], list[Matching]] = {}
 
@@ -65,6 +72,19 @@ def random_nonseparable_surplus(
         residual = decompose_separable(phi, margins).residual
         if np.abs(residual).max() >= min_residual:
             return phi
+
+
+def assert_ipfp_certificate(phi: np.ndarray, margins: Margins, mu: np.ndarray) -> None:
+    """Certificate of the shannon optimum: the margins within ``IPFP_TOL``,
+    and ``log mu - phi`` separable on the positive cells (its adjacent 2x2
+    cross-differences vanish)."""
+    assert np.abs(mu.sum(axis=1) - margins.p).max() <= IPFP_TOL
+    assert np.abs(mu.sum(axis=0) - margins.q).max() <= IPFP_TOL
+    positive = mu > 1e-290  # below this, underflow has eaten the digits
+    residual = np.log(np.where(positive, mu, 1.0)) - phi
+    cross = residual[:-1, :-1] + residual[1:, 1:] - residual[:-1, 1:] - residual[1:, :-1]
+    valid = positive[:-1, :-1] & positive[1:, 1:] & positive[:-1, 1:] & positive[1:, :-1]
+    assert np.abs(cross[valid]).max(initial=0.0) <= 1e-9 * (1.0 + np.abs(phi).max())
 
 
 @pytest.fixture

@@ -32,6 +32,7 @@ from matchident import (
 )
 from matchident import entropy
 from conftest import (
+    assert_ipfp_certificate,
     random_interior_matching,
     random_margins,
     random_surplus,
@@ -89,19 +90,6 @@ def ipfp_log_domain(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
         if error <= IPFP_TOL:
             return mu, True
     return mu, False
-
-
-def assert_ipfp_certificate(phi: np.ndarray, margins: Margins, mu: np.ndarray) -> None:
-    """Certificate of the shannon optimum: the margins within ``IPFP_TOL``,
-    and ``log mu - phi`` separable on the positive cells (its adjacent 2x2
-    cross-differences vanish)."""
-    assert np.abs(mu.sum(axis=1) - margins.p).max() <= IPFP_TOL
-    assert np.abs(mu.sum(axis=0) - margins.q).max() <= IPFP_TOL
-    positive = mu > 1e-290  # below this, underflow has eaten the digits
-    residual = np.log(np.where(positive, mu, 1.0)) - phi
-    cross = residual[:-1, :-1] + residual[1:, 1:] - residual[:-1, 1:] - residual[1:, :-1]
-    valid = positive[:-1, :-1] & positive[1:, 1:] & positive[:-1, 1:] & positive[1:, :-1]
-    assert np.abs(cross[valid]).max(initial=0.0) <= 1e-9 * (1.0 + np.abs(phi).max())
 
 
 def tangent_fd_gradient_error(
@@ -441,7 +429,7 @@ class TestSolveRegularized:
     def test_plateau_market_converges(self):
         """A 10x10 market whose sweeps stall on a plateau: the reference
         hits the cap, while the Newton phase finishes in under 500
-        iterations."""
+        iterations.  The report counts both phases."""
         rng = np.random.default_rng(97)
         margins = random_margins(rng, 10, 10)
         phi = random_surplus(rng, 10, 10, scale=50.0)
@@ -449,12 +437,29 @@ class TestSolveRegularized:
         assert not converged
         _, report = solve_regularized(EntropyModel.shannon(), phi, margins)
         assert report.iterations < 500
+        assert report.sweeps > 0 and report.newton_steps > 0
+        assert report.iterations == report.sweeps + report.newton_steps
         assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
+
+    def test_uniform_margin_squares_converge(self):
+        """Squares from 8x8 to 100x100 with uniform margins at surplus scales
+        200 and 1,000: the LP optimum is a permutation and the Hessian is
+        near singular, yet the warm-started Newton phase converges on all 48
+        markets."""
+        rng = np.random.default_rng(98)
+        model = EntropyModel.shannon()
+        for d in np.geomspace(8, 100, 24).round().astype(int):
+            margins = Margins(np.full(d, 1.0 / d), np.full(d, 1.0 / d))
+            for scale in (200.0, 1000.0):
+                phi = random_surplus(rng, d, d, scale=scale)
+                _, report = solve_regularized(model, phi, margins)
+                assert report.newton_steps > 0
+                assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
 
     def test_types_with_tiny_mass_stay_on_the_newton_path(self):
         """A row type of relative mass 1e-9 and a column type of 1e-12 do
-        not stall the continuation: each stage starts from margins fitted in
-        the log domain, not from bare doubled potentials."""
+        not stall the Newton phase: it starts from the LP's duals fitted to
+        the margins in the log domain, where no type is far off its mass."""
         rng = np.random.default_rng(88)
         model = EntropyModel.shannon()
         for _ in range(4):
@@ -483,22 +488,25 @@ class TestSolveRegularized:
         assert_ipfp_certificate(phi, margins, report.mu.mu)
 
     def test_sweeps_that_cannot_finish_under_the_cap_hand_over(self, monkeypatch):
-        """The sweeps finish this market in about 350 iterations, fewer than
-        the Newton phase is expected to cost; under a cap of 200 they cannot
-        finish, so the Newton phase takes over anyway."""
+        """The sweeps finish this 40x40 market alone in about 350 sweeps,
+        fewer than the Newton phase with its LP warm start is expected to
+        cost; under a cap of 200 they cannot finish, so the Newton phase
+        takes over anyway."""
         rng = np.random.default_rng(89)
         margins = random_margins(rng, 40, 40)
         phi = random_surplus(rng, 40, 40, scale=10.0)
         model = EntropyModel.shannon()
         _, uncapped = solve_regularized(model, phi, margins)
-        assert uncapped.iterations > 200
+        assert uncapped.sweeps > 200 and uncapped.newton_steps == 0
         monkeypatch.setattr(entropy, "IPFP_MAX_ITER", 200)
         _, report = solve_regularized(model, phi, margins)
+        assert report.newton_steps > 0
         assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
 
     def test_stalled_newton_phase_hands_back_to_the_sweeps(self, monkeypatch):
-        """A Newton phase that stalls leaves the sweeps to finish exactly as
-        they would have alone; its steps still count as iterations."""
+        """A Newton phase that stalls, here on a Schur complement that will
+        not factor, leaves the sweeps to finish exactly as they would have
+        alone; its steps still count as iterations."""
         rng = np.random.default_rng(87)
         margins = random_margins(rng, 12, 12)
         phi = random_surplus(rng, 12, 12, scale=10.0)
@@ -508,10 +516,15 @@ class TestSolveRegularized:
         monkeypatch.undo()
         _, newton = solve_regularized(model, phi, margins)
         assert newton.iterations < sweeps_only.iterations
-        monkeypatch.setattr(entropy, "_MAX_STAGE_STEPS", 1)
+
+        def singular(matrix, rhs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
         _, stalled = solve_regularized(model, phi, margins)
         np.testing.assert_array_equal(stalled.mu.mu, sweeps_only.mu.mu)
         assert stalled.iterations > sweeps_only.iterations
+        assert stalled.sweeps == sweeps_only.sweeps and stalled.newton_steps > 0
 
     @pytest.mark.parametrize("scale", [1.0, 40.0])
     def test_zero_mass_types_get_zero_rows_without_warnings(self, scale):

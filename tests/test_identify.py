@@ -268,14 +268,16 @@ class TestIdentifyEntropy:
         assert identified.diagnostics["nonseparable"] == 1.0
 
     def test_max_abs_cross_difference_matches_the_tensor(self):
+        """Square, tall and wide shapes: the loop runs over pairs of the
+        shorter side."""
         rng = np.random.default_rng(96)
-        for d_x in range(2, 7):
-            for d_y in range(2, 7):
-                mu = sample_matchings(rng, random_margins(rng, d_x, d_y))["interior"]
-                identified = identify_entropy(mu, EntropyModel.shannon())
-                assert identified.diagnostics["max_abs_cross_difference"] == pytest.approx(
-                    brute_force_max_abs_cross_difference(mu.mu), rel=1e-12
-                )
+        shapes = [(d_x, d_y) for d_x in range(2, 7) for d_y in range(2, 7)]
+        for d_x, d_y in shapes + [(2, 9), (9, 2), (3, 11), (11, 3)]:
+            mu = sample_matchings(rng, random_margins(rng, d_x, d_y))["interior"]
+            identified = identify_entropy(mu, EntropyModel.shannon())
+            assert identified.diagnostics["max_abs_cross_difference"] == pytest.approx(
+                brute_force_max_abs_cross_difference(mu.mu), rel=1e-12
+            )
 
     def test_barycenter_identifies_separable_surplus(self):
         rng = np.random.default_rng(93)

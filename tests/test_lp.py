@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from matchident import (
+    BOUNDARY_TOL,
     MASS_TOL,
     OPTIMALITY_TOL,
     SEPARABILITY_TOL,
@@ -141,7 +142,7 @@ def transportation_simplex_reference(phi: Surplus, margins: Margins):
         entering = divmod(int(candidates[0]), n)
         plus, minus = _reference_cycle_signs(basis, entering, m, root_parent)
         theta = min(mu[cell] for cell in minus)
-        if theta == 0.0:
+        if theta <= BOUNDARY_TOL:  # no mass moved beyond rounding
             degenerate += 1
         leaving = [cell for cell in minus if mu[cell] <= theta][-1]
         for cell in plus:
@@ -152,6 +153,7 @@ def transportation_simplex_reference(phi: Surplus, margins: Margins):
         basis_set.remove(leaving)
         basis_set.add(entering)
         basis = sorted(basis_set)
+    mu[mu <= BOUNDARY_TOL] = 0.0  # rounding-size masses are zero
     shift = v[-1]
     return mu, float(np.sum(mu * cost)), u + shift, v - shift, pivots, degenerate
 
@@ -484,13 +486,20 @@ class TestAgainstHighs:
 
     def test_degenerate_markets_solve_within_the_cap(self):
         """Uniform and integer-ratio margins with tied surpluses, 8x8 to
-        120x120 in geometric steps: every solve ends before the pivot cap."""
+        120x120 in geometric steps: every solve ends before the pivot cap.
+        Their partial sums tie only in exact arithmetic, yet no cell of the
+        optimum keeps a rounding-size mass in (0, 1e-14), and the margins
+        hold to rounding."""
         rng = np.random.default_rng(65)
         for i in range(30):
             margins, phi = degenerate_market(rng, i, round(8 * 15 ** (i / 29)))
             solution = maximize_surplus(phi, margins)
             assert solution.pivots < lp._MAX_PIVOTS
             assert_agrees_with_highs(phi, margins, solution)
+            mu = solution.mu_opt.mu
+            assert not np.any((mu > 0.0) & (mu < 1e-14))
+            assert np.abs(mu.sum(axis=1) - margins.p).max() <= 1e-15
+            assert np.abs(mu.sum(axis=0) - margins.q).max() <= 1e-15
 
     def test_start_basis_has_no_rounding_size_masses(self):
         """The 32x32 integer-ratio market above: its partial sums tie only in

@@ -1,8 +1,12 @@
 """Property-based checks, derandomized so that tier-1 stays deterministic.
 
 Markets are drawn with small integer weights and quarter-integer surpluses,
-so exact ties occur; a property must then hold through them too.
+so exact ties occur; a property must then hold through them too.  The
+entropic markets add tiny masses, large surplus scales and large separable
+shifts.
 """
+
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from matchident import (
     BOUNDARY_TOL,
     OPTIMALITY_TOL,
     SEPARABILITY_TOL,
+    EntropyModel,
     Margins,
     Matching,
     Surplus,
@@ -22,10 +27,11 @@ from matchident import (
     is_maximizer,
     is_nonseparable,
     maximize_surplus,
+    solve_regularized,
     total_surplus,
 )
 from matchident.identify import _certifies
-from conftest import vertices_for
+from conftest import assert_ipfp_certificate, vertices_for
 
 
 @st.composite
@@ -118,3 +124,48 @@ def test_gauge_ray_exits_through_a_face_it_shrinks_toward(mu):
     assert normal.max() <= 0.0
     assert np.all(normal[~ray.binding] == 0.0)
     assert abs(np.sum(normal * direction) - 1.0) <= 1e-12
+
+
+@st.composite
+def entropic_markets(draw) -> tuple[Margins, np.ndarray]:
+    """Shapes from 2x2 to 30x30; uniform margins, random ones, or random ones
+    with a row and a column type of relative mass 1e-9 or 1e-12; a normal
+    surplus at scale 1 to 1e4, rounded to quarter integers (ties) or not,
+    plus separable shifts of +-1e7 or not."""
+    d_x, d_y = draw(st.integers(2, 30)), draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "random", "tiny"]))
+    if kind == "uniform":
+        p, q = np.ones(d_x), np.ones(d_y)
+    else:
+        p, q = rng.uniform(0.2, 1.0, d_x), rng.uniform(0.2, 1.0, d_y)
+    if kind == "tiny":
+        p[draw(st.integers(0, d_x - 1))] = draw(st.sampled_from([1e-9, 1e-12])) * p.sum()
+        q[draw(st.integers(0, d_y - 1))] = draw(st.sampled_from([1e-9, 1e-12])) * q.sum()
+    phi = rng.standard_normal((d_x, d_y))
+    if draw(st.booleans()):
+        phi = np.round(4.0 * phi) / 4.0
+    phi *= 10.0 ** draw(st.floats(0.0, 4.0))
+    if draw(st.booleans()):
+        phi += 1e7 * (rng.choice([-1.0, 1.0], (d_x, 1)) + rng.choice([-1.0, 1.0], d_y))
+    return Margins(p / p.sum(), q / q.sum()), phi
+
+
+def test_entropic_solves_converge_with_a_certificate():
+    """Every market converges and carries the shannon certificate, whether
+    the sweeps finish it or the Newton phase does, and also where the
+    Newton phase leaves subnormal cells."""
+    paths = Counter()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(market=entropic_markets())
+    def check(market):
+        margins, phi = market
+        _, report = solve_regularized(EntropyModel.shannon(), Surplus(phi), margins)
+        assert_ipfp_certificate(phi, margins, report.mu.mu)
+        mu = report.mu.mu
+        subnormal = bool(np.any((mu > 0.0) & (mu < np.finfo(float).tiny)))
+        paths[report.newton_steps > 0, subnormal] += 1
+
+    check()
+    assert paths[False, False] and paths[True, False] and paths[True, True]
