@@ -17,7 +17,6 @@ from matchident import (
     Matching,
     check_rationalizable,
     dimension,
-    enumerate_vertices,
     is_boundary,
 )
 
@@ -26,12 +25,14 @@ np.set_printoptions(precision=4, suppress=True)
 margins = Margins([0.5, 0.5], [0.5, 0.5])
 
 # The polytope is tiny: its dimension is (d_x - 1) * (d_y - 1) = 1, and its
-# vertices are the two "pure" matchings (everyone with their own type, or
-# everyone with the other type).
+# vertices are the two "pure" matchings (everyone with the other type, or
+# everyone with their own type).  They are the segment's endpoints, where
+# the first cell is as small or as large as the margins allow.
 print("polytope dimension:", dimension(margins))
-for vertex in enumerate_vertices(margins):
+p1, q1 = margins.p[0], margins.q[0]
+for first in (max(0.0, p1 + q1 - 1.0), min(p1, q1)):
     print("vertex:")
-    print(vertex.mu)
+    print(np.array([[first, p1 - first], [q1 - first, 1.0 - p1 - q1 + first]]))
 
 # Three observations along the segment, from the boundary inward.
 observations = {

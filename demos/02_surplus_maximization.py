@@ -10,7 +10,7 @@ exact solver returns the optimal assignment together with dual "wages" and
 
 import numpy as np
 
-from matchident import Margins, Surplus, is_discriminating, maximize_surplus, total_surplus
+from matchident import Margins, Surplus, is_nonseparable, maximize_surplus, total_surplus
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -49,7 +49,7 @@ print("\nvalue under 2*phi:", round(doubled.value, 6),
 # matching earns exactly the same total, so the argmax is the whole
 # polytope and the surplus cannot discriminate between observations.
 separable = Surplus(skill[:, None] + productivity[None, :])
-print("\nseparable phi discriminates:", is_discriminating(separable, margins))
+print("\nseparable phi discriminates:", is_nonseparable(separable, margins))
 flat = maximize_surplus(separable, margins)
 bary_value = total_surplus(
     solution.mu_opt, separable

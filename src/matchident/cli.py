@@ -42,10 +42,11 @@ from .core import (
     _barycenter_mu,
     _check_same_shape,
     decompose_separable,
+    is_nonseparable,
 )
-from .entropy import EntropyModel
+from .entropy import ENTROPY_KINDS, EntropyModel
 from .identify import check_rationalizable, identify_entropy, rationalize_gauge, simulate_market
-from .lp import is_discriminating, maximize_surplus
+from .lp import maximize_surplus
 from .polytope import gauge
 
 __all__ = ["main"]
@@ -141,7 +142,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     phi = _surplus_from(data, margins)
     solution = maximize_surplus(phi, margins)
     dual_value = float(margins.p @ solution.dual_f + margins.q @ solution.dual_g)
-    discriminating = is_discriminating(phi, margins)
+    discriminating = is_nonseparable(phi, margins)
     report = {
         "value": solution.value,
         "mu_opt": solution.mu_opt.mu,
@@ -172,7 +173,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             "nonseparable": verdict.checks.nonseparable,
         },
     }
-    if verdict.t_star is None:
+    if verdict.t_star is None and verdict.rationalizable:
+        report["note"] = "the barycenter is empty wherever mu is: the ray is undefined"
+    elif verdict.t_star is None:
         report["note"] = "mu is the barycenter of the matching polytope"
     _print_json(report, args.out)
     return EXIT_OK if verdict.rationalizable else EXIT_DOMAIN
@@ -332,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     identify.add_argument(
         "--entropy",
         required=True,
-        choices=["shannon", "gauge", "quantile"],
+        choices=ENTROPY_KINDS,
         help="entropy model inverted by the identification",
     )
     identify.set_defaults(func=cmd_identify)

@@ -83,7 +83,8 @@ class NotInPolytopeError(ValidationError):
 
 
 class DegenerateRayError(MarketError):
-    """Ray construction undefined: the matching equals the barycenter."""
+    """Ray construction undefined: the matching equals the barycenter, or the
+    barycenter is empty wherever the matching is."""
 
 
 class NonInteriorError(MarketError):

@@ -134,19 +134,28 @@ class EntropyModel:
 class IpfpReport:
     """Diagnostics of an IPFP run: the fitted matching and how it converged.
 
-    ``sweeps`` counts the IPFP sweeps, ``newton_steps`` the steps of the
-    Newton phase that takes over when the sweeps stall, and ``iterations``
-    their sum.  ``margin_error`` is what the stopping test last read: the
-    row error after a sweep (the sweep ends by fitting the columns), the
-    larger of the row and column errors after a Newton step.
+    ``sweeps`` counts the IPFP sweeps and ``newton_steps`` the steps of the
+    Newton phase that takes over when the sweeps stall.  ``margin_error`` is
+    what the stopping test last read: the row error after a sweep (the sweep
+    ends by fitting the columns), the larger of the row and column errors
+    after a Newton step.  ``iterations`` and ``converged`` are read off
+    these fields.
     """
 
     mu: Matching
-    iterations: int
     margin_error: float
-    converged: bool
     sweeps: int
     newton_steps: int
+
+    @property
+    def iterations(self) -> int:
+        """Sweeps and Newton steps together, the count ``IPFP_MAX_ITER`` caps."""
+        return self.sweeps + self.newton_steps
+
+    @property
+    def converged(self) -> bool:
+        """Whether the margin error is within ``IPFP_TOL``."""
+        return self.margin_error <= IPFP_TOL
 
 
 def _check_values_shape(model: EntropyModel, shape) -> TypeValues:
@@ -265,6 +274,8 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     return Surplus(_quantile_grad(mu, values))
 
 
+# Past the float range a scaling turns inf or nan without a warning.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     """Fit ``exp(phi)`` to positive margins; returns mu, the sweeps, the
     Newton steps and the error.
@@ -277,7 +288,8 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     ``_warm_start``, once they would cost more than the Newton phase with
     its LP, or cannot finish within ``IPFP_MAX_ITER``.  If the Newton phase
     stalls, the sweeps go on from where they stopped, exactly as they would
-    have alone.
+    have alone.  A margin error that is inf or nan, from a kernel sum past
+    the float range, ends the sweeps on the last finite one.
     """
     f = -phi.max(axis=1)
     g = -(phi + f[:, None]).max(axis=0)
@@ -285,6 +297,7 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     b = np.ones(q.size)
     kernel_b = kernel @ b
     sweeps = steps = 0
+    error = math.inf
     previous = None
     cost = _NEWTON_SWEEPS + _NEWTON_SWEEPS_PER_CELL * phi.size
     while sweeps + steps < IPFP_MAX_ITER:
@@ -297,7 +310,10 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
             kernel = np.exp(phi + f[:, None] + g[None, :])
             a, b = np.ones(p.size), np.ones(q.size)
         kernel_b = kernel @ b
-        error = float(np.abs(a * kernel_b - p).max())
+        sweep_error = float(np.abs(a * kernel_b - p).max())
+        if not sweep_error < math.inf:
+            break
+        error = sweep_error
         if error <= IPFP_TOL:
             break
         if sweeps % _BLOCK or steps:  # a stalled Newton phase is not retried
@@ -444,7 +460,8 @@ def solve_regularized(
     rows and columns and stay out of both.  Returns the optimal value and
     an ``IpfpReport``; raises ``ConvergenceError`` (with iteration
     diagnostics attached) if the margin error is not within ``IPFP_TOL``
-    after ``IPFP_MAX_ITER`` iterations, sweeps and Newton steps together.
+    after ``IPFP_MAX_ITER`` iterations, sweeps and Newton steps together, or
+    when a kernel sum leaves the float range first.
 
     Forward solvers for the gauge and quantile entropies are deliberately
     not provided; those entropies are used in the identification
@@ -473,12 +490,4 @@ def solve_regularized(
         )
     matching = Matching(mu, margins)
     value = total_surplus(matching, phi) - _shannon_value(matching.mu)
-    report = IpfpReport(
-        mu=matching,
-        iterations=iterations,
-        margin_error=error,
-        converged=True,
-        sweeps=sweeps,
-        newton_steps=steps,
-    )
-    return value, report
+    return value, IpfpReport(matching, error, sweeps, steps)

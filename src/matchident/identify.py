@@ -73,26 +73,26 @@ class RationalizabilityChecks:
 class RationalizabilityReport:
     """Verdict of ``check_rationalizable``.
 
-    ``witness`` is a surplus for which the observed matching is optimal
-    (present exactly when rationalizable).  ``t_star`` and ``mu_star``
-    describe the ray from the barycenter through the observation; they are
-    ``None`` when the observation *is* the barycenter, where the ray is
-    undefined.
+    The verdict ``rationalizable`` is the boundary check, read off
+    ``checks``.  ``witness`` is a surplus for which the observed matching is
+    optimal (present exactly when rationalizable).  ``t_star`` and
+    ``mu_star`` describe the ray from the barycenter through the
+    observation; they are ``None`` where the ray is undefined, as at the
+    barycenter itself.
     """
 
-    rationalizable: bool
     witness: Surplus | None
     t_star: float | None
     mu_star: Matching | None
     checks: RationalizabilityChecks
 
     def __post_init__(self) -> None:
-        if self.rationalizable != self.checks.boundary:
-            raise ValidationError(
-                "report verdict must agree with the boundary check"
-            )
         if self.rationalizable and self.witness is None:
             raise ValidationError("rationalizable verdict requires a witness")
+
+    @property
+    def rationalizable(self) -> bool:
+        return self.checks.boundary
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,34 +133,23 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     optimal; the report records that dual certificate and the
     nonseparability of the witness.
     """
-    margins = mu_hat.margins
     empty = _empty_cells(mu_hat)
-    boundary = bool(empty.any())
     try:
         ray = gauge(mu_hat)
         t_star, mu_star = ray.t_star, ray.mu_star
     except DegenerateRayError:
         t_star, mu_star = None, None
-    if not boundary:
-        return RationalizabilityReport(
-            rationalizable=False,
-            witness=None,
-            t_star=t_star,
-            mu_star=mu_star,
-            checks=RationalizabilityChecks(False, False, False),
+    if empty.any():
+        witness = Surplus(np.where(empty, -1.0, 0.0))
+        checks = RationalizabilityChecks(
+            boundary=True,
+            maximizer=_certifies(witness.phi, mu_hat),
+            nonseparable=is_nonseparable(witness, mu_hat.margins),
         )
-    witness = Surplus(np.where(empty, -1.0, 0.0))
-    checks = RationalizabilityChecks(
-        boundary=True,
-        maximizer=_certifies(witness.phi, mu_hat),
-        nonseparable=is_nonseparable(witness, margins),
-    )
+    else:
+        witness, checks = None, RationalizabilityChecks(False, False, False)
     return RationalizabilityReport(
-        rationalizable=True,
-        witness=witness,
-        t_star=t_star,
-        mu_star=mu_star,
-        checks=checks,
+        witness=witness, t_star=t_star, mu_star=mu_star, checks=checks
     )
 
 
@@ -238,6 +227,10 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
     )
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def simulate_market(
     phi: Surplus, margins: Margins, households: int, seed: int
 ) -> tuple[Matching, Matching]:
@@ -250,16 +243,15 @@ def simulate_market(
     may contain zero-mass types for small samples).
 
     The draw is reproducible: the same ``seed`` gives the same sample.
-    ``households`` must be an integer (not a bool) from 1 to ``2**63 - 1``.
+    ``households`` must be an integer from 1 to ``2**63 - 1``, and ``seed`` a
+    non-negative integer; bools are not integers here.
     """
-    if (
-        not isinstance(households, (int, np.integer))
-        or isinstance(households, bool)
-        or not 1 <= households <= _MAX_HOUSEHOLDS
-    ):
+    if not _is_integer(households) or not 1 <= households <= _MAX_HOUSEHOLDS:
         raise ValidationError(
             f"households must be an integer from 1 to 2**63 - 1, got {households!r}"
         )
+    if not _is_integer(seed):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     _, report = solve_regularized(EntropyModel.shannon(), phi, margins)

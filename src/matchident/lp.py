@@ -43,7 +43,6 @@ from .core import (
 )
 
 __all__ = [
-    "OPTIMALITY_TOL",
     "LpSolution",
     "maximize_surplus",
     "is_maximizer",

@@ -29,7 +29,6 @@ from .core import (
 )
 
 __all__ = [
-    "BOUNDARY_TOL",
     "VERTEX_CELL_GUARD",
     "GaugeResult",
     "dimension",
@@ -184,12 +183,15 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     feasibility only ever fails at a cell with ``mu_hat < bary``, where the
     entry hits zero at ``t = bary / (bary - mu_hat)``.  The exit stretch is
     the smallest such ratio; because ``mu_hat`` itself is feasible it is
-    always at least 1, with equality exactly on the boundary.  The cells
-    whose ratio attains it form the ``binding`` mask, of shrinking cells.
+    always at least 1.  The cells whose ratio attains it form the
+    ``binding`` mask, of shrinking cells.  A matching on the boundary (see
+    ``is_boundary``) is its own exit point, at ``t_star = 1``, through the
+    empty cells it shrinks.
 
     Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter, up to
-    ``BOUNDARY_TOL`` or within its margin defect (no cell shrinks): the ray
-    then has no direction or no exit.
+    ``BOUNDARY_TOL`` or within its margin defect (no cell shrinks), or when
+    it is on the boundary but shrinks no empty cell: the ray then has no
+    direction or no exit.
     """
     margins = mu_hat.margins
     bary = _barycenter_mu(margins)
@@ -199,30 +201,40 @@ def gauge(mu_hat: Matching) -> GaugeResult:
         raise DegenerateRayError(
             "matching equals the barycenter; the ray to the boundary is undefined"
         )
-    ratios = np.full(mu_hat.mu.shape, np.inf)
-    ratios[shrinking] = bary[shrinking] / -diff[shrinking]
-    t_star = float(ratios.min())
-    # A cell whose ratio is within a relative BOUNDARY_TOL of t* keeps less
-    # than BOUNDARY_TOL of its barycenter mass at mu*: it is empty there too.
-    last = t_star * (1.0 + BOUNDARY_TOL)
-    binding = ratios <= last
+    empty = _empty_cells(mu_hat)
+    if empty.any():
+        binding = empty & shrinking
+        if not binding.any():
+            raise DegenerateRayError(
+                "the barycenter is empty wherever the matching is; the ray"
+                " leaves through none of its empty cells"
+            )
+        t_star, mu_star = 1.0, mu_hat
+    else:
+        ratios = np.full(mu_hat.mu.shape, np.inf)
+        ratios[shrinking] = bary[shrinking] / -diff[shrinking]
+        t_star = float(ratios.min())
+        # A cell whose ratio is within a relative BOUNDARY_TOL of t* keeps
+        # less than BOUNDARY_TOL of its barycenter mass at mu*: it is empty
+        # there too.
+        binding = ratios <= t_star * (1.0 + BOUNDARY_TOL)
+        # A matching admitted with a loose feasibility tolerance carries a
+        # margin defect that the stretch scales by t*; allow exactly that
+        # much.
+        defect = max(
+            np.abs(mu_hat.mu.sum(axis=1) - margins.p).max(),
+            np.abs(mu_hat.mu.sum(axis=0) - margins.q).max(),
+        )
+        mu_star = Matching(
+            np.clip(bary + t_star * diff, 0.0, None),
+            margins,
+            tol=MASS_TOL + t_star * defect,
+        )
     # Binding cells shrink, so the normalizer is negative; + 0.0 clears -0.0.
     normal = binding / float(np.sum(binding * diff)) + 0.0
     binding.setflags(write=False)
     normal.setflags(write=False)
-    mu_star = np.clip(bary + t_star * diff, 0.0, None)
-    # A matching admitted with a loose feasibility tolerance carries a
-    # margin defect that the stretch scales by t*; allow exactly that much.
-    defect = max(
-        np.abs(mu_hat.mu.sum(axis=1) - margins.p).max(),
-        np.abs(mu_hat.mu.sum(axis=0) - margins.q).max(),
-    )
-    return GaugeResult(
-        t_star=t_star,
-        mu_star=Matching(mu_star, margins, tol=MASS_TOL + t_star * defect),
-        binding=binding,
-        normal=normal,
-    )
+    return GaugeResult(t_star=t_star, mu_star=mu_star, binding=binding, normal=normal)
 
 
 def _empty_cells(mu: Matching) -> np.ndarray:

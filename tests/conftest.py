@@ -57,6 +57,22 @@ def random_boundary_matching(rng: np.random.Generator, margins: Margins) -> Matc
     return Matching(sum(w * v.mu for w, v in zip(weights, sharing)), margins)
 
 
+def boundary_matching_the_ray_grows() -> tuple[np.ndarray, np.ndarray]:
+    """Margins ``p = q`` and a 3x3 matching whose only empty cell, (0, 0),
+    holds 5e-13 against the barycenter's 1e-14: the ray from the barycenter
+    grows the cell, so it leaves through no face the matching is on."""
+    small, corner = 1e-7, 5e-13
+    p = np.array([small, 0.5, 0.5 - small])
+    mu = np.zeros((3, 3))
+    mu[0, 0] = corner
+    mu[0, 1:] = mu[1:, 0] = (small - corner) / 2
+    mu[1, 1] = 0.3
+    mu[1, 2] = p[1] - mu[1, 0] - mu[1, 1]
+    mu[2, 1] = p[1] - mu[0, 1] - mu[1, 1]
+    mu[2, 2] = p[2] - mu[2, 0] - mu[2, 1]
+    return p, mu
+
+
 def random_surplus(
     rng: np.random.Generator, d_x: int, d_y: int, scale: float = 1.0
 ) -> Surplus:

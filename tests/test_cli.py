@@ -22,7 +22,7 @@ from matchident import (
 )
 from matchident import entropy, lp
 from matchident.cli import main
-from conftest import random_margins, random_surplus
+from conftest import boundary_matching_the_ray_grows, random_margins, random_surplus
 
 INTERIOR_MU = [[0.35, 0.15], [0.15, 0.35]]
 ASSORTATIVE_MU = [[0.5, 0.0], [0.0, 0.5]]
@@ -342,6 +342,18 @@ class TestCheck:
             assert "barycenter" in document["note"]
         else:
             assert document["error"] == error
+
+    def test_boundary_matching_without_a_ray_gets_a_note(self, tmp_path, capsys):
+        """Where the barycenter is empty wherever mu is, mu is rationalizable
+        but the ray from the barycenter leaves through none of its faces."""
+        p, mu = boundary_matching_the_ray_grows()
+        market = write_market(tmp_path / "m.json", p=p.tolist(), q=p.tolist(), mu=mu.tolist())
+        code, report = run_json(capsys, ["check", "--input", market])
+        assert code == 0
+        validate(report, CHECK_REPORT_SCHEMA)
+        assert report["rationalizable"] is True
+        assert report["t_star"] is None and report["mu_star"] is None
+        assert report["note"] == "the barycenter is empty wherever mu is: the ray is undefined"
 
     def test_custom_tolerance_admits_slightly_off_margins(self, tmp_path, capsys):
         mu = [[0.5, 0.0], [0.0, 0.5 - 1e-6]]

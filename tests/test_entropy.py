@@ -546,6 +546,21 @@ class TestSolveRegularized:
         assert info.value.iterations == 5
         assert math.isfinite(info.value.residual) and info.value.residual > IPFP_TOL
 
+    @pytest.mark.parametrize(
+        "seed, scale", [(seed, 1e20) for seed in range(5)] + [(1, 1e100), (4, 1e300)]
+    )
+    def test_huge_scales_end_with_a_finite_residual_and_no_warning(self, seed, scale):
+        """Kernel sums that leave the float range end the sweeps on the last
+        finite margin error: the residual is not nan, and nothing warns
+        (warnings are errors here)."""
+        rng = np.random.default_rng(seed)
+        p, q = rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 4)
+        margins = Margins(p / p.sum(), q / q.sum())
+        phi = Surplus(scale * rng.standard_normal((4, 4)))
+        with pytest.raises(ConvergenceError) as info:
+            solve_regularized(EntropyModel.shannon(), phi, margins)
+        assert math.isfinite(info.value.residual) and info.value.residual > IPFP_TOL
+
     def test_only_shannon_is_supported(self, uniform2):
         with pytest.raises(ValidationError):
             solve_regularized(EntropyModel.gauge(), Surplus(np.zeros((2, 2))), uniform2)

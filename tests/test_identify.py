@@ -397,6 +397,12 @@ class TestSimulateMarket:
         with pytest.raises(ValidationError):
             simulate_market(phi, margins, 10, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, None, "3", True])
+    def test_rejects_seeds_that_are_not_integers(self, cross_market, seed):
+        phi, margins = cross_market
+        with pytest.raises(ValidationError, match="seed"):
+            simulate_market(phi, margins, 10, seed=seed)
+
     @pytest.mark.parametrize("households", [2.5, True, 10**19])
     def test_rejects_households_that_are_not_a_drawable_count(
         self, cross_market, households

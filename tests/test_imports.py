@@ -85,3 +85,15 @@ def test_package_exports_exactly_the_public_names_of_its_modules():
     )
     for name in matchident.__all__:
         assert hasattr(matchident, name), name
+
+
+def test_no_name_is_public_in_two_modules():
+    """Each public name has one owner: a module may use another's name, but
+    only the owner lists it in ``__all__``."""
+    from matchident import core, entropy, identify, lp, polytope
+
+    owners: dict[str, list[str]] = {}
+    for module in (core, polytope, lp, entropy, identify):
+        for name in module.__all__:
+            owners.setdefault(name, []).append(module.__name__)
+    assert {name: found for name, found in owners.items() if len(found) > 1} == {}

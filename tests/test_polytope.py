@@ -16,6 +16,7 @@ from matchident import (
     is_boundary,
 )
 from conftest import (
+    boundary_matching_the_ray_grows,
     random_boundary_matching,
     random_interior_matching,
     random_margins,
@@ -158,6 +159,30 @@ class TestGauge:
         defect, and the ray has no exit."""
         mu = Matching(np.full((2, 2), 0.250001), uniform2, tol=1e-5)
         with pytest.raises(DegenerateRayError):
+            gauge(mu)
+
+    def test_small_mass_boundary_matching_is_its_own_exit(self):
+        """A cell within BOUNDARY_TOL of zero puts the matching on the
+        boundary, even where a type's barycenter mass is small: the ray exits
+        at the matching itself, through that cell."""
+        margins = Margins([1e-6, 1.0 - 1e-6], [0.5, 0.5])
+        mu = Matching(
+            [[5e-13, 1e-6 - 5e-13], [0.5 - 5e-13, 0.5 - 1e-6 + 5e-13]], margins
+        )
+        assert is_boundary(mu)
+        result = gauge(mu)
+        assert result.t_star == 1.0
+        np.testing.assert_array_equal(result.mu_star.mu, mu.mu)
+        np.testing.assert_array_equal(result.binding, [[True, False], [False, False]])
+        assert result.normal.max() <= 0.0
+        direction = mu.mu - barycenter(margins).mu
+        assert np.sum(result.normal * direction) == pytest.approx(1.0, abs=1e-12)
+
+    def test_boundary_matching_that_shrinks_no_empty_cell_is_degenerate(self):
+        p, mu = boundary_matching_the_ray_grows()
+        mu = Matching(mu, Margins(p, p))
+        assert is_boundary(mu)
+        with pytest.raises(DegenerateRayError, match="empty wherever"):
             gauge(mu)
 
     def test_normal_is_the_scaled_exit_face(self, interior_matching):
