@@ -26,7 +26,10 @@ than a Newton phase, damped Newton steps on the dual take over at full
 scale (Brauer, Clason, Lorenz & Wirth, "A Sinkhorn-Newton method for
 entropic optimal transport", 2017).  They start from the exact LP's dual
 potentials, to which the regularized ones tend as the scale grows
-(Cominetti & San Martín, Math. Prog. 1994).
+(Cominetti & San Martín, Math. Prog. 1994).  Only those duals are read, so
+the LP starts from a basis that fills the cells in order of surplus rather
+than from the northwest corner, and log-domain sweeps then fit every row
+to within a factor ``e`` before the first Newton step.
 """
 
 from __future__ import annotations
@@ -81,9 +84,12 @@ _BLOCK = 20
 
 #: The Newton phase costs about as many sweeps as ``_NEWTON_SWEEPS +
 #: _NEWTON_SWEEPS_PER_CELL * m * n``: a fixed part for the refit and some
-#: five to twenty Newton steps, and the LP warm start, which takes about a
+#: five to twenty Newton steps, and the LP warm start, which took about a
 #: quarter of a sweep per cell up to 200x200.  Fitted to timings of 2x60 to
-#: 140x140 markets at scales 10 to 1,000.
+#: 140x140 markets at scales 10 to 1,000, with the LP started from the
+#: northwest corner.  Started greedily, the LP takes about a fifth of that
+#: time at 100x100 and 200x200, so the model overstates the Newton phase:
+#: the hand-over comes later than it could, never earlier.
 _NEWTON_SWEEPS = 60.0
 _NEWTON_SWEEPS_PER_CELL = 0.25
 
@@ -289,7 +295,9 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     its LP, or cannot finish within ``IPFP_MAX_ITER``.  If the Newton phase
     stalls, the sweeps go on from where they stopped, exactly as they would
     have alone.  A margin error that is inf or nan, from a kernel sum past
-    the float range, ends the sweeps on the last finite one.
+    the float range, ends the sweeps on the last finite one.  A solve that
+    ends unconverged returns the state of whichever phase, sweeps or
+    Newton, came closer.
     """
     f = -phi.max(axis=1)
     g = -(phi + f[:, None]).max(axis=0)
@@ -297,7 +305,7 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     b = np.ones(q.size)
     kernel_b = kernel @ b
     sweeps = steps = 0
-    error = math.inf
+    error = newton_error = math.inf
     previous = None
     cost = _NEWTON_SWEEPS + _NEWTON_SWEEPS_PER_CELL * phi.size
     while sweeps + steps < IPFP_MAX_ITER:
@@ -323,12 +331,14 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
         if previous is not None and _sweeps_needed(previous, error) > min(
             cost, IPFP_MAX_ITER - sweeps
         ):
-            mu, steps, newton_error = _newton(
+            newton_mu, steps, newton_error = _newton(
                 *_warm_start(phi, p, q), p, q, IPFP_MAX_ITER - sweeps
             )
             if newton_error <= IPFP_TOL:
-                return mu, sweeps, steps, newton_error
+                return newton_mu, sweeps, steps, newton_error
         previous = error
+    if newton_error < error:  # neither phase converged; the closer one reports
+        return newton_mu, sweeps, steps, newton_error
     mu = a[:, None] * kernel * b[None, :]
     # Where the kernel is subnormal, a * kernel * b keeps few digits.
     rows, cols = np.nonzero(kernel < np.finfo(float).tiny)
@@ -351,15 +361,29 @@ def _warm_start(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
 
     Centring keeps large separable shifts out of the exponent.  The exact
     LP's duals on the centred ``phi``, scaled back by its largest entry, are
-    the limit of the regularized potentials as the scale grows.  One
-    log-domain sweep from the column duals then fits the margins, so no
-    type, however small its mass, starts far off it.
+    the limit of the regularized potentials as the scale grows; only the
+    duals are read, so the LP starts from ``lp._greedy_start``, which puts
+    the surplus first and needs fewer pivots than the northwest corner.
+    Log-domain sweeps from the column duals then fit the margins, so no
+    type, however small its mass, starts far off it.  Each sweep fits the
+    columns exactly; the sweeps go on, ``_BLOCK`` at most, until every row
+    sum is within a factor ``e`` of its margin too.  Newton's step in a row
+    potential is the row's relative error, the linearization of the log of
+    its ratio, and one sweep can leave a light row whose only tight cell
+    shares a column with a heavy row off by a factor of 3e11: no
+    backtracking within ``_MIN_STEP`` tames that step.
     """
     centred = phi - phi.mean(axis=1)[:, None]
     centred -= centred.mean(axis=0)[None, :]
     spread = float(np.abs(centred).max()) or 1.0
-    duals = lp.maximize_surplus(Surplus(centred / spread), Margins(p, q))
-    f, g = _fit_margins(centred, -spread * duals.dual_g, p, q)
+    cost = centred / spread
+    duals = lp._simplex(Surplus(cost), Margins(p, q), lp._greedy_start(cost, p, q))
+    g = -spread * duals.dual_g
+    for _ in range(_BLOCK):
+        f, g = _fit_margins(centred, g, p, q)
+        ratio = np.exp(centred + f[:, None] + g[None, :]).sum(axis=1) / p
+        if 1.0 / math.e <= ratio.min() and ratio.max() <= math.e:
+            break
     return centred, f, g
 
 

@@ -115,6 +115,37 @@ def tangent_fd_gradient_error(
     return worst
 
 
+STRESS_SHAPES = [(2, 60), (60, 3), (3, 3), (8, 8), (12, 30), (30, 12), (25, 25), (40, 40),
+                 (5, 17), (17, 5)]
+
+
+def stress_market(i: int) -> tuple[Margins, Surplus]:
+    """Market ``i`` of the entropic stress set, drawn from ``default_rng([2026,
+    i])``.  The margins cycle every ten markets through uniform(0.2, 1),
+    uniform, and uniform(0.2, 1) with one row and one column type 1e-9 or
+    1e-12 times lighter; the surplus is N(0, 1), rounded to half integers
+    (ties) on odd ``i``, times a scale of 1e3 to 1e5, plus separable shifts
+    of +-1e7 when ``i % 4`` is 1 or 2."""
+    rng = np.random.default_rng([2026, i])
+    d_x, d_y = STRESS_SHAPES[i % len(STRESS_SHAPES)]
+    if (i // 10) % 3 == 1:
+        p, q = np.ones(d_x), np.ones(d_y)
+    else:
+        p, q = rng.uniform(0.2, 1.0, d_x), rng.uniform(0.2, 1.0, d_y)
+        if (i // 10) % 3 == 2:
+            p[rng.integers(d_x)] *= 10.0 ** rng.choice([-9, -12])
+            q[rng.integers(d_y)] *= 10.0 ** rng.choice([-9, -12])
+    scale = 10.0 ** rng.uniform(3, 5)
+    phi = rng.standard_normal((d_x, d_y))
+    if i % 2:
+        phi = np.round(2.0 * phi) / 2.0
+    phi = scale * phi
+    if i % 4 in (1, 2):
+        phi = phi + 1e7 * rng.choice([-1.0, 1.0], d_x)[:, None]
+        phi = phi + 1e7 * rng.choice([-1.0, 1.0], d_y)[None, :]
+    return Margins(p / p.sum(), q / q.sum()), Surplus(phi)
+
+
 class TestEntropyModel:
     def test_kinds(self):
         assert EntropyModel.shannon().kind == "shannon"
@@ -471,6 +502,28 @@ class TestSolveRegularized:
             assert report.iterations < 200
             assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
 
+    def test_stress_markets_converge(self):
+        """All 400 markets of the stress set converge with a certificate:
+        light types, uniform margins, ties, large scales and large shifts."""
+        model = EntropyModel.shannon()
+        for i in range(400):
+            margins, phi = stress_market(i)
+            _, report = solve_regularized(model, phi, margins)
+            assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
+
+    def test_light_row_that_shares_its_only_tight_column_converges(self):
+        """Market 2242 of the stress recipe, 3x3 with a row type of mass
+        4.9e-13 and a column type of 6.2e-13: the LP's duals make the light
+        column tight in a heavy row, so one sweep leaves the light row's sum
+        3e-12 times its margin, and the Newton step for it (about 3e11)
+        fails every backtracking trial.  The warm start sweeps on until
+        every row sum is within a factor e of its margin."""
+        margins, phi = stress_market(2242)
+        assert margins.p.min() < 1e-12 and margins.q.min() < 1e-12
+        _, report = solve_regularized(EntropyModel.shannon(), phi, margins)
+        assert report.newton_steps > 0
+        assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
+
     def test_subnormal_kernel_cells_on_the_sweep_path_keep_their_digits(self):
         """A 2x8 market at surplus scale about 1090 with column masses down to
         2e-11: the sweeps finish before any hand-over is weighed, with
@@ -545,6 +598,19 @@ class TestSolveRegularized:
             solve_regularized(EntropyModel.shannon(), phi, margins)
         assert info.value.iterations == 5
         assert math.isfinite(info.value.residual) and info.value.residual > IPFP_TOL
+
+    def test_unconverged_newton_phase_reports_its_own_error(self):
+        """At scale 1e8 this 4x4 market's Newton phase crawls to the cap at a
+        margin error near 5e-10, while the sweeps it took over from stood at
+        about 0.1: the error reports the phase that came closer."""
+        rng = np.random.default_rng(0)
+        p, q = rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 4)
+        margins = Margins(p / p.sum(), q / q.sum())
+        phi = Surplus(1e8 * rng.standard_normal((4, 4)))
+        with pytest.raises(ConvergenceError) as info:
+            solve_regularized(EntropyModel.shannon(), phi, margins)
+        assert info.value.iterations == IPFP_MAX_ITER
+        assert IPFP_TOL < info.value.residual < 1e-9
 
     @pytest.mark.parametrize(
         "seed, scale", [(seed, 1e20) for seed in range(5)] + [(1, 1e100), (4, 1e300)]

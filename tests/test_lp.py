@@ -514,3 +514,138 @@ class TestAgainstHighs:
         assert np.abs(mu.sum(axis=1) - margins.p).max() <= MASS_TOL
         assert np.abs(mu.sum(axis=0) - margins.q).max() <= MASS_TOL
         assert_agrees_with_highs(phi, margins, maximize_surplus(phi, margins))
+
+
+def light_market(
+    rng: np.random.Generator, i: int, d_x: int, d_y: int, imbalance: float = MASS_TOL / 2
+):
+    """Markets for the greedy start: uniform margins on ``i % 4 == 0`` and
+    random ones otherwise; from ``i % 4 == 2`` on, one row and one column
+    type lighter than ``BOUNDARY_TOL``; on ``i % 4 == 3``, margins whose
+    sums differ by ``imbalance``, the heavier side alternating; and a
+    half-integer surplus (ties) on odd ``i``.  An optimum leaves the whole
+    imbalance in one line, so a solve passes ``Matching``'s ``MASS_TOL``
+    check only if the imbalance is smaller."""
+    if i % 4 == 0:
+        p, q = np.ones(d_x), np.ones(d_y)
+    else:
+        p, q = rng.uniform(0.2, 1.0, d_x), rng.uniform(0.2, 1.0, d_y)
+    if i % 4 >= 2:
+        p[rng.integers(d_x)] = 1e-14 * p.sum()
+        q[rng.integers(d_y)] = 1e-14 * q.sum()
+    p, q = p / p.sum(), q / q.sum()
+    if i % 4 == 3:
+        lighter = -1.0 if i % 8 == 3 else 1.0
+        p, q = p * (1.0 + lighter * imbalance / 2), q * (1.0 - lighter * imbalance / 2)
+    phi = rng.normal(0.0, 2.0, (d_x, d_y))
+    if i % 2:
+        phi = np.round(2.0 * phi) / 2.0
+    return Margins(p, q), Surplus(phi)
+
+
+def greedy_solve(phi: Surplus, margins: Margins):
+    return lp._simplex(phi, margins, lp._greedy_start(phi.phi, margins.p, margins.q))
+
+
+def assert_strongly_feasible_tree(mu, adjacency, m: int) -> None:
+    """``m + n - 1`` basic cells that span the type nodes, and every basic
+    cell without mass has its row node as the child of its column node."""
+    assert sum(map(len, adjacency)) == 2 * (len(adjacency) - 1)
+    parent, _, _ = lp._tree(adjacency, np.zeros((m, len(adjacency) - m)).tolist(), m)
+    assert all(node >= 0 for node in parent[1:])
+    for x in range(m):
+        for column in adjacency[x]:
+            if mu[x][column - m] == 0.0:
+                assert parent[x] == column
+
+
+class TestGreedyStart:
+    def test_start_is_a_strongly_feasible_spanning_tree(self):
+        """On light types, ties and margin sums that differ by the whole
+        ``MASS_TOL``, the start is one strongly feasible spanning tree, the
+        same for any positive multiple of the surplus."""
+        rng = np.random.default_rng(70)
+        for i in range(48):
+            margins, phi = light_market(rng, i, *rng.integers(2, 30, 2), imbalance=MASS_TOL)
+            mu, basic, adjacency = lp._greedy_start(phi.phi, margins.p, margins.q)
+            assert basic.sum() == sum(margins.shape) - 1
+            assert_strongly_feasible_tree(mu, adjacency, margins.d_x)
+            for factor in (1e-12, 3.0, 1e12):
+                scaled = lp._greedy_start(factor * phi.phi, margins.p, margins.q)
+                np.testing.assert_array_equal(scaled[0], mu)
+                assert scaled[2] == adjacency
+
+    def test_a_line_left_without_mass_still_joins_the_tree(self):
+        """A light column that comes last in every row while the columns
+        outweigh the rows by ``MASS_TOL / 2``, or such a row 0 while the
+        rows outweigh the columns: the other side runs out first, so the
+        line takes what it has left in its best cell."""
+        rng = np.random.default_rng(71)
+        for transpose in (False, True):
+            p, q = rng.uniform(0.2, 1.0, 7), rng.uniform(0.2, 1.0, 6)
+            q[2] = 1e-14 * q.sum()
+            p, q = p / p.sum() * (1.0 - MASS_TOL / 4), q / q.sum() * (1.0 + MASS_TOL / 4)
+            phi = rng.normal(0.0, 2.0, (7, 6))
+            phi[:, 2] = -10.0
+            if transpose:
+                p, q, phi = np.roll(q, -2), p, np.roll(phi.T, -2, axis=0)
+            margins = Margins(p, q)
+            mu, basic, adjacency = lp._greedy_start(phi, p, q)
+            assert basic.sum() == sum(margins.shape) - 1
+            assert_strongly_feasible_tree(mu, adjacency, margins.d_x)
+            # the light line's one cell holds all its mass, on top of a line
+            # that had run out
+            light, mass, full = (mu[0], p[0], q) if transpose else (mu[:, 2], q[2], p)
+            (cell,) = np.flatnonzero(light)
+            assert light[cell] == mass
+            assert (mu[:, cell] if transpose else mu[cell]).sum() > full[cell]
+            assert_agrees_with_highs(Surplus(phi), margins, greedy_solve(Surplus(phi), margins))
+
+    def test_basis_tree_stays_strongly_feasible(self, monkeypatch):
+        """Before every pivot from the greedy start, each basic cell without
+        mass has its row node as the child of its column node: light types,
+        unequal margin sums, and the ties of uniform and integer-ratio
+        margins with a quarter-integer surplus."""
+        pivot, checked = lp._pivot, []
+
+        def checked_pivot(entering, mu, priced, adjacency, rows, parent, depth, potential):
+            m = len(mu)
+            for x in range(m):
+                for column in adjacency[x]:
+                    if mu[x][column - m] == 0.0:
+                        checked.append(parent[x] == column)
+            return pivot(entering, mu, priced, adjacency, rows, parent, depth, potential)
+
+        monkeypatch.setattr(lp, "_pivot", checked_pivot)
+        rng = np.random.default_rng(72)
+        for i in range(40):
+            for margins, phi in (
+                light_market(rng, i, 6 + i, 6 + (7 * i) % 31),
+                degenerate_market(rng, i, 6 + i),
+            ):
+                greedy_solve(phi, margins)
+        assert len(checked) > 1000 and all(checked)
+
+    def test_untied_markets_reach_the_same_vertex_in_fewer_pivots(self):
+        rng = np.random.default_rng(73)
+        pivots = {"northwest": 0, "greedy": 0}
+        for _ in range(40):
+            d_x, d_y = rng.integers(2, 41, 2)
+            margins, phi = random_margins(rng, d_x, d_y), random_surplus(rng, d_x, d_y)
+            northwest, greedy = maximize_surplus(phi, margins), greedy_solve(phi, margins)
+            mu = northwest.mu_opt.mu
+            np.testing.assert_array_equal(greedy.mu_opt.mu > 0.0, mu > 0.0)
+            np.testing.assert_allclose(greedy.mu_opt.mu, mu, rtol=0.0, atol=BOUNDARY_TOL)
+            assert abs(greedy.value - northwest.value) <= OPTIMALITY_TOL * np.abs(phi.phi).max()
+            pivots["northwest"] += northwest.pivots
+            pivots["greedy"] += greedy.pivots
+        assert pivots["greedy"] < pivots["northwest"] / 2
+
+    def test_degenerate_markets_pass_the_highs_certificate(self):
+        rng = np.random.default_rng(65)
+        for i in range(30):
+            margins, phi = degenerate_market(rng, i, round(8 * 15 ** (i / 29)))
+            assert_agrees_with_highs(phi, margins, greedy_solve(phi, margins))
+        for i in range(24):
+            margins, phi = light_market(rng, i, *rng.integers(2, 30, 2))
+            assert_agrees_with_highs(phi, margins, greedy_solve(phi, margins))
