@@ -27,9 +27,9 @@ scale (Brauer, Clason, Lorenz & Wirth, "A Sinkhorn-Newton method for
 entropic optimal transport", 2017).  They start from the exact LP's dual
 potentials, to which the regularized ones tend as the scale grows
 (Cominetti & San Martín, Math. Prog. 1994).  Only those duals are read, so
-the LP starts from a basis that fills the cells in order of surplus rather
-than from the northwest corner, and log-domain sweeps then fit every row
-to within a factor ``e`` before the first Newton step.
+the LP's start basis fills the cells in order of surplus rather than in
+the northwest corner's row-major order, and log-domain sweeps then fit
+every row to within a factor ``e`` before the first Newton step.
 """
 
 from __future__ import annotations
@@ -362,8 +362,8 @@ def _warm_start(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     Centring keeps large separable shifts out of the exponent.  The exact
     LP's duals on the centred ``phi``, scaled back by its largest entry, are
     the limit of the regularized potentials as the scale grows; only the
-    duals are read, so the LP starts from ``lp._greedy_start``, which puts
-    the surplus first and needs fewer pivots than the northwest corner.
+    duals are read, so the LP's start fills the cells in order of surplus,
+    which needs fewer pivots than ``maximize_surplus``'s northwest corner.
     Log-domain sweeps from the column duals then fit the margins, so no
     type, however small its mass, starts far off it.  Each sweep fits the
     columns exactly; the sweeps go on, ``_BLOCK`` at most, until every row
@@ -377,7 +377,7 @@ def _warm_start(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     centred -= centred.mean(axis=0)[None, :]
     spread = float(np.abs(centred).max()) or 1.0
     cost = centred / spread
-    duals = lp._simplex(Surplus(cost), Margins(p, q), lp._greedy_start(cost, p, q))
+    duals = lp._simplex(Surplus(cost), Margins(p, q), cost)
     g = -spread * duals.dual_g
     for _ in range(_BLOCK):
         f, g = _fit_margins(centred, g, p, q)

@@ -12,16 +12,16 @@ its path to row 0 and so its potential, bit for bit.  The pivot cycle is
 read along the parent links.  Dantzig pricing picks the entering cell and
 Cunningham's rule the leaving one, which keeps a strongly feasible start
 strongly feasible (every zero-flow cell hangs below its column node).
-There are two starts.  ``maximize_surplus`` starts from the northwest
-corner, which is strongly feasible as built.  The entropic warm start reads
-only the duals and starts from ``_greedy_start``, which fills the cells in
-descending order of surplus and so needs a fraction of the pivots; it is
-made strongly feasible by hanging each tree of its allocations that misses
-row 0 below a column of row 0's tree, through a zero cell from one of its
-own rows (Cunningham, Math. Prog. 1976).  A pivot that moves mass raises
-the value, and one that moves none strictly lowers ``sum(v) - sum(u)`` of
-the potentials (``u[0] = 0``), so no basis repeats and the simplex
-terminates (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11).
+The one start, ``_greedy_start``, fills the cells in descending order of
+a given fill, and hangs each tree of its allocations that misses row 0
+below a column of row 0's tree through a zero cell from one of its own
+rows, which makes it strongly feasible (Cunningham, Math. Prog. 1976).
+``maximize_surplus`` fills a constant, which is the northwest corner; the
+entropic warm start reads only the duals and fills by surplus, which
+needs a fraction of the pivots.  A pivot that moves mass raises the
+value, and one that moves none strictly lowers ``sum(v) - sum(u)`` of the
+potentials (``u[0] = 0``), so no basis repeats and the simplex terminates
+(Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11).
 Every comparison is relative to ``max|phi|``, so the returned vertex is
 reproducible run to run and the same for any positive multiple of ``phi``
 (barring a reduced cost within rounding of a tolerance).  Verdicts
@@ -37,6 +37,7 @@ import numpy as np
 
 from .core import (
     BOUNDARY_TOL,
+    MASS_TOL,
     OPTIMALITY_TOL,
     SEPARABILITY_TOL,
     ConvergenceError,
@@ -93,50 +94,17 @@ def _pivot_cap(m: int, n: int) -> int:
     return _MAX_PIVOTS * -(-(m * n) // 10_000)
 
 
-def _northwest_corner(p: np.ndarray, q: np.ndarray):
+def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray):
     """Initial basic feasible solution with exactly m + n - 1 basic cells:
     the matching, the mask of basic cells and the adjacency of the basis
-    tree on the type nodes (rows ``0 .. m-1``, columns ``m .. m+n-1``)."""
-    m, n = p.size, q.size
-    mu = np.zeros((m, n))
-    basic = np.zeros((m, n), dtype=bool)
-    adjacency: list[set[int]] = [set() for _ in range(m + n)]
-    remaining_p = p.tolist()
-    remaining_q = q.tolist()
-    x, y = 0, 0
-    for _ in range(m + n - 1):
-        t = min(remaining_p[x], remaining_q[y])
-        mu[x, y] = t
-        basic[x, y] = True
-        adjacency[x].add(m + y)
-        adjacency[m + y].add(x)
-        remaining_p[x] -= t
-        remaining_q[y] -= t
-        # A remainder within rounding of zero is zero: margins whose partial
-        # sums tie in exact arithmetic then tie here too.
-        if remaining_p[x] <= BOUNDARY_TOL:
-            remaining_p[x] = 0.0
-        if remaining_q[y] <= BOUNDARY_TOL:
-            remaining_q[y] = 0.0
-        if x == m - 1:
-            y += 1
-        elif y == n - 1:
-            x += 1
-        elif remaining_p[x] <= remaining_q[y]:
-            x += 1
-        else:
-            y += 1
-    return mu, basic, adjacency
+    tree on the type nodes (rows ``0 .. m-1``, columns ``m .. m+n-1``).
 
-
-def _greedy_start(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """Initial basic feasible solution that fills the cells in descending
-    order of ``cost``, as the triple ``_northwest_corner`` returns.
-
-    Each cell takes the smaller of what its row and its column have left;
-    ties break by flat index, so any positive multiple of ``cost`` gives the
-    same start.  Every positive allocation is basic, however small, so no
-    type is left out of the tree for being light.  The allocations form a
+    The cells are filled in descending order of ``fill``, each taking the
+    smaller of what its row and its column have left.  Ties break by flat
+    index, so any positive multiple of ``fill`` gives the same start, and a
+    constant ``fill`` takes the cells in row-major order: the northwest
+    corner.  Every positive allocation is basic, however small, so no type
+    is left out of the tree for being light.  The allocations form a
     forest.  When the margins' sums differ, a column (or row 0) can be left
     without any: it takes what it has left in its best cell.  Each tree
     without row 0 then hangs below a column of row 0's tree through its
@@ -158,30 +126,34 @@ def _greedy_start(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
     remaining_p, remaining_q = p.tolist(), q.tolist()
     live_rows = sum(mass > 0.0 for mass in remaining_p)
     live_cols = sum(mass > 0.0 for mass in remaining_q)
-    order = np.argsort(-cost, axis=None, kind="stable")
+    allocations = 0
+    order = np.argsort(-fill, axis=None, kind="stable")
     for x, y in zip((order // n).tolist(), (order % n).tolist()):
-        if not (live_rows and live_cols):
-            break
-        if remaining_p[x] > 0.0 and remaining_q[y] > 0.0:
+        if remaining_p[x] > 0.0 < remaining_q[y]:
             t = min(remaining_p[x], remaining_q[y])
             allocate(x, y, t)
+            allocations += 1
             remaining_p[x] -= t
             remaining_q[y] -= t
-            # As in the northwest corner, a remainder within rounding of
-            # zero is zero.
+            # A remainder within rounding of zero is zero: margins whose
+            # partial sums tie in exact arithmetic then tie here too.
             if remaining_p[x] <= BOUNDARY_TOL:
                 remaining_p[x] = 0.0
                 live_rows -= 1
             if remaining_q[y] <= BOUNDARY_TOL:
                 remaining_q[y] = 0.0
                 live_cols -= 1
+            if not (live_rows and live_cols):
+                break
+    if allocations == m + n - 1:  # a forest of m + n - 1 edges spans
+        return mu, basic, adjacency
     # A zero cell would hang such a column below its row, and row 0 has no
     # parent: each must join the tree through a cell with flow.
     for y in range(n):
         if not adjacency[m + y]:
-            allocate(int(cost[:, y].argmax()), y, remaining_q[y])
+            allocate(int(fill[:, y].argmax()), y, remaining_q[y])
     if not adjacency[0]:
-        allocate(0, int(cost[0].argmax()), remaining_p[0])
+        allocate(0, int(fill[0].argmax()), remaining_p[0])
     tree = [-1] * (m + n)  # the lowest node of each tree: 0 in row 0's tree
     for root in range(m + n):
         if tree[root] < 0:
@@ -197,7 +169,7 @@ def _greedy_start(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
         if tree[x] != 0:
             rows_of.setdefault(tree[x], []).append(x)
     for rows in rows_of.values():
-        best = int(cost[np.ix_(rows, columns)].argmax())
+        best = int(fill[np.ix_(rows, columns)].argmax())
         allocate(rows[best // len(columns)], columns[best % len(columns)], 0.0)
     return mu, basic, adjacency
 
@@ -305,31 +277,32 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     """Solve ``max <mu, phi>`` over the matching polytope exactly.
 
     Returns an optimal vertex together with optimal dual potentials.  The
-    simplex starts from the northwest corner.  The entering cell is the
-    first, in row-major order, whose reduced cost is within
-    ``SEPARABILITY_TOL * max|phi|`` of the largest, and the solve stops
-    when none exceeds that bound.  The leaving cell is the last blocking
-    cell of the cycle walked from its apex, so the solver terminates on
-    degenerate instances and always returns the same vertex for the same
-    input (and for any positive rescaling of the input).  The basis tree is
-    walked in full once, at the start; after that each pivot re-walks only
-    the subtree it re-hangs.
+    simplex starts from the northwest corner: ``_greedy_start`` on a
+    constant fill.  The entering cell is the first, in row-major order,
+    whose reduced cost is within ``SEPARABILITY_TOL * max|phi|`` of the
+    largest, and the solve stops when none exceeds that bound.  The leaving
+    cell is the last blocking cell of the cycle walked from its apex, so the
+    solver terminates on degenerate instances and always returns the same
+    vertex for the same input (and for any positive rescaling of the
+    input).  The basis tree is walked in full once, at the start; after
+    that each pivot re-walks only the subtree it re-hangs.
     Raises ``ConvergenceError`` if the pivot cap, which grows with ``m * n``,
     is reached; its residual is the largest reduced cost left.
     """
     _check_same_shape("phi", phi.phi.shape, margins)
-    return _simplex(phi, margins, _northwest_corner(margins.p, margins.q))
+    return _simplex(phi, margins, np.zeros(margins.shape))
 
 
-def _simplex(phi: Surplus, margins: Margins, start) -> LpSolution:
-    """The transportation simplex of ``maximize_surplus`` from ``start``, a
-    strongly feasible basis as ``_northwest_corner`` or ``_greedy_start``
-    returns it."""
+def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
+    """The transportation simplex of ``maximize_surplus``, started from
+    ``_greedy_start`` with the cells filled in descending order of
+    ``fill``."""
     m, n = margins.shape
+    p, q = margins.p, margins.q
     cost = phi.phi
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
     rows = cost.tolist()
-    mu, basic, adjacency = start
+    mu, basic, adjacency = _greedy_start(fill, p, q)
     mu = mu.tolist()
     # Basic cells price at zero up to rounding; at -inf they never enter.
     priced = np.where(basic, -np.inf, cost)
@@ -360,7 +333,9 @@ def _simplex(phi: Surplus, margins: Margins, start) -> LpSolution:
     mu[mu <= BOUNDARY_TOL] = 0.0
     shift = potential[-1]
     return LpSolution(
-        mu_opt=Matching(mu, margins),
+        # Margins admits sums that differ by up to twice MASS_TOL, and the
+        # optimum may leave the whole difference in one line.
+        mu_opt=Matching(mu, margins, tol=MASS_TOL + abs(p.sum() - q.sum())),
         value=float(np.sum(mu * cost)),
         dual_f=duals[:m] + shift,
         dual_g=duals[m:] - shift,

@@ -13,6 +13,7 @@ import pytest
 from jsonschema import validate
 
 from matchident import (
+    MASS_TOL,
     Margins,
     Matching,
     Surplus,
@@ -211,6 +212,21 @@ class TestSolve:
         assert report["discriminating"] is False
         assert "separable" in report["note"]
         assert report["value"] == pytest.approx(2.5, abs=1e-12)
+
+    def test_margin_sums_that_differ_by_mass_tol_solve(self, tmp_path, capsys):
+        """Each sum is within ``MASS_TOL`` of 1, so the market is valid,
+        though the optimum leaves the whole difference in one row."""
+        rng = np.random.default_rng(31)
+        p, q = rng.uniform(0.2, 1.0, 7), rng.uniform(0.2, 1.0, 6)
+        market = write_market(
+            tmp_path / "m.json",
+            p=(p / p.sum() * (1.0 + MASS_TOL / 2)).tolist(),
+            q=(q / q.sum() * (1.0 - MASS_TOL / 2)).tolist(),
+            phi=random_surplus(rng, 7, 6).phi.tolist(),
+        )
+        code, report = run_json(capsys, ["solve", "--input", market])
+        assert code == 0
+        validate(report, SOLVE_REPORT_SCHEMA)
 
     def test_missing_phi_is_a_usage_error(self, tmp_path, capsys):
         market = write_market(tmp_path / "m.json", p=UNIFORM_P, q=UNIFORM_P)

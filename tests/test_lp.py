@@ -120,7 +120,7 @@ def transportation_simplex_reference(phi: Surplus, margins: Margins):
     m, n = margins.shape
     cost = phi.phi
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
-    mu, basic, _ = lp._northwest_corner(margins.p, margins.q)
+    mu, basic, _ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q)
     cap = lp._pivot_cap(m, n)
     basis_set = {tuple(cell) for cell in np.argwhere(basic).tolist()}
     basis = sorted(basis_set)
@@ -501,6 +501,18 @@ class TestAgainstHighs:
             assert np.abs(mu.sum(axis=1) - margins.p).max() <= 1e-15
             assert np.abs(mu.sum(axis=0) - margins.q).max() <= 1e-15
 
+    def test_margin_sums_that_differ_by_up_to_twice_mass_tol_solve(self):
+        """``Margins`` admits each sum within ``MASS_TOL`` of 1, and the
+        optimum may leave the whole difference of the two in one line."""
+        rng = np.random.default_rng(66)
+        for i in range(50):
+            heavier = 1.0 if i % 2 else -1.0
+            p, q = rng.uniform(0.2, 1.0, 7), rng.uniform(0.2, 1.0, 6)
+            p = p / p.sum() * (1.0 + heavier * 0.99 * MASS_TOL)
+            q = q / q.sum() * (1.0 - heavier * 0.99 * MASS_TOL)
+            margins, phi = Margins(p, q), random_surplus(rng, 7, 6)
+            assert_agrees_with_highs(phi, margins, maximize_surplus(phi, margins))
+
     def test_start_basis_has_no_rounding_size_masses(self):
         """The 32x32 integer-ratio market above: its partial sums tie only in
         exact arithmetic, and the start basis puts no mass in (0, 1e-14)
@@ -509,23 +521,19 @@ class TestAgainstHighs:
         for i in range(16):
             margins, phi = degenerate_market(rng, i, round(8 * 15 ** (i / 29)))
         assert margins.shape == (32, 32)
-        mu, _, _ = lp._northwest_corner(margins.p, margins.q)
+        mu, _, _ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q)
         assert not np.any((mu > 0.0) & (mu < 1e-14))
         assert np.abs(mu.sum(axis=1) - margins.p).max() <= MASS_TOL
         assert np.abs(mu.sum(axis=0) - margins.q).max() <= MASS_TOL
         assert_agrees_with_highs(phi, margins, maximize_surplus(phi, margins))
 
 
-def light_market(
-    rng: np.random.Generator, i: int, d_x: int, d_y: int, imbalance: float = MASS_TOL / 2
-):
+def light_market(rng: np.random.Generator, i: int, d_x: int, d_y: int):
     """Markets for the greedy start: uniform margins on ``i % 4 == 0`` and
     random ones otherwise; from ``i % 4 == 2`` on, one row and one column
     type lighter than ``BOUNDARY_TOL``; on ``i % 4 == 3``, margins whose
-    sums differ by ``imbalance``, the heavier side alternating; and a
-    half-integer surplus (ties) on odd ``i``.  An optimum leaves the whole
-    imbalance in one line, so a solve passes ``Matching``'s ``MASS_TOL``
-    check only if the imbalance is smaller."""
+    sums differ by the whole ``MASS_TOL``, the heavier side alternating;
+    and a half-integer surplus (ties) on odd ``i``."""
     if i % 4 == 0:
         p, q = np.ones(d_x), np.ones(d_y)
     else:
@@ -536,7 +544,7 @@ def light_market(
     p, q = p / p.sum(), q / q.sum()
     if i % 4 == 3:
         lighter = -1.0 if i % 8 == 3 else 1.0
-        p, q = p * (1.0 + lighter * imbalance / 2), q * (1.0 - lighter * imbalance / 2)
+        p, q = p * (1.0 + lighter * MASS_TOL / 2), q * (1.0 - lighter * MASS_TOL / 2)
     phi = rng.normal(0.0, 2.0, (d_x, d_y))
     if i % 2:
         phi = np.round(2.0 * phi) / 2.0
@@ -544,7 +552,7 @@ def light_market(
 
 
 def greedy_solve(phi: Surplus, margins: Margins):
-    return lp._simplex(phi, margins, lp._greedy_start(phi.phi, margins.p, margins.q))
+    return lp._simplex(phi, margins, phi.phi)
 
 
 def assert_strongly_feasible_tree(mu, adjacency, m: int) -> None:
@@ -563,17 +571,36 @@ class TestGreedyStart:
     def test_start_is_a_strongly_feasible_spanning_tree(self):
         """On light types, ties and margin sums that differ by the whole
         ``MASS_TOL``, the start is one strongly feasible spanning tree, the
-        same for any positive multiple of the surplus."""
+        same for any positive multiple of the fill: the surplus, or zero
+        (the northwest corner)."""
         rng = np.random.default_rng(70)
         for i in range(48):
-            margins, phi = light_market(rng, i, *rng.integers(2, 30, 2), imbalance=MASS_TOL)
-            mu, basic, adjacency = lp._greedy_start(phi.phi, margins.p, margins.q)
-            assert basic.sum() == sum(margins.shape) - 1
-            assert_strongly_feasible_tree(mu, adjacency, margins.d_x)
-            for factor in (1e-12, 3.0, 1e12):
-                scaled = lp._greedy_start(factor * phi.phi, margins.p, margins.q)
-                np.testing.assert_array_equal(scaled[0], mu)
-                assert scaled[2] == adjacency
+            margins, phi = light_market(rng, i, *rng.integers(2, 30, 2))
+            for fill in (phi.phi, np.zeros(margins.shape)):
+                mu, basic, adjacency = lp._greedy_start(fill, margins.p, margins.q)
+                assert basic.sum() == sum(margins.shape) - 1
+                assert_strongly_feasible_tree(mu, adjacency, margins.d_x)
+                for factor in (1e-12, 3.0, 1e12):
+                    scaled = lp._greedy_start(factor * fill, margins.p, margins.q)
+                    np.testing.assert_array_equal(scaled[0], mu)
+                    assert scaled[2] == adjacency
+
+    def test_zero_fill_is_the_northwest_staircase(self):
+        """On untied margins the zero fill takes the cells in row-major
+        order: ``m + n - 1`` positive cells, each one right of or below the
+        one before, from the top left cell to the bottom right one."""
+        rng = np.random.default_rng(74)
+        for _ in range(40):
+            d_x, d_y = rng.integers(2, 41, 2)
+            margins = random_margins(rng, d_x, d_y)
+            mu, basic, _ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q)
+            np.testing.assert_array_equal(basic, mu > 0.0)
+            cells = np.argwhere(mu > 0.0)  # in row-major order
+            assert len(cells) == d_x + d_y - 1
+            assert cells[0].tolist() == [0, 0]
+            assert cells[-1].tolist() == [d_x - 1, d_y - 1]
+            steps = {tuple(step) for step in np.diff(cells, axis=0).tolist()}
+            assert steps <= {(0, 1), (1, 0)}
 
     def test_a_line_left_without_mass_still_joins_the_tree(self):
         """A light column that comes last in every row while the columns
