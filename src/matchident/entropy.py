@@ -42,6 +42,7 @@ import numpy as np
 from . import lp, polytope
 from .core import (
     BOUNDARY_TOL,
+    MASS_TOL,
     ConvergenceError,
     KinkPointError,
     Margins,
@@ -480,12 +481,15 @@ def solve_regularized(
     overflow nor underflow it.  When the sweeps converge too slowly to be
     worth finishing, damped Newton steps on the dual take over, started
     from the exact LP's dual potentials; if those stall, the sweeps resume
-    where they stopped.  Zero-mass types get zero
-    rows and columns and stay out of both.  Returns the optimal value and
-    an ``IpfpReport``; raises ``ConvergenceError`` (with iteration
-    diagnostics attached) if the margin error is not within ``IPFP_TOL``
-    after ``IPFP_MAX_ITER`` iterations, sweeps and Newton steps together, or
-    when a kernel sum leaves the float range first.
+    where they stopped.  Zero-mass types get zero rows and columns and stay
+    out of both.  When the margins' sums differ by more than ``IPFP_TOL``,
+    no matching fits both: the rows are fitted to ``p`` and the columns to
+    ``q`` rescaled to ``p``'s total, so the columns absorb the difference,
+    and ``margin_error`` is measured against that rescaled ``q``.  Returns
+    the optimal value and an ``IpfpReport``; raises ``ConvergenceError``
+    (with iteration diagnostics attached) if the margin error is not within
+    ``IPFP_TOL`` after ``IPFP_MAX_ITER`` iterations, sweeps and Newton steps
+    together, or when a kernel sum leaves the float range first.
 
     Forward solvers for the gauge and quantile entropies are deliberately
     not provided; those entropies are used in the identification
@@ -500,10 +504,13 @@ def solve_regularized(
     # others and every scaling it sees is positive.
     rows, cols = margins.p > 0.0, margins.q > 0.0
     support = np.ix_(rows, cols)
+    p, q = margins.p[rows], margins.q[cols]
+    # IPFP stops only within IPFP_TOL of both sides, which no matching
+    # reaches when their sums differ by more.
+    if abs(p.sum() - q.sum()) > IPFP_TOL:
+        q = q * (p.sum() / q.sum())
     mu = np.zeros(margins.shape)
-    mu[support], sweeps, steps, error = _ipfp(
-        phi.phi[support], margins.p[rows], margins.q[cols]
-    )
+    mu[support], sweeps, steps, error = _ipfp(phi.phi[support], p, q)
     iterations = sweeps + steps
     if not error <= IPFP_TOL:
         raise ConvergenceError(
@@ -512,6 +519,8 @@ def solve_regularized(
             iterations=iterations,
             residual=error,
         )
-    matching = Matching(mu, margins)
+    # Margins admits sums that differ by up to twice MASS_TOL.
+    tol = MASS_TOL + abs(margins.p.sum() - margins.q.sum())
+    matching = Matching(mu, margins, tol=tol)
     value = total_surplus(matching, phi) - _shannon_value(matching.mu)
     return value, IpfpReport(matching, error, sweeps, steps)

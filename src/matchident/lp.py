@@ -4,14 +4,15 @@ The maximization of ``<mu, phi>`` subject to margin constraints is a
 transportation problem, and this module solves it exactly with the
 classical transportation (network) simplex on the complete bipartite type
 graph.  The basis is a spanning tree on the ``m + n`` type nodes, rooted at
-row 0.  Its adjacency, parent links, depths and dual potentials are kept
-across pivots: the tree is walked in full once, at the start, and after
-that a pivot's leaving edge cuts one subtree off, its entering edge
-re-hangs it, and only that subtree is walked again.  Every other node keeps
-its path to row 0 and so its potential, bit for bit.  The pivot cycle is
-read along the parent links.  Dantzig pricing picks the entering cell and
-Cunningham's rule the leaving one, which keeps a strongly feasible start
-strongly feasible (every zero-flow cell hangs below its column node).
+row 0, whose every edge carries the surplus of its cell.  Its adjacency,
+parent links, depths and dual potentials are kept across pivots: the tree
+is walked in full once, at the start, and after that a pivot's leaving
+edge cuts one subtree off, its entering edge re-hangs it, and only that
+subtree is walked again.  Every other node keeps its path to row 0 and so
+its potential, bit for bit.  The pivot cycle is read along the parent
+links.  Dantzig pricing picks the entering cell and Cunningham's rule the
+leaving one, which keeps a strongly feasible start strongly feasible
+(every zero-flow cell hangs below its column node).
 The one start, ``_greedy_start``, fills the cells in descending order of
 a given fill, and hangs each tree of its allocations that misses row 0
 below a column of row 0's tree through a zero cell from one of its own
@@ -94,10 +95,12 @@ def _pivot_cap(m: int, n: int) -> int:
     return _MAX_PIVOTS * -(-(m * n) // 10_000)
 
 
-def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray):
+def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost=None):
     """Initial basic feasible solution with exactly m + n - 1 basic cells:
     the matching, the mask of basic cells and the adjacency of the basis
-    tree on the type nodes (rows ``0 .. m-1``, columns ``m .. m+n-1``).
+    tree on the type nodes (rows ``0 .. m-1``, columns ``m .. m+n-1``),
+    which maps each node's neighbours to the ``cost`` of the cell between
+    them, ``fill`` by default.
 
     The cells are filled in descending order of ``fill``, each taking the
     smaller of what its row and its column have left.  Ties break by flat
@@ -113,15 +116,15 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray):
     provided every type has mass.
     """
     m, n = p.size, q.size
+    cost = fill if cost is None else cost
     mu = np.zeros((m, n))
     basic = np.zeros((m, n), dtype=bool)
-    adjacency: list[set[int]] = [set() for _ in range(m + n)]
+    adjacency: list[dict[int, float]] = [{} for _ in range(m + n)]
 
     def allocate(x: int, y: int, t: float) -> None:
         mu[x, y] = t
         basic[x, y] = True
-        adjacency[x].add(m + y)
-        adjacency[m + y].add(x)
+        adjacency[x][m + y] = adjacency[m + y][x] = float(cost[x, y])
 
     remaining_p, remaining_q = p.tolist(), q.tolist()
     live_rows = sum(mass > 0.0 for mass in remaining_p)
@@ -174,34 +177,31 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray):
     return mu, basic, adjacency
 
 
-def _hang(adjacency, rows, m, parent, depth, potential, stack: list[int]) -> None:
+def _hang(adjacency, parent, depth, potential, stack: list[int]) -> None:
     """Walk down from the nodes on ``stack``, whose parents are set: give
-    them and every node below them a depth and the potential that solves
-    ``u[x] + v[y] = rows[x][y]`` on the edge to the parent, and give the
-    nodes below them their parents.  Empties ``stack``."""
+    them and every node below them a depth and the potential that makes
+    ``u[x] + v[y]`` the surplus their edge to the parent carries, and give
+    the nodes below them their parents.  Empties ``stack``."""
     while stack:
         child = stack.pop()
         node = parent[child]
         depth[child] = depth[node] + 1
-        if node < m:  # row node fixes the column potential
-            potential[child] = rows[node][child - m] - potential[node]
-        else:
-            potential[child] = rows[child][node - m] - potential[node]
+        potential[child] = adjacency[child][node] - potential[node]
         for grandchild in adjacency[child]:
             if grandchild != node:
                 parent[grandchild] = child
                 stack.append(grandchild)
 
 
-def _tree(adjacency: list[set[int]], rows: list[list[float]], m: int):
+def _tree(adjacency: list[dict[int, float]]):
     """Parents, depths and the potentials (rows, then columns) of the basis
-    tree, walked in full from row 0 (``u[0] = 0``)."""
+    tree, walked in full from row 0 (``u[0] = 0``) along the edges' costs."""
     parent = [-1] * len(adjacency)
     depth = [0] * len(adjacency)
     potential = [0.0] * len(adjacency)
     for child in adjacency[0]:
         parent[child] = 0
-    _hang(adjacency, rows, m, parent, depth, potential, list(adjacency[0]))
+    _hang(adjacency, parent, depth, potential, list(adjacency[0]))
     return parent, depth, potential
 
 
@@ -231,13 +231,14 @@ def _cycle(parent: list[int], depth: list[int], entering: tuple[int, int], m: in
     return plus, minus
 
 
-def _pivot(entering, mu, priced, adjacency, rows, parent, depth, potential) -> bool:
+def _pivot(entering, mu, priced, adjacency, parent, depth, potential) -> bool:
     """Pivot ``entering`` into the basis and return whether no mass moved
     beyond rounding.
 
     Mass moves around the cycle, and the leaving cell drops out of the
-    basis: out of ``adjacency``, and back to its surplus in ``priced``,
-    where the entering cell is blocked at ``-inf``.  The leaving edge cut
+    basis: out of ``adjacency``, its edge's surplus back into ``priced``.
+    The entering cell's surplus moves the other way, onto its new edge,
+    and ``priced`` blocks the cell at ``-inf``.  The leaving edge cut
     one subtree off the tree and the entering edge re-hangs it; only that
     subtree is walked again.  Every other node keeps its path to row 0, so
     its parent, depth and potential stay what a full walk gives, bit for
@@ -255,21 +256,19 @@ def _pivot(entering, mu, priced, adjacency, rows, parent, depth, potential) -> b
         mu[x][y] -= theta
     x, y = leaving
     mu[x][y] = 0.0
-    priced[x, y] = rows[x][y]
-    adjacency[x].remove(m + y)
-    adjacency[m + y].remove(x)
+    priced[x, y] = adjacency[x].pop(m + y)
+    del adjacency[m + y][x]
     cut = x if parent[x] == m + y else m + y  # the leaving edge's lower end
     x, y = entering
+    adjacency[x][m + y] = adjacency[m + y][x] = float(priced[x, y])
     priced[x, y] = -np.inf
-    adjacency[x].add(m + y)
-    adjacency[m + y].add(x)
     node = x  # climb from the entering row node to the depth of the cut
     while depth[node] > depth[cut]:
         node = parent[node]
     # the entering edge's end inside the cut subtree hangs below the other end
     top, hung = (m + y, x) if node == cut else (x, m + y)
     parent[hung] = top
-    _hang(adjacency, rows, m, parent, depth, potential, [hung])
+    _hang(adjacency, parent, depth, potential, [hung])
     return theta <= BOUNDARY_TOL
 
 
@@ -301,13 +300,12 @@ def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
     p, q = margins.p, margins.q
     cost = phi.phi
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
-    rows = cost.tolist()
-    mu, basic, adjacency = _greedy_start(fill, p, q)
+    mu, basic, adjacency = _greedy_start(fill, p, q, cost)
     mu = mu.tolist()
     # Basic cells price at zero up to rounding; at -inf they never enter.
     priced = np.where(basic, -np.inf, cost)
     reduced = np.empty((m, n))
-    parent, depth, potential = _tree(adjacency, rows, m)
+    parent, depth, potential = _tree(adjacency)
     cap = _pivot_cap(m, n)
     degenerate = 0
     for pivots in range(cap + 1):
@@ -324,7 +322,7 @@ def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
                 residual=best,
             )
         entering = divmod(int((reduced >= best - entering_tol).argmax()), n)
-        degenerate += _pivot(entering, mu, priced, adjacency, rows, parent, depth, potential)
+        degenerate += _pivot(entering, mu, priced, adjacency, parent, depth, potential)
     mu = np.array(mu)
     # The cycles leave rounding-size masses where exact arithmetic empties a
     # cell.  They are zero, as in the start basis; zeroing them while

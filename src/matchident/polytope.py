@@ -24,6 +24,7 @@ from .core import (
     InstanceTooLargeError,
     Margins,
     Matching,
+    NotInPolytopeError,
     _barycenter_mu,
     _check_same_shape,
 )
@@ -53,16 +54,17 @@ def dimension(margins: Margins) -> int:
 
 
 def contains(mu, margins: Margins, tol: float = MASS_TOL) -> bool:
-    """Whether a raw matrix lies in the polytope, all constraints within ``tol``."""
+    """Whether a raw matrix lies in the polytope: whether ``Matching(mu,
+    margins, tol)`` constructs, so entries down to ``-BOUNDARY_TOL`` count
+    as zero and the margins hold within ``tol``.  A matrix of the wrong
+    shape raises ``ValidationError``; a non-finite one is not contained."""
     arr = np.asarray(mu, dtype=float)
     _check_same_shape("matrix", arr.shape, margins)
     if not np.all(np.isfinite(arr)):
         return False
-    if arr.min() < -tol:
-        return False
-    if np.abs(arr.sum(axis=1) - margins.p).max() > tol:
-        return False
-    if np.abs(arr.sum(axis=0) - margins.q).max() > tol:
+    try:
+        Matching(arr, margins, tol)
+    except NotInPolytopeError:
         return False
     return True
 

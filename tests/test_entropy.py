@@ -10,6 +10,7 @@ from scipy import integrate
 from matchident import (
     IPFP_MAX_ITER,
     IPFP_TOL,
+    MASS_TOL,
     ConvergenceError,
     DegenerateRayError,
     EntropyModel,
@@ -578,6 +579,27 @@ class TestSolveRegularized:
         np.testing.assert_array_equal(stalled.mu.mu, sweeps_only.mu.mu)
         assert stalled.iterations > sweeps_only.iterations
         assert stalled.sweeps == sweeps_only.sweeps and stalled.newton_steps > 0
+
+    def test_margins_whose_sums_differ_converge(self):
+        """Six 12x10 markets whose margin sums are 1 -+ 0.9 * MASS_TOL, the
+        heavier side alternating, at surplus scales 1 and 200: no matching
+        fits both sides within IPFP_TOL, so the rows fit ``p`` and the
+        columns ``q`` rescaled to ``p``'s total, with the certificate, in a
+        few dozen iterations rather than at the cap."""
+        rng = np.random.default_rng(99)
+        model = EntropyModel.shannon()
+        for i in range(6):
+            heavier = 1.0 if i % 2 else -1.0
+            p, q = rng.uniform(0.2, 1.0, 12), rng.uniform(0.2, 1.0, 10)
+            p = p / p.sum() * (1.0 + heavier * 0.9 * MASS_TOL)
+            q = q / q.sum() * (1.0 - heavier * 0.9 * MASS_TOL)
+            margins = Margins(p, q)
+            for scale in (1.0, 200.0):
+                phi = random_surplus(rng, 12, 10, scale=scale)
+                _, report = solve_regularized(model, phi, margins)
+                assert report.iterations < 100
+                balanced = Margins(p, q * (p.sum() / q.sum()))
+                assert_ipfp_certificate(phi.phi, balanced, report.mu.mu)
 
     @pytest.mark.parametrize("scale", [1.0, 40.0])
     def test_zero_mass_types_get_zero_rows_without_warnings(self, scale):

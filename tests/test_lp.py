@@ -398,13 +398,13 @@ class TestPivotCounts:
         as the child of its column node in the tree rooted at row 0."""
         pivot, checked = lp._pivot, []
 
-        def checked_pivot(entering, mu, priced, adjacency, rows, parent, depth, potential):
+        def checked_pivot(entering, mu, priced, adjacency, parent, depth, potential):
             m = len(mu)
             for x in range(m):
                 for column in adjacency[x]:
                     if mu[x][column - m] == 0.0:
                         checked.append(parent[x] == column)
-            return pivot(entering, mu, priced, adjacency, rows, parent, depth, potential)
+            return pivot(entering, mu, priced, adjacency, parent, depth, potential)
 
         monkeypatch.setattr(lp, "_pivot", checked_pivot)
         rng = np.random.default_rng(66)
@@ -420,9 +420,9 @@ class TestKeptTree:
         pivots are those of a full walk of the updated basis, bit for bit."""
         pivot, compared = lp._pivot, []
 
-        def compared_pivot(entering, mu, priced, adjacency, rows, parent, depth, potential):
-            degenerate = pivot(entering, mu, priced, adjacency, rows, parent, depth, potential)
-            fresh_parent, fresh_depth, fresh_potential = lp._tree(adjacency, rows, len(mu))
+        def compared_pivot(entering, mu, priced, adjacency, parent, depth, potential):
+            degenerate = pivot(entering, mu, priced, adjacency, parent, depth, potential)
+            fresh_parent, fresh_depth, fresh_potential = lp._tree(adjacency)
             assert parent == fresh_parent
             assert depth == fresh_depth
             assert np.array(potential).tobytes() == np.array(fresh_potential).tobytes()
@@ -559,7 +559,7 @@ def assert_strongly_feasible_tree(mu, adjacency, m: int) -> None:
     """``m + n - 1`` basic cells that span the type nodes, and every basic
     cell without mass has its row node as the child of its column node."""
     assert sum(map(len, adjacency)) == 2 * (len(adjacency) - 1)
-    parent, _, _ = lp._tree(adjacency, np.zeros((m, len(adjacency) - m)).tolist(), m)
+    parent, _, _ = lp._tree(adjacency)
     assert all(node >= 0 for node in parent[1:])
     for x in range(m):
         for column in adjacency[x]:
@@ -581,7 +581,7 @@ class TestGreedyStart:
                 assert basic.sum() == sum(margins.shape) - 1
                 assert_strongly_feasible_tree(mu, adjacency, margins.d_x)
                 for factor in (1e-12, 3.0, 1e12):
-                    scaled = lp._greedy_start(factor * fill, margins.p, margins.q)
+                    scaled = lp._greedy_start(factor * fill, margins.p, margins.q, fill)
                     np.testing.assert_array_equal(scaled[0], mu)
                     assert scaled[2] == adjacency
 
@@ -635,13 +635,13 @@ class TestGreedyStart:
         margins with a quarter-integer surplus."""
         pivot, checked = lp._pivot, []
 
-        def checked_pivot(entering, mu, priced, adjacency, rows, parent, depth, potential):
+        def checked_pivot(entering, mu, priced, adjacency, parent, depth, potential):
             m = len(mu)
             for x in range(m):
                 for column in adjacency[x]:
                     if mu[x][column - m] == 0.0:
                         checked.append(parent[x] == column)
-            return pivot(entering, mu, priced, adjacency, rows, parent, depth, potential)
+            return pivot(entering, mu, priced, adjacency, parent, depth, potential)
 
         monkeypatch.setattr(lp, "_pivot", checked_pivot)
         rng = np.random.default_rng(72)

@@ -8,6 +8,8 @@ from matchident import (
     InstanceTooLargeError,
     Margins,
     Matching,
+    NotInPolytopeError,
+    ValidationError,
     barycenter,
     contains,
     dimension,
@@ -88,6 +90,16 @@ class TestContains:
 
     def test_rejects_nonfinite(self, uniform2):
         assert not contains([[np.nan, 0.5], [0.5, 0.0]], uniform2)
+
+    def test_agrees_with_matching(self, uniform2):
+        """An entry below ``-BOUNDARY_TOL`` is negative to both, even within
+        ``tol`` of zero; a wrong shape is an error to both."""
+        negative = [[0.5 + 1e-10, -1e-10], [-1e-10, 0.5 + 1e-10]]
+        assert not contains(negative, uniform2)
+        with pytest.raises(NotInPolytopeError):
+            Matching(negative, uniform2)
+        with pytest.raises(ValidationError):
+            contains([[0.5, 0.5]], uniform2)
 
 
 class TestEnumerateVertices:

@@ -19,10 +19,13 @@ from matchident import (
     EntropyModel,
     Margins,
     Matching,
+    NonInteriorError,
     Surplus,
     barycenter,
     check_rationalizable,
+    decompose_separable,
     gauge,
+    identify_entropy,
     is_boundary,
     is_maximizer,
     is_nonseparable,
@@ -193,3 +196,30 @@ def test_entropic_solves_converge_with_a_certificate():
 
     check()
     assert paths[False, False] and paths[True, False] and paths[True, True]
+
+
+def test_shannon_identification_round_trips_the_entropic_solve():
+    """Identifying the shannon surplus of a solved market gives back the
+    doubly centred ``phi``, within a few ulps of ``max|phi|`` per term of
+    the centring's sums, or names a cell the solve left at most
+    ``BOUNDARY_TOL``, where the gradient is undefined."""
+    outcomes = Counter()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(market=entropic_markets())
+    def check(market):
+        margins, phi = market
+        _, report = solve_regularized(EntropyModel.shannon(), Surplus(phi), margins)
+        try:
+            identified = identify_entropy(report.mu, EntropyModel.shannon())
+        except NonInteriorError as error:
+            assert report.mu.mu[error.cell] <= BOUNDARY_TOL
+            outcomes["domain"] += 1
+            return
+        truth = decompose_separable(Surplus(phi), margins).residual
+        bound = 8 * sum(margins.shape) * np.finfo(float).eps * np.abs(phi).max()
+        assert np.abs(identified.phi_canonical.phi - truth).max() <= bound
+        outcomes["answered"] += 1
+
+    check()
+    assert outcomes["answered"] and outcomes["domain"]
