@@ -331,6 +331,11 @@ class TypeValues:
         _freeze(self, x_values=xv, y_values=yv)
 
 
+def _imbalance_tol(margins: Margins) -> float:
+    """``MASS_TOL`` plus the margins' sum difference, which a line of any matching absorbs."""
+    return MASS_TOL + abs(margins.p.sum() - margins.q.sum())
+
+
 def _check_same_shape(name: str, shape, margins: Margins) -> None:
     """Refuse a matrix whose shape is not the ``(d_x, d_y)`` of ``margins``."""
     if tuple(shape) != margins.shape:

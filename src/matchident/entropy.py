@@ -42,7 +42,6 @@ import numpy as np
 from . import lp, polytope
 from .core import (
     BOUNDARY_TOL,
-    MASS_TOL,
     ConvergenceError,
     KinkPointError,
     Margins,
@@ -52,6 +51,7 @@ from .core import (
     TypeValues,
     ValidationError,
     _check_same_shape,
+    _imbalance_tol,
     conditionals,
     total_surplus,
 )
@@ -519,8 +519,6 @@ def solve_regularized(
             iterations=iterations,
             residual=error,
         )
-    # Margins admits sums that differ by up to twice MASS_TOL.
-    tol = MASS_TOL + abs(margins.p.sum() - margins.q.sum())
-    matching = Matching(mu, margins, tol=tol)
+    matching = Matching(mu, margins, tol=_imbalance_tol(margins))
     value = total_surplus(matching, phi) - _shannon_value(matching.mu)
     return value, IpfpReport(matching, error, sweeps, steps)

@@ -38,7 +38,6 @@ import numpy as np
 
 from .core import (
     BOUNDARY_TOL,
-    MASS_TOL,
     OPTIMALITY_TOL,
     SEPARABILITY_TOL,
     ConvergenceError,
@@ -46,6 +45,7 @@ from .core import (
     Matching,
     Surplus,
     _check_same_shape,
+    _imbalance_tol,
     is_nonseparable,
     total_surplus,
 )
@@ -95,12 +95,12 @@ def _pivot_cap(m: int, n: int) -> int:
     return _MAX_PIVOTS * -(-(m * n) // 10_000)
 
 
-def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost=None):
+def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarray):
     """Initial basic feasible solution with exactly m + n - 1 basic cells:
     the matching, the mask of basic cells and the adjacency of the basis
     tree on the type nodes (rows ``0 .. m-1``, columns ``m .. m+n-1``),
     which maps each node's neighbours to the ``cost`` of the cell between
-    them, ``fill`` by default.
+    them.
 
     The cells are filled in descending order of ``fill``, each taking the
     smaller of what its row and its column have left.  Ties break by flat
@@ -116,7 +116,6 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost=None):
     provided every type has mass.
     """
     m, n = p.size, q.size
-    cost = fill if cost is None else cost
     mu = np.zeros((m, n))
     basic = np.zeros((m, n), dtype=bool)
     adjacency: list[dict[int, float]] = [{} for _ in range(m + n)]
@@ -331,9 +330,7 @@ def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
     mu[mu <= BOUNDARY_TOL] = 0.0
     shift = potential[-1]
     return LpSolution(
-        # Margins admits sums that differ by up to twice MASS_TOL, and the
-        # optimum may leave the whole difference in one line.
-        mu_opt=Matching(mu, margins, tol=MASS_TOL + abs(p.sum() - q.sum())),
+        mu_opt=Matching(mu, margins, tol=_imbalance_tol(margins)),
         value=float(np.sum(mu * cost)),
         dual_f=duals[:m] + shift,
         dual_g=duals[m:] - shift,

@@ -120,7 +120,7 @@ def transportation_simplex_reference(phi: Surplus, margins: Margins):
     m, n = margins.shape
     cost = phi.phi
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
-    mu, basic, _ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q)
+    mu, basic, _ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q, cost)
     cap = lp._pivot_cap(m, n)
     basis_set = {tuple(cell) for cell in np.argwhere(basic).tolist()}
     basis = sorted(basis_set)
@@ -521,7 +521,7 @@ class TestAgainstHighs:
         for i in range(16):
             margins, phi = degenerate_market(rng, i, round(8 * 15 ** (i / 29)))
         assert margins.shape == (32, 32)
-        mu, _, _ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q)
+        mu, _, _ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q, phi.phi)
         assert not np.any((mu > 0.0) & (mu < 1e-14))
         assert np.abs(mu.sum(axis=1) - margins.p).max() <= MASS_TOL
         assert np.abs(mu.sum(axis=0) - margins.q).max() <= MASS_TOL
@@ -577,7 +577,7 @@ class TestGreedyStart:
         for i in range(48):
             margins, phi = light_market(rng, i, *rng.integers(2, 30, 2))
             for fill in (phi.phi, np.zeros(margins.shape)):
-                mu, basic, adjacency = lp._greedy_start(fill, margins.p, margins.q)
+                mu, basic, adjacency = lp._greedy_start(fill, margins.p, margins.q, fill)
                 assert basic.sum() == sum(margins.shape) - 1
                 assert_strongly_feasible_tree(mu, adjacency, margins.d_x)
                 for factor in (1e-12, 3.0, 1e12):
@@ -593,7 +593,9 @@ class TestGreedyStart:
         for _ in range(40):
             d_x, d_y = rng.integers(2, 41, 2)
             margins = random_margins(rng, d_x, d_y)
-            mu, basic, _ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q)
+            mu, basic, _ = lp._greedy_start(
+                np.zeros(margins.shape), margins.p, margins.q, np.zeros(margins.shape)
+            )
             np.testing.assert_array_equal(basic, mu > 0.0)
             cells = np.argwhere(mu > 0.0)  # in row-major order
             assert len(cells) == d_x + d_y - 1
@@ -617,7 +619,7 @@ class TestGreedyStart:
             if transpose:
                 p, q, phi = np.roll(q, -2), p, np.roll(phi.T, -2, axis=0)
             margins = Margins(p, q)
-            mu, basic, adjacency = lp._greedy_start(phi, p, q)
+            mu, basic, adjacency = lp._greedy_start(phi, p, q, phi)
             assert basic.sum() == sum(margins.shape) - 1
             assert_strongly_feasible_tree(mu, adjacency, margins.d_x)
             # the light line's one cell holds all its mass, on top of a line
