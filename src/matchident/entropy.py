@@ -28,8 +28,10 @@ entropic optimal transport", 2017).  They start from the exact LP's dual
 potentials, to which the regularized ones tend as the scale grows
 (Cominetti & San Martín, Math. Prog. 1994).  Only those duals are read, so
 the LP's start basis fills the cells in order of surplus rather than in
-the northwest corner's row-major order, and log-domain sweeps then fit
-every row to within a factor ``e`` before the first Newton step.
+the northwest corner's row-major order, and up to ten log-domain sweeps
+then fit every row to within a factor ``e`` before the first Newton step.
+Nothing of the sweeps' state carries over to the Newton phase, so the
+hand-over is first weighed early, after 20 sweeps.
 """
 
 from __future__ import annotations
@@ -80,8 +82,17 @@ IPFP_MAX_ITER = 10_000
 #: yet wide enough that the kernel is rarely rebuilt.
 _SCALING_RANGE = 1e50
 
-#: IPFP weighs a hand-over to Newton steps every this many sweeps.
-_BLOCK = 20
+#: IPFP weighs a hand-over to Newton steps every this many sweeps, at the
+#: rate of the last block, so the first judgement comes after two blocks.
+#: The Newton phase starts from the LP's duals and discards the sweeps, so
+#: an early judgement saves their cost without changing the answer of a
+#: solve that is handed over.  10 is the floor: blocks of 8 or fewer judge
+#: the 2x8 market of
+#: ``test_subnormal_kernel_cells_on_the_sweep_path_keep_their_digits``
+#: before sweep 18, where it finishes on its sweeps, and blocks of 7 or
+#: fewer hand it over.  The warm start's log-domain fit stops after
+#: ``_BLOCK`` sweeps too.
+_BLOCK = 10
 
 #: The Newton phase costs about as many sweeps as ``_NEWTON_SWEEPS +
 #: _NEWTON_SWEEPS_PER_CELL * m * n``: a fixed part for the refit and some
@@ -90,7 +101,12 @@ _BLOCK = 20
 #: 140x140 markets at scales 10 to 1,000, with the LP started from the
 #: northwest corner.  Started greedily, the LP takes about a fifth of that
 #: time at 100x100 and 200x200, so the model overstates the Newton phase:
-#: the hand-over comes later than it could, never earlier.
+#: the hand-over comes later than it could, never earlier.  Refitted to the
+#: same shapes and scales with the greedy start, it reads about ``70 +
+#: 0.073 * m * n`` sweeps (2 vCPU).  The refit waits for a size ladder in
+#: the benchmark: it would hand the 40x40 market of
+#: ``test_sweeps_that_cannot_finish_under_the_cap_hand_over`` over before
+#: its sweeps finish.
 _NEWTON_SWEEPS = 60.0
 _NEWTON_SWEEPS_PER_CELL = 0.25
 
@@ -288,12 +304,15 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     Newton steps and the error.
 
     The sweeps start with a 1 in every row and column of the kernel and
-    nothing above 1.  Their error is read off the row sums ``a * (kernel @
-    b)``, whose ``kernel @ b`` the next row update divides by.  Every
-    ``_BLOCK`` sweeps the loop estimates how many more it needs at the
-    last block's rate.  It hands over to ``_newton``, started from
-    ``_warm_start``, once they would cost more than the Newton phase with
-    its LP, or cannot finish within ``IPFP_MAX_ITER``.  If the Newton phase
+    nothing above 1.  The scalings ``a`` and ``b`` are two views of one
+    buffer, and each sweep writes them, the kernel sums and the residual in
+    place.  Their error is read off the row sums ``a * (kernel @ b)``, whose
+    ``kernel @ b`` the next row update divides by.  Every ``_BLOCK`` sweeps
+    from the second block on (sweep 20, 30, ...) the loop estimates how
+    many more it needs at the last block's rate.  It hands over to
+    ``_newton``, started from ``_warm_start``, once they would cost more
+    than the Newton phase with its LP, or cannot finish within
+    ``IPFP_MAX_ITER``.  If the Newton phase
     stalls, the sweeps go on from where they stopped, exactly as they would
     have alone.  A margin error that is inf or nan, from a kernel sum past
     the float range, ends the sweeps on the last finite one.  A solve that
@@ -303,23 +322,28 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     f = -phi.max(axis=1)
     g = -(phi + f[:, None]).max(axis=0)
     kernel = np.exp(phi + f[:, None] + g[None, :])
-    b = np.ones(q.size)
+    # One buffer holds both scalings, so the range test reads it once.
+    scalings = np.ones(p.size + q.size)
+    a, b = scalings[: p.size], scalings[p.size :]
     kernel_b = kernel @ b
+    residual = np.empty(p.size)
     sweeps = steps = 0
     error = newton_error = math.inf
     previous = None
     cost = _NEWTON_SWEEPS + _NEWTON_SWEEPS_PER_CELL * phi.size
     while sweeps + steps < IPFP_MAX_ITER:
         sweeps += 1
-        a = p / kernel_b
-        b = q / (a @ kernel)
-        if max(a.max(), b.max(), 1.0 / a.min(), 1.0 / b.min()) > _SCALING_RANGE:
+        np.divide(p, kernel_b, out=a)
+        np.divide(q, a @ kernel, out=b)
+        if max(scalings.max(), 1.0 / scalings.min()) > _SCALING_RANGE:
             f += np.log(a)
             g += np.log(b)
             kernel = np.exp(phi + f[:, None] + g[None, :])
-            a, b = np.ones(p.size), np.ones(q.size)
-        kernel_b = kernel @ b
-        sweep_error = float(np.abs(a * kernel_b - p).max())
+            scalings.fill(1.0)
+        np.matmul(kernel, b, out=kernel_b)
+        np.multiply(a, kernel_b, out=residual)
+        residual -= p
+        sweep_error = float(np.abs(residual, out=residual).max())
         if not sweep_error < math.inf:
             break
         error = sweep_error
@@ -367,8 +391,10 @@ def _warm_start(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     which needs fewer pivots than ``maximize_surplus``'s northwest corner.
     Log-domain sweeps from the column duals then fit the margins, so no
     type, however small its mass, starts far off it.  Each sweep fits the
-    columns exactly; the sweeps go on, ``_BLOCK`` at most, until every row
-    sum is within a factor ``e`` of its margin too.  Newton's step in a row
+    columns exactly; the sweeps go on, ``_BLOCK`` (10) at most, until every
+    row sum is within a factor ``e`` of its margin too.  A type of mass near
+    1e-12 can use them all and still be off by more, yet within
+    ``IPFP_TOL``, so the Newton phase takes no step.  Newton's step in a row
     potential is the row's relative error, the linearization of the log of
     its ratio, and one sweep can leave a light row whose only tight cell
     shares a column with a heavy row off by a factor of 3e11: no
@@ -425,6 +451,7 @@ def _newton(
         return mu.T, steps, error
     mu, rows, cols, value, error = _dual(phi, f, g, p, q)
     steps = 0
+    dg = np.zeros(q.size)  # the last entry stays 0: that g is fixed
     # A trial step may overflow exp; its dual value is then inf and the
     # backtracking rejects it.
     with np.errstate(over="ignore"):
@@ -432,14 +459,15 @@ def _newton(
             steps += 1
             gradient_f, gradient_g = rows - p, (cols - q)[:-1]
             scaled = mu[:, :-1] / rows[:, None]
-            schur = np.diag(cols[:-1]) - mu[:, :-1].T @ scaled
+            schur = mu[:, :-1].T @ scaled
+            np.negative(schur, out=schur)
+            schur.ravel()[:: q.size] += cols[:-1]  # the diagonal
             try:
-                dg = np.linalg.solve(schur, scaled.T @ gradient_f - gradient_g)
+                dg[:-1] = np.linalg.solve(schur, scaled.T @ gradient_f - gradient_g)
             except np.linalg.LinAlgError:
                 break
-            df = -(gradient_f + mu[:, :-1] @ dg) / rows
-            slope = float(gradient_f @ df + gradient_g @ dg)
-            dg = np.append(dg, 0.0)
+            df = -(gradient_f + mu[:, :-1] @ dg[:-1]) / rows
+            slope = float(gradient_f @ df + gradient_g @ dg[:-1])
             t = 1.0
             while True:
                 trial = _dual(phi, f + t * df, g + t * dg, p, q)

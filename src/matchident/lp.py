@@ -303,15 +303,16 @@ def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
     mu = mu.tolist()
     # Basic cells price at zero up to rounding; at -inf they never enter.
     priced = np.where(basic, -np.inf, cost)
-    reduced = np.empty((m, n))
+    duals, reduced = np.empty(m + n), np.empty((m, n))
+    eligible = np.empty((m, n), dtype=bool)
     parent, depth, potential = _tree(adjacency)
     cap = _pivot_cap(m, n)
     degenerate = 0
     for pivots in range(cap + 1):
-        duals = np.array(potential)
+        duals[:] = potential
         np.subtract(priced, duals[:m, None], out=reduced)
         reduced -= duals[m:]
-        best = float(reduced.max())
+        best = float(np.maximum.reduce(reduced, axis=None))
         if best <= entering_tol:
             break
         if pivots == cap:
@@ -320,7 +321,8 @@ def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
                 iterations=cap,
                 residual=best,
             )
-        entering = divmod(int((reduced >= best - entering_tol).argmax()), n)
+        np.greater_equal(reduced, best - entering_tol, out=eligible)
+        entering = divmod(int(eligible.argmax()), n)
         degenerate += _pivot(entering, mu, priced, adjacency, parent, depth, potential)
     mu = np.array(mu)
     # The cycles leave rounding-size masses where exact arithmetic empties a

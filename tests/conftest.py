@@ -103,6 +103,37 @@ def assert_ipfp_certificate(phi: np.ndarray, margins: Margins, mu: np.ndarray) -
     assert np.abs(cross[valid]).max(initial=0.0) <= 1e-9 * (1.0 + np.abs(phi).max())
 
 
+STRESS_SHAPES = [(2, 60), (60, 3), (3, 3), (8, 8), (12, 30), (30, 12), (25, 25), (40, 40),
+                 (5, 17), (17, 5)]
+
+
+def entropic_stress_market(i: int) -> tuple[Margins, Surplus]:
+    """Market ``i`` of the entropic stress set, drawn from ``default_rng([2026,
+    i])``.  The margins cycle every ten markets through uniform(0.2, 1),
+    uniform, and uniform(0.2, 1) with one row and one column type 1e-9 or
+    1e-12 times lighter; the surplus is N(0, 1), rounded to half integers
+    (ties) on odd ``i``, times a scale of 1e3 to 1e5, plus separable shifts
+    of +-1e7 when ``i % 4`` is 1 or 2."""
+    rng = np.random.default_rng([2026, i])
+    d_x, d_y = STRESS_SHAPES[i % len(STRESS_SHAPES)]
+    if (i // 10) % 3 == 1:
+        p, q = np.ones(d_x), np.ones(d_y)
+    else:
+        p, q = rng.uniform(0.2, 1.0, d_x), rng.uniform(0.2, 1.0, d_y)
+        if (i // 10) % 3 == 2:
+            p[rng.integers(d_x)] *= 10.0 ** rng.choice([-9, -12])
+            q[rng.integers(d_y)] *= 10.0 ** rng.choice([-9, -12])
+    scale = 10.0 ** rng.uniform(3, 5)
+    phi = rng.standard_normal((d_x, d_y))
+    if i % 2:
+        phi = np.round(2.0 * phi) / 2.0
+    phi = scale * phi
+    if i % 4 in (1, 2):
+        phi = phi + 1e7 * rng.choice([-1.0, 1.0], d_x)[:, None]
+        phi = phi + 1e7 * rng.choice([-1.0, 1.0], d_y)[None, :]
+    return Margins(p / p.sum(), q / q.sum()), Surplus(phi)
+
+
 @pytest.fixture
 def uniform2() -> Margins:
     return Margins([0.5, 0.5], [0.5, 0.5])

@@ -34,6 +34,7 @@ from matchident import (
 from matchident import entropy
 from conftest import (
     assert_ipfp_certificate,
+    entropic_stress_market,
     random_interior_matching,
     random_margins,
     random_surplus,
@@ -93,6 +94,39 @@ def ipfp_log_domain(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     return mu, False
 
 
+def ipfp_sweeps_reference(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """The sweeps of ``entropy._ipfp`` alone, written plainly: a fresh array
+    for every scaling, kernel sum and residual, with the same expressions in
+    the same order.  Returns the matching, the sweeps, how many times the
+    scalings were folded into the potentials, and the margin error."""
+    f = -phi.max(axis=1)
+    g = -(phi + f[:, None]).max(axis=0)
+    kernel = np.exp(phi + f[:, None] + g[None, :])
+    b = np.ones(q.size)
+    kernel_b = kernel @ b
+    sweeps = folds = 0
+    while sweeps < IPFP_MAX_ITER:
+        sweeps += 1
+        a = p / kernel_b
+        b = q / (a @ kernel)
+        if max(a.max(), b.max(), 1.0 / a.min(), 1.0 / b.min()) > entropy._SCALING_RANGE:
+            folds += 1
+            f = f + np.log(a)
+            g = g + np.log(b)
+            kernel = np.exp(phi + f[:, None] + g[None, :])
+            a, b = np.ones(p.size), np.ones(q.size)
+        kernel_b = kernel @ b
+        error = float(np.abs(a * kernel_b - p).max())
+        if error <= IPFP_TOL:
+            break
+    mu = a[:, None] * kernel * b[None, :]
+    rows, cols = np.nonzero(kernel < np.finfo(float).tiny)
+    mu[rows, cols] = np.exp(
+        phi[rows, cols] + f[rows] + np.log(a[rows]) + g[cols] + np.log(b[cols])
+    )
+    return mu, sweeps, folds, error
+
+
 def tangent_fd_gradient_error(
     model: EntropyModel, matching: Matching, step: float = 1e-6
 ) -> float:
@@ -114,37 +148,6 @@ def tangent_fd_gradient_error(
                     analytic = float(np.sum(grad * direction))
                     worst = max(worst, abs(fd - analytic))
     return worst
-
-
-STRESS_SHAPES = [(2, 60), (60, 3), (3, 3), (8, 8), (12, 30), (30, 12), (25, 25), (40, 40),
-                 (5, 17), (17, 5)]
-
-
-def stress_market(i: int) -> tuple[Margins, Surplus]:
-    """Market ``i`` of the entropic stress set, drawn from ``default_rng([2026,
-    i])``.  The margins cycle every ten markets through uniform(0.2, 1),
-    uniform, and uniform(0.2, 1) with one row and one column type 1e-9 or
-    1e-12 times lighter; the surplus is N(0, 1), rounded to half integers
-    (ties) on odd ``i``, times a scale of 1e3 to 1e5, plus separable shifts
-    of +-1e7 when ``i % 4`` is 1 or 2."""
-    rng = np.random.default_rng([2026, i])
-    d_x, d_y = STRESS_SHAPES[i % len(STRESS_SHAPES)]
-    if (i // 10) % 3 == 1:
-        p, q = np.ones(d_x), np.ones(d_y)
-    else:
-        p, q = rng.uniform(0.2, 1.0, d_x), rng.uniform(0.2, 1.0, d_y)
-        if (i // 10) % 3 == 2:
-            p[rng.integers(d_x)] *= 10.0 ** rng.choice([-9, -12])
-            q[rng.integers(d_y)] *= 10.0 ** rng.choice([-9, -12])
-    scale = 10.0 ** rng.uniform(3, 5)
-    phi = rng.standard_normal((d_x, d_y))
-    if i % 2:
-        phi = np.round(2.0 * phi) / 2.0
-    phi = scale * phi
-    if i % 4 in (1, 2):
-        phi = phi + 1e7 * rng.choice([-1.0, 1.0], d_x)[:, None]
-        phi = phi + 1e7 * rng.choice([-1.0, 1.0], d_y)[None, :]
-    return Margins(p / p.sum(), q / q.sum()), Surplus(phi)
 
 
 class TestEntropyModel:
@@ -508,7 +511,7 @@ class TestSolveRegularized:
         light types, uniform margins, ties, large scales and large shifts."""
         model = EntropyModel.shannon()
         for i in range(400):
-            margins, phi = stress_market(i)
+            margins, phi = entropic_stress_market(i)
             _, report = solve_regularized(model, phi, margins)
             assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
 
@@ -519,7 +522,7 @@ class TestSolveRegularized:
         3e-12 times its margin, and the Newton step for it (about 3e11)
         fails every backtracking trial.  The warm start sweeps on until
         every row sum is within a factor e of its margin."""
-        margins, phi = stress_market(2242)
+        margins, phi = entropic_stress_market(2242)
         assert margins.p.min() < 1e-12 and margins.q.min() < 1e-12
         _, report = solve_regularized(EntropyModel.shannon(), phi, margins)
         assert report.newton_steps > 0
@@ -556,6 +559,60 @@ class TestSolveRegularized:
         _, report = solve_regularized(model, phi, margins)
         assert report.newton_steps > 0
         assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
+
+    def test_hand_over_timing_does_not_change_the_answer(self, monkeypatch):
+        """The Newton phase starts from the LP's duals, not from the sweeps'
+        state, so handing over after ``2 * _BLOCK`` sweeps rather than
+        twice as many gives the same bytes and the same Newton steps.  The
+        markets are the plateau market and the benchmark's finite-sample
+        markets (10x10 to 30x30, drawn from seed 2102) at scales 10 to 400;
+        30x30 at scale 10 hands over at the second judgement either way."""
+        rng = np.random.default_rng(97)
+        margins = random_margins(rng, 10, 10)
+        markets = [(margins, random_surplus(rng, 10, 10, scale=50.0))]
+        rng = np.random.default_rng(2102)
+        for d in (10, 20, 30):
+            margins = random_margins(rng, d, d)
+            base = rng.standard_normal((d, d))
+            markets += [(margins, Surplus(scale * base)) for scale in (10, 50, 100, 400)]
+        model = EntropyModel.shannon()
+        for margins, phi in markets:
+            _, report = solve_regularized(model, phi, margins)
+            with monkeypatch.context() as patch:
+                patch.setattr(entropy, "_BLOCK", 2 * entropy._BLOCK)
+                _, later = solve_regularized(model, phi, margins)
+            assert report.mu.mu.tobytes() == later.mu.mu.tobytes()
+            assert report.newton_steps == later.newton_steps > 0
+            assert 2 * report.sweeps == later.sweeps
+
+    def test_sweeps_match_the_plain_reference_bit_for_bit(self, monkeypatch):
+        """With the hand-over disabled, the sweeps give the bytes, sweep
+        count and margin error of a plain loop that allocates every array
+        afresh, on markets whose scalings fold into the potentials (scales
+        400 and 1,000) and on one with a zero-mass row type."""
+        monkeypatch.setattr(entropy, "_BLOCK", IPFP_MAX_ITER + 1)
+        rng = np.random.default_rng(93)
+        markets = []
+        for (d_x, d_y), scale in (((3, 4), 400), ((3, 4), 1000), ((6, 5), 400), ((8, 8), 400)):
+            margins = random_margins(rng, d_x, d_y)
+            markets.append((margins, random_surplus(rng, d_x, d_y, scale=scale)))
+        p = np.append(random_margins(rng, 5, 6).p, 0.0)
+        zero_mass = Margins(p, random_margins(rng, 5, 6).q, allow_zero_mass=True)
+        markets.append((zero_mass, random_surplus(rng, 6, 6, scale=400.0)))
+        model = EntropyModel.shannon()
+        for margins, phi in markets:
+            _, report = solve_regularized(model, phi, margins)
+            rows, cols = margins.p > 0.0, margins.q > 0.0
+            support = np.ix_(rows, cols)
+            mu, sweeps, folds, error = ipfp_sweeps_reference(
+                phi.phi[support], margins.p[rows], margins.q[cols]
+            )
+            assert folds > 0
+            expected = np.zeros(margins.shape)
+            expected[support] = mu
+            assert report.mu.mu.tobytes() == expected.tobytes()
+            assert (report.sweeps, report.newton_steps) == (sweeps, 0)
+            assert report.margin_error == error
 
     def test_stalled_newton_phase_hands_back_to_the_sweeps(self, monkeypatch):
         """A Newton phase that stalls, here on a Schur complement that will
