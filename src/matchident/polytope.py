@@ -44,13 +44,18 @@ VERTEX_CELL_GUARD = 16
 
 
 def dimension(margins: Margins) -> int:
-    """Dimension of the polytope: ``(d_x - 1) * (d_y - 1)``.
+    """Dimension of the polytope: ``(m - 1) * (n - 1)`` for the ``m`` x types
+    and ``n`` y types of positive mass.
 
-    Of the ``d_x + d_y`` margin equations only ``d_x + d_y - 1`` are
-    independent (both sides share the same total mass), which leaves this
-    many free directions.
+    The cells of a zero-mass type are zero in every feasible matching, so
+    only the ``m * n`` cells between positive-mass types are free.  Of
+    their ``m + n`` margin equations only ``m + n - 1`` are independent
+    (both sides share the same total mass), which leaves this many free
+    directions.
     """
-    return (margins.d_x - 1) * (margins.d_y - 1)
+    m = int(np.count_nonzero(margins.p > 0.0))
+    n = int(np.count_nonzero(margins.q > 0.0))
+    return (m - 1) * (n - 1)
 
 
 def contains(mu, margins: Margins, tol: float = MASS_TOL) -> bool:
@@ -177,6 +182,10 @@ class GaugeResult:
     normal: np.ndarray
 
 
+#: The last matching ``gauge`` scaled, and its ray.
+_last_ray: tuple[Matching, GaugeResult] | None = None
+
+
 def gauge(mu_hat: Matching) -> GaugeResult:
     """Scale ``mu_hat`` along the ray from the barycenter to the boundary.
 
@@ -194,7 +203,27 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     ``BOUNDARY_TOL`` or within its margin defect (no cell shrinks), or when
     it is on the boundary but shrinks no empty cell: the ray then has no
     direction or no exit.
+
+    The ray of the last matching scaled is kept in one slot, keyed by
+    identity: a call on that same object returns the same ``GaugeResult``,
+    so a verdict followed by a gauge identification of one observation
+    scales it once.  ``Matching`` and ``GaugeResult`` are immutable, so the
+    ray is a pure function of the object.  The slot retains that matching
+    and its ray until the next call on another matching; a
+    ``DegenerateRayError`` is raised afresh each time and leaves the slot
+    as it was.
     """
+    global _last_ray
+    last = _last_ray
+    if last is not None and last[0] is mu_hat:
+        return last[1]
+    ray = _scale_to_boundary(mu_hat)
+    _last_ray = (mu_hat, ray)
+    return ray
+
+
+def _scale_to_boundary(mu_hat: Matching) -> GaugeResult:
+    """The ray of ``gauge``, computed afresh."""
     margins = mu_hat.margins
     bary = _barycenter_mu(margins)
     diff = mu_hat.mu - bary

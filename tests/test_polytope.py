@@ -1,5 +1,8 @@
 """Polytope geometry: dimension, membership, vertices, boundary, gauge ray."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,11 +14,13 @@ from matchident import (
     NotInPolytopeError,
     ValidationError,
     barycenter,
+    check_rationalizable,
     contains,
     dimension,
     enumerate_vertices,
     gauge,
     is_boundary,
+    rationalize_gauge,
 )
 from conftest import (
     boundary_matching_the_ray_grows,
@@ -75,6 +80,26 @@ class TestDimension:
                 assert rank == d_x + d_y - 1
                 margins = random_margins(np.random.default_rng(d_x * d_y), d_x, d_y)
                 assert dimension(margins) == d_x * d_y - rank
+
+    def test_zero_mass_types_add_no_direction(self):
+        """With zero-mass types, the dimension is the rank of the vertex
+        differences: only the cells between positive-mass types move.  A
+        zero-mass type on one side or on both of a 2x2 market leaves a
+        segment."""
+        cases = [([0.5, 0.5, 0.0], [0.5, 0.5]), ([0.5, 0.5, 0.0], [0.5, 0.5, 0.0])]
+        rng = np.random.default_rng(15)
+        for d_x in range(2, 5):
+            for d_y in range(2, 5):
+                for _ in range(2):
+                    p, q = rng.uniform(0.5, 1.5, d_x), rng.uniform(0.5, 1.5, d_y)
+                    p[rng.choice(d_x, rng.integers(1, d_x), replace=False)] = 0.0
+                    q[rng.choice(d_y, rng.integers(0, d_y), replace=False)] = 0.0
+                    cases.append((p / p.sum(), q / q.sum()))
+        for p, q in cases:
+            margins = Margins(p, q, allow_zero_mass=True)
+            verts = [v.mu.ravel() for v in enumerate_vertices(margins)]
+            rank = np.linalg.matrix_rank(np.array(verts) - verts[0])
+            assert dimension(margins) == rank
 
 
 class TestContains:
@@ -238,6 +263,60 @@ class TestGauge:
         for s in (0.25, 0.5, 0.9, 1.0, result.t_star):
             point = Matching(bary + s * (mu.mu - bary), margins)
             assert gauge(point).t_star == pytest.approx(result.t_star / s, rel=1e-10)
+
+
+class TestGaugeMemo:
+    """``gauge`` keeps the ray of the last matching it scaled, keyed by
+    identity, in one slot."""
+
+    @pytest.fixture
+    def pair(self):
+        rng = np.random.default_rng(16)
+        margins = random_margins(rng, 3, 4)
+        return (random_interior_matching(rng, margins),
+                random_interior_matching(rng, margins))
+
+    def test_verdict_and_identification_share_the_ray(self, pair):
+        mu = pair[0]
+        assert check_rationalizable(mu).mu_star is rationalize_gauge(mu)[0].mu_star
+        assert gauge(mu) is gauge(mu)
+
+    def test_a_b_a_gives_the_fresh_rays(self, pair):
+        def fields(ray):
+            return (ray.t_star, ray.binding.tobytes(), ray.normal.tobytes(),
+                    ray.mu_star.mu.tobytes())
+
+        fresh = [fields(gauge(Matching(mu.mu, mu.margins))) for mu in pair]
+        a, b = pair
+        for mu, want in ((a, fresh[0]), (b, fresh[1]), (a, fresh[0])):
+            assert fields(gauge(mu)) == want
+
+    def test_equal_contents_are_another_matching(self, pair):
+        mu = pair[0]
+        twin = Matching(mu.mu, mu.margins)
+        ray = gauge(mu)
+        assert gauge(twin) is not ray
+        assert gauge(mu) is not ray
+
+    def test_the_barycenter_raises_every_time(self, uniform2, interior_matching):
+        bary = barycenter(uniform2)
+        ray = gauge(interior_matching)
+        for _ in range(3):
+            with pytest.raises(DegenerateRayError):
+                gauge(bary)
+        assert gauge(interior_matching) is ray
+
+    def test_the_slot_lets_earlier_matchings_go(self):
+        rng = np.random.default_rng(17)
+        margins = random_margins(rng, 3, 4)
+        a = random_interior_matching(rng, margins)
+        b = random_interior_matching(rng, margins)
+        gauge(a)
+        gauge(b)
+        ref = weakref.ref(a)
+        del a
+        gc.collect()
+        assert ref() is None
 
 
 class TestIsBoundary:

@@ -16,20 +16,26 @@ from matchident import (
     BOUNDARY_TOL,
     OPTIMALITY_TOL,
     SEPARABILITY_TOL,
+    DegenerateRayError,
     EntropyModel,
+    KinkPointError,
     Margins,
     Matching,
     NonInteriorError,
     Surplus,
+    TypeValues,
     barycenter,
     check_rationalizable,
     decompose_separable,
+    eval_entropy,
     gauge,
     identify_entropy,
     is_boundary,
     is_maximizer,
     is_nonseparable,
     maximize_surplus,
+    rationalize_gauge,
+    simulate_market,
     solve_regularized,
     total_surplus,
 )
@@ -223,3 +229,96 @@ def test_shannon_identification_round_trips_the_entropic_solve():
 
     check()
     assert outcomes["answered"] and outcomes["domain"]
+
+
+@st.composite
+def empirical_matchings(draw) -> tuple[Matching, TypeValues]:
+    """A ``simulate_market`` draw of 3 to 1,000 households on a 2x2 to 6x6
+    market, with a normal surplus at scale 1 to 10: small samples leave
+    cells empty and types unobserved.  Type values for the quantile
+    entropy come with it."""
+    d_x, d_y = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, q = rng.uniform(0.5, 1.5, d_x), rng.uniform(0.5, 1.5, d_y)
+    phi = 10.0 ** draw(st.floats(0.0, 1.0)) * rng.standard_normal((d_x, d_y))
+    _, empirical = simulate_market(
+        Surplus(phi), Margins(p / p.sum(), q / q.sum()),
+        draw(st.integers(3, 1_000)), draw(st.integers(0, 2**32 - 1)),
+    )
+    values = TypeValues(np.cumsum(rng.uniform(0.5, 1.5, d_x)),
+                        np.cumsum(rng.uniform(0.5, 1.5, d_y)))
+    return empirical, values
+
+
+def _certified_gauge(t_star: float, normal: np.ndarray, mu_star: Matching) -> bool:
+    return t_star >= 1.0 and _certifies(normal, mu_star)
+
+
+def test_every_observation_route_answers_empirical_matchings_or_names_the_domain():
+    """Empirical matchings, with their empty cells and zero-mass types, get
+    from every observation route either an answer that passes its
+    certificate or a named domain error."""
+    outcomes = Counter()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(drawn=empirical_matchings())
+    def check(drawn):
+        mu, values = drawn
+        noise = np.random.default_rng(0).standard_normal(mu.mu.shape)
+        direction = (noise - noise.mean(axis=1, keepdims=True)
+                     - noise.mean(axis=0, keepdims=True) + noise.mean())
+        h = 0.5 * mu.mu.min() / np.abs(direction).max()
+
+        def route(name, answer):
+            try:
+                assert answer(), name
+                outcomes[name, "answered"] += 1
+            except (NonInteriorError, KinkPointError, DegenerateRayError) as error:
+                outcomes[name, type(error).__name__] += 1
+
+        def verdict():
+            report = check_rationalizable(mu)
+            if report.rationalizable:
+                assert _certifies(report.witness.phi, mu)
+            return report.rationalizable == is_boundary(mu) and (
+                report.t_star is None or report.t_star >= 1.0)
+
+        def rationalized():
+            ray, identified = rationalize_gauge(mu)
+            return (_certified_gauge(ray.t_star, ray.normal, ray.mu_star)
+                    and identified.diagnostics["maximizer_verified"] == 1.0)
+
+        def identified(model):
+            def answer():
+                found = identify_entropy(mu, model)
+                if model.kind == "gauge":
+                    return (found.diagnostics["t_star"] >= 1.0
+                            and found.diagnostics["maximizer_verified"] == 1.0)
+                if model.kind == "shannon":
+                    # Optimal for the shannon problem: log mu - phi is separable.
+                    gap = Surplus(np.log(mu.mu) - found.phi_canonical.phi)
+                    return not is_nonseparable(gap, mu.margins)
+                # The quantile entropy is quadratic along a direction that
+                # keeps the margins, so a central difference is its slope.
+                step = h * direction
+                slope = (eval_entropy(model, Matching(mu.mu + step, mu.margins))
+                         - eval_entropy(model, Matching(mu.mu - step, mu.margins))) / (2.0 * h)
+                return abs(slope - np.sum(found.phi_raw.phi * direction)) <= 1e-8
+            return answer
+
+        def gauge_value():
+            ray = gauge(mu)
+            return (eval_entropy(EntropyModel.gauge(), mu) == -ray.t_star
+                    and _certified_gauge(ray.t_star, ray.normal, ray.mu_star))
+
+        route("check_rationalizable", verdict)
+        route("rationalize_gauge", rationalized)
+        for model in (EntropyModel.shannon(), EntropyModel.gauge(),
+                      EntropyModel.quantile(values)):
+            route(f"identify_entropy.{model.kind}", identified(model))
+        route("eval_entropy.gauge", gauge_value)
+
+    check()
+    names = {name for name, _ in outcomes}
+    assert all(outcomes[name, "answered"] for name in names)
+    assert {error for _, error in outcomes} >= {"NonInteriorError", "DegenerateRayError"}
