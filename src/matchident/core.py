@@ -5,6 +5,8 @@ matching (a nonnegative matrix with those margins), and a surplus matrix
 giving the joint value created when a type-x agent pairs with a type-y
 agent.  Everything here is small, dense and immutable: arrays are copied on
 construction, validated against the documented invariants, and frozen.
+Surpluses and separable parts the library computes itself are frozen in
+place instead, after the finite test alone.
 
 The one piece of real analysis in this module is the separable
 decomposition.  Any surplus splits uniquely as ``f[x] + g[y] + residual``
@@ -331,6 +333,21 @@ class TypeValues:
         _freeze(self, x_values=xv, y_values=yv)
 
 
+def _adopt(cls, **arrays):
+    """A ``Surplus`` or ``SeparableParts`` holding arrays the library just built.
+
+    The arrays are frozen in place rather than copied: they are float
+    matrices and vectors of the right shapes by construction, so of the
+    public constructor's checks only the finite test runs, in field order.
+    """
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} must be finite")
+    obj = object.__new__(cls)
+    _freeze(obj, **arrays)
+    return obj
+
+
 def _imbalance_tol(margins: Margins) -> float:
     """``MASS_TOL`` plus the margins' sum difference, which a line of any matching absorbs."""
     return MASS_TOL + abs(margins.p.sum() - margins.q.sum())
@@ -373,7 +390,7 @@ def decompose_separable(phi: Surplus, margins: Margins) -> SeparableParts:
     f = phi.phi @ q - grand_mean / 2.0
     g = p @ phi.phi - grand_mean / 2.0
     residual = phi.phi - f[:, None] - g[None, :]
-    return SeparableParts(f=f, g=g, residual=residual)
+    return _adopt(SeparableParts, f=f, g=g, residual=residual)
 
 
 def _is_nonzero_residual(residual: np.ndarray, phi: np.ndarray) -> bool:

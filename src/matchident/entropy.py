@@ -52,6 +52,7 @@ from .core import (
     Surplus,
     TypeValues,
     ValidationError,
+    _adopt,
     _check_same_shape,
     _imbalance_tol,
     conditionals,
@@ -274,7 +275,7 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     """
     if model.kind == "gauge":
         ray = polytope.gauge(mu)
-        return Surplus(ray.t_star * ray.normal)
+        return _adopt(Surplus, phi=ray.t_star * ray.normal)
     if mu.mu.min() <= BOUNDARY_TOL:
         cell = np.unravel_index(np.argmin(mu.mu), mu.mu.shape)
         raise NonInteriorError(
@@ -283,7 +284,7 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
             cell=(int(cell[0]), int(cell[1])),
         )
     if model.kind == "shannon":
-        return Surplus(1.0 + np.log(mu.mu))
+        return _adopt(Surplus, phi=1.0 + np.log(mu.mu))
     values = _check_values_shape(model, mu.mu.shape)
     for cond in conditionals(mu):
         if cond.min() <= _KINK_TOL:
@@ -294,7 +295,7 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
                 " cumulative masses coincide",
                 cell=(int(cell[0]), int(cell[1])),
             )
-    return Surplus(_quantile_grad(mu, values))
+    return _adopt(Surplus, phi=_quantile_grad(mu, values))
 
 
 # Past the float range a scaling turns inf or nan without a warning.

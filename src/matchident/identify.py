@@ -31,6 +31,7 @@ from .core import (
     Matching,
     Surplus,
     ValidationError,
+    _adopt,
     _barycenter_mu,
     _is_nonzero_residual,
     decompose_separable,
@@ -140,7 +141,7 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     except DegenerateRayError:
         t_star, mu_star = None, None
     if empty.any():
-        witness = Surplus(np.where(empty, -1.0, 0.0))
+        witness = _adopt(Surplus, phi=np.where(empty, -1.0, 0.0))
         checks = RationalizabilityChecks(
             boundary=True,
             maximizer=_certifies(witness.phi, mu_hat),
@@ -153,6 +154,10 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     )
 
 
+#: The last gauge identification, keyed by the ray it was read off.
+_last_identified: tuple[GaugeResult, IdentifiedSurplus] | None = None
+
+
 def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]:
     """Identify a surplus by scaling the observation to the boundary.
 
@@ -163,11 +168,31 @@ def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]
     ``t_star`` times it, is the gauge entropy's gradient at ``mu_hat``.  A
     boundary observation is its own exit point (``t_star = 1``).
 
-    Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter.
+    Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter, or
+    when it is on the boundary but shrinks none of its empty cells (the
+    barycenter is empty wherever the observation is).
+
+    The identification of the last ray is kept in one slot, keyed by the
+    identity of the ``GaugeResult`` that ``gauge`` returned, and so of the
+    ``Matching`` object it scaled: a repeated call on that object, or a
+    gauge ``identify_entropy`` after it, reads the slot instead of
+    identifying again.  Each call returns its own copy of ``diagnostics``,
+    so editing one result leaves the next as it was.  The slot retains
+    that ray and identification until the next call on another matching.
     """
-    margins = mu_hat.margins
+    global _last_identified
     ray = gauge(mu_hat)
-    phi_raw = Surplus(ray.t_star * ray.normal)
+    last = _last_identified
+    if last is None or last[0] is not ray:
+        last = _last_identified = (ray, _identify_on_ray(mu_hat, ray))
+    identified = last[1]
+    return ray, replace(identified, diagnostics=dict(identified.diagnostics))
+
+
+def _identify_on_ray(mu_hat: Matching, ray: GaugeResult) -> IdentifiedSurplus:
+    """The identification of ``rationalize_gauge``, computed afresh."""
+    margins = mu_hat.margins
+    phi_raw = _adopt(Surplus, phi=ray.t_star * ray.normal)
     parts = decompose_separable(phi_raw, margins)
     direction = mu_hat.mu - _barycenter_mu(margins)
     diagnostics = {
@@ -176,13 +201,12 @@ def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]
         "maximizer_verified": float(_certifies(ray.normal, ray.mu_star)),
         "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
     }
-    identified = IdentifiedSurplus(
+    return IdentifiedSurplus(
         phi_raw=phi_raw,
-        phi_canonical=Surplus(parts.residual),
+        phi_canonical=_adopt(Surplus, phi=parts.residual),
         entropy_kind=EntropyModel.gauge(),
         diagnostics=diagnostics,
     )
-    return ray, identified
 
 
 def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus:
@@ -193,7 +217,10 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
     gradient is the raw answer and its doubly centered residual the
     canonical one.  Gradient domain errors (boundary point, kink,
     barycenter) propagate and name the offending cell.  The gauge entropy
-    takes the route, and reports the diagnostics, of ``rationalize_gauge``.
+    takes the route, and reports the diagnostics, of ``rationalize_gauge``:
+    it reads that route's one slot, so after ``rationalize_gauge`` on the
+    same ``Matching`` object it identifies nothing again, and it returns
+    its own copy of ``diagnostics`` with ``entropy_kind`` set to ``model``.
 
     For the shannon entropy the canonical part is, equivalently, the matrix
     of log cross-difference contrasts of the observation; the diagnostics
@@ -221,7 +248,7 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
             diagnostics["cross_difference"] = float(lm[0, 0] + lm[1, 1] - lm[0, 1] - lm[1, 0])
     return IdentifiedSurplus(
         phi_raw=phi_raw,
-        phi_canonical=Surplus(parts.residual),
+        phi_canonical=_adopt(Surplus, phi=parts.residual),
         entropy_kind=model,
         diagnostics=diagnostics,
     )

@@ -5,6 +5,7 @@ import pytest
 
 from matchident import (
     SEPARABILITY_TOL,
+    EntropyModel,
     Margins,
     Matching,
     NotInPolytopeError,
@@ -13,9 +14,13 @@ from matchident import (
     TypeValues,
     ValidationError,
     barycenter,
+    check_rationalizable,
     conditionals,
     decompose_separable,
+    grad_entropy,
+    identify_entropy,
     is_nonseparable,
+    rationalize_gauge,
     total_surplus,
 )
 from conftest import random_margins, random_interior_matching, random_surplus, vertices_for
@@ -262,3 +267,39 @@ class TestConditionals:
         mu = Matching([[0.0, 0.0], [0.5, 0.5]], margins)
         with pytest.raises(ValidationError):
             conditionals(mu)
+
+
+class TestLibraryBuiltArrays:
+    """Arrays the library computes are frozen in place, not copied: they
+    keep the finite test and are read-only, while arrays a caller passes in
+    are still copied."""
+
+    def test_an_overflowing_decomposition_is_refused(self):
+        margins = Margins([1 - 1e-9, 1e-9], [1 - 1e-9, 1e-9])
+        phi = Surplus([[-1.5e308, 1.5e308], [1.5e308, 1.5e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="f must be finite"):
+                decompose_separable(phi, margins)
+
+    def test_results_are_read_only(self, interior_matching, assortative_matching):
+        models = (EntropyModel.shannon(), EntropyModel.gauge(),
+                  EntropyModel.quantile(TypeValues([0.0, 1.0], [0.0, 1.0])))
+        parts = decompose_separable(Surplus(np.eye(2)), interior_matching.margins)
+        arrays = [parts.f, parts.g, parts.residual,
+                  check_rationalizable(assortative_matching).witness.phi]
+        for identified in (rationalize_gauge(interior_matching)[1],
+                           *(identify_entropy(interior_matching, m) for m in models)):
+            arrays += [identified.phi_raw.phi, identified.phi_canonical.phi]
+        arrays += [grad_entropy(m, interior_matching).phi for m in models]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_a_callers_array_is_copied(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        phi = Surplus(values)
+        assert not np.shares_memory(phi.phi, values)
+        assert values.flags.writeable
+        values[0, 0] = 9.0
+        np.testing.assert_array_equal(phi.phi, [[1.0, 2.0], [3.0, 4.0]])

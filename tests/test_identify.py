@@ -1,6 +1,8 @@
 """Rationalizability verdicts, surplus identification, market simulation."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from conftest import (
     random_nonseparable_surplus,
     random_surplus,
 )
-from matchident.identify import _certifies
+from matchident.identify import _certifies, _identify_on_ray
 
 
 def sample_matchings(rng, margins):
@@ -253,6 +255,76 @@ class TestRationalizeGauge:
             parts = decompose_separable(identified.phi_canonical, margins)
             np.testing.assert_allclose(parts.f, 0.0, atol=1e-10)
             np.testing.assert_allclose(parts.g, 0.0, atol=1e-10)
+
+
+class TestGaugeIdentificationMemo:
+    """``rationalize_gauge`` keeps the identification of the last ray in one
+    slot, keyed by the ray; ``identify_entropy`` with the gauge reads it."""
+
+    @pytest.fixture
+    def pair(self):
+        rng = np.random.default_rng(18)
+        margins = random_margins(rng, 3, 4)
+        return (random_interior_matching(rng, margins),
+                random_boundary_matching(rng, margins))
+
+    @staticmethod
+    def fields(identified):
+        return (identified.phi_raw.phi.tobytes(), identified.phi_canonical.phi.tobytes(),
+                identified.diagnostics)
+
+    def fresh(self, mu):
+        """Both routes' answers, identified without the slot on a new
+        ``Matching`` with the contents of ``mu``."""
+        twin = Matching(mu.mu, mu.margins)
+        want = self.fields(_identify_on_ray(twin, gauge(twin)))
+        return want, want
+
+    def test_the_entropy_route_reads_the_slot_with_fresh_answers(self, pair):
+        for mu in pair:
+            want = self.fresh(mu)
+            geometric = rationalize_gauge(mu)[1]
+            identified = identify_entropy(mu, EntropyModel.gauge())
+            assert (self.fields(geometric), self.fields(identified)) == want
+            assert identified.phi_raw is geometric.phi_raw
+
+    def test_a_b_a_gives_the_fresh_answers(self, pair):
+        a, b = pair
+        fresh = {id(mu): self.fresh(mu) for mu in pair}
+        for mu in (a, b, a):
+            assert (self.fields(rationalize_gauge(mu)[1]),
+                    self.fields(identify_entropy(mu, EntropyModel.gauge()))) == fresh[id(mu)]
+
+    def test_each_call_gets_its_own_diagnostics(self, pair):
+        mu = pair[0]
+        first = rationalize_gauge(mu)[1].diagnostics
+        want = dict(first)
+        first["t_star"] = -1.0
+        first["extra"] = 2.0
+        assert rationalize_gauge(mu)[1].diagnostics == want
+        via_entropy = identify_entropy(mu, EntropyModel.gauge()).diagnostics
+        assert via_entropy == want
+        via_entropy.clear()
+        assert identify_entropy(mu, EntropyModel.gauge()).diagnostics == want
+
+    def test_entropy_kind_is_the_model_passed_in(self, pair):
+        mu = pair[0]
+        assert rationalize_gauge(mu)[1].entropy_kind.kind == "gauge"
+        for _ in range(2):
+            model = EntropyModel.gauge()
+            assert identify_entropy(mu, model).entropy_kind is model
+
+    def test_the_slot_lets_earlier_matchings_go(self):
+        # A boundary matching is its own exit point, so its ray holds it.
+        rng = np.random.default_rng(19)
+        margins = random_margins(rng, 3, 4)
+        boundary = random_boundary_matching(rng, margins)
+        rationalize_gauge(boundary)
+        rationalize_gauge(random_interior_matching(rng, margins))
+        ref = weakref.ref(boundary)
+        del boundary
+        gc.collect()
+        assert ref() is None
 
 
 class TestIdentifyEntropy:
