@@ -124,6 +124,24 @@ def _certifies(phi: np.ndarray, mu: Matching) -> bool:
     return bool(phi.max() <= 0.0 and np.sum(mu.mu * phi) >= -slack)
 
 
+#: The last matching observed, its gauge ray and, once read off, its gauge
+#: identification.
+_last_observed: tuple[Matching, GaugeResult, IdentifiedSurplus | None] | None = None
+
+
+def _observed(mu_hat: Matching) -> tuple[Matching, GaugeResult, IdentifiedSurplus | None]:
+    """The slot's entry for ``mu_hat``, scaled to the boundary on a miss.
+
+    The global is read once and its key checked, so ``mu_hat`` never gets
+    another matching's ray; a ``DegenerateRayError`` leaves the slot alone.
+    """
+    global _last_observed
+    last = _last_observed
+    if last is None or last[0] is not mu_hat:
+        last = _last_observed = (mu_hat, gauge(mu_hat), None)
+    return last
+
+
 def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     """Decide whether an observed matching is rationalizable, with proof.
 
@@ -133,14 +151,20 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     against it and the observation attains 0, so the observation is
     optimal; the report records that dual certificate and the
     nonseparability of the witness.
+
+    The ray goes into ``identify``'s one slot, keyed by the ``Matching``
+    object, for ``rationalize_gauge`` to read; the slot retains that
+    matching until a call on another one.
     """
-    empty = _empty_cells(mu_hat)
     try:
-        ray = gauge(mu_hat)
+        ray = _observed(mu_hat)[1]
         t_star, mu_star = ray.t_star, ray.mu_star
     except DegenerateRayError:
         t_star, mu_star = None, None
-    if empty.any():
+    # The ray of a boundary matching stops at t* = 1, so any other stretch
+    # proves the matching interior without a look at its empty cells.
+    empty = _empty_cells(mu_hat) if t_star in (None, 1.0) else None
+    if empty is not None and empty.any():
         witness = _adopt(Surplus, phi=np.where(empty, -1.0, 0.0))
         checks = RationalizabilityChecks(
             boundary=True,
@@ -152,10 +176,6 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     return RationalizabilityReport(
         witness=witness, t_star=t_star, mu_star=mu_star, checks=checks
     )
-
-
-#: The last gauge identification, keyed by the ray it was read off.
-_last_identified: tuple[GaugeResult, IdentifiedSurplus] | None = None
 
 
 def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]:
@@ -170,43 +190,35 @@ def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]
 
     Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter, or
     when it is on the boundary but shrinks none of its empty cells (the
-    barycenter is empty wherever the observation is).
+    barycenter is empty wherever the observation is); the slot is then
+    left as it was.
 
-    The identification of the last ray is kept in one slot, keyed by the
-    identity of the ``GaugeResult`` that ``gauge`` returned, and so of the
-    ``Matching`` object it scaled: a repeated call on that object, or a
-    gauge ``identify_entropy`` after it, reads the slot instead of
-    identifying again.  Each call returns its own copy of ``diagnostics``,
-    so editing one result leaves the next as it was.  The slot retains
-    that ray and identification until the next call on another matching.
+    The ray and its identification are kept with ``mu_hat`` in one slot,
+    keyed by the ``Matching`` object: after ``check_rationalizable`` the
+    ray is not scaled again, and a repeated call, or a gauge
+    ``identify_entropy`` after it, identifies nothing again.  Each call
+    returns its own copy of ``diagnostics``.
     """
-    global _last_identified
-    ray = gauge(mu_hat)
-    last = _last_identified
-    if last is None or last[0] is not ray:
-        last = _last_identified = (ray, _identify_on_ray(mu_hat, ray))
-    identified = last[1]
+    global _last_observed
+    _, ray, identified = _observed(mu_hat)
+    if identified is None:
+        margins = mu_hat.margins
+        phi_raw = _adopt(Surplus, phi=ray.t_star * ray.normal)
+        parts = decompose_separable(phi_raw, margins)
+        direction = mu_hat.mu - _barycenter_mu(margins)
+        identified = IdentifiedSurplus(
+            phi_raw=phi_raw,
+            phi_canonical=_adopt(Surplus, phi=parts.residual),
+            entropy_kind=EntropyModel.gauge(),
+            diagnostics={
+                "t_star": ray.t_star,
+                "normalization": float(np.sum(ray.normal * direction)),
+                "maximizer_verified": float(_certifies(ray.normal, ray.mu_star)),
+                "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
+            },
+        )
+        _last_observed = (mu_hat, ray, identified)
     return ray, replace(identified, diagnostics=dict(identified.diagnostics))
-
-
-def _identify_on_ray(mu_hat: Matching, ray: GaugeResult) -> IdentifiedSurplus:
-    """The identification of ``rationalize_gauge``, computed afresh."""
-    margins = mu_hat.margins
-    phi_raw = _adopt(Surplus, phi=ray.t_star * ray.normal)
-    parts = decompose_separable(phi_raw, margins)
-    direction = mu_hat.mu - _barycenter_mu(margins)
-    diagnostics = {
-        "t_star": ray.t_star,
-        "normalization": float(np.sum(ray.normal * direction)),
-        "maximizer_verified": float(_certifies(ray.normal, ray.mu_star)),
-        "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
-    }
-    return IdentifiedSurplus(
-        phi_raw=phi_raw,
-        phi_canonical=_adopt(Surplus, phi=parts.residual),
-        entropy_kind=EntropyModel.gauge(),
-        diagnostics=diagnostics,
-    )
 
 
 def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus:
@@ -218,9 +230,10 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
     canonical one.  Gradient domain errors (boundary point, kink,
     barycenter) propagate and name the offending cell.  The gauge entropy
     takes the route, and reports the diagnostics, of ``rationalize_gauge``:
-    it reads that route's one slot, so after ``rationalize_gauge`` on the
-    same ``Matching`` object it identifies nothing again, and it returns
-    its own copy of ``diagnostics`` with ``entropy_kind`` set to ``model``.
+    it reads ``identify``'s one slot, so after ``check_rationalizable`` on
+    the same ``Matching`` object it scales nothing again, and after
+    ``rationalize_gauge`` it identifies nothing again; it returns its own
+    copy of ``diagnostics`` with ``entropy_kind`` set to ``model``.
 
     For the shannon entropy the canonical part is, equivalently, the matrix
     of log cross-difference contrasts of the observation; the diagnostics

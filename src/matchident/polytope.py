@@ -182,10 +182,6 @@ class GaugeResult:
     normal: np.ndarray
 
 
-#: The last matching ``gauge`` scaled, and its ray.
-_last_ray: tuple[Matching, GaugeResult] | None = None
-
-
 def gauge(mu_hat: Matching) -> GaugeResult:
     """Scale ``mu_hat`` along the ray from the barycenter to the boundary.
 
@@ -204,26 +200,10 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     it is on the boundary but shrinks no empty cell: the ray then has no
     direction or no exit.
 
-    The ray of the last matching scaled is kept in one slot, keyed by
-    identity: a call on that same object returns the same ``GaugeResult``,
-    so a verdict followed by a gauge identification of one observation
-    scales it once.  ``Matching`` and ``GaugeResult`` are immutable, so the
-    ray is a pure function of the object.  The slot retains that matching
-    and its ray until the next call on another matching; a
-    ``DegenerateRayError`` is raised afresh each time and leaves the slot
-    as it was.
+    A pure function: each call scales afresh and keeps nothing.  The
+    verdict and the gauge identification of one observation share its ray
+    through ``identify``'s slot instead.
     """
-    global _last_ray
-    last = _last_ray
-    if last is not None and last[0] is mu_hat:
-        return last[1]
-    ray = _scale_to_boundary(mu_hat)
-    _last_ray = (mu_hat, ray)
-    return ray
-
-
-def _scale_to_boundary(mu_hat: Matching) -> GaugeResult:
-    """The ray of ``gauge``, computed afresh."""
     margins = mu_hat.margins
     bary = _barycenter_mu(margins)
     diff = mu_hat.mu - bary

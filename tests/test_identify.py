@@ -39,7 +39,7 @@ from conftest import (
     random_nonseparable_surplus,
     random_surplus,
 )
-from matchident.identify import _certifies, _identify_on_ray
+from matchident.identify import _certifies
 
 
 def sample_matchings(rng, margins):
@@ -258,8 +258,10 @@ class TestRationalizeGauge:
 
 
 class TestGaugeIdentificationMemo:
-    """``rationalize_gauge`` keeps the identification of the last ray in one
-    slot, keyed by the ray; ``identify_entropy`` with the gauge reads it."""
+    """``identify`` keeps the last observed matching, keyed by identity, in
+    one slot with its ray and, once read off, its gauge identification:
+    the verdict fills the ray, ``rationalize_gauge`` the identification,
+    and ``identify_entropy`` with the gauge reads both."""
 
     @pytest.fixture
     def pair(self):
@@ -273,11 +275,15 @@ class TestGaugeIdentificationMemo:
         return (identified.phi_raw.phi.tobytes(), identified.phi_canonical.phi.tobytes(),
                 identified.diagnostics)
 
+    @staticmethod
+    def ray_fields(ray):
+        return (ray.t_star, ray.binding.tobytes(), ray.normal.tobytes(),
+                ray.mu_star.mu.tobytes())
+
     def fresh(self, mu):
-        """Both routes' answers, identified without the slot on a new
-        ``Matching`` with the contents of ``mu``."""
-        twin = Matching(mu.mu, mu.margins)
-        want = self.fields(_identify_on_ray(twin, gauge(twin)))
+        """Both routes' answers, identified on a new ``Matching`` with the
+        contents of ``mu``, which misses the slot."""
+        want = self.fields(rationalize_gauge(Matching(mu.mu, mu.margins))[1])
         return want, want
 
     def test_the_entropy_route_reads_the_slot_with_fresh_answers(self, pair):
@@ -323,6 +329,55 @@ class TestGaugeIdentificationMemo:
         rationalize_gauge(random_interior_matching(rng, margins))
         ref = weakref.ref(boundary)
         del boundary
+        gc.collect()
+        assert ref() is None
+
+    def test_verdict_and_identification_share_the_ray(self, pair):
+        for mu in pair:
+            verdict = check_rationalizable(mu)
+            ray = rationalize_gauge(mu)[0]
+            assert verdict.mu_star is ray.mu_star
+            assert rationalize_gauge(mu)[0] is ray
+
+    def test_a_b_a_gives_the_fresh_rays(self, pair):
+        fresh = [self.ray_fields(gauge(Matching(mu.mu, mu.margins))) for mu in pair]
+        a, b = pair
+        for mu, want in ((a, fresh[0]), (b, fresh[1]), (a, fresh[0])):
+            verdict = check_rationalizable(mu)
+            ray = rationalize_gauge(mu)[0]
+            assert (verdict.t_star, verdict.mu_star.mu.tobytes()) == (want[0], want[3])
+            assert self.ray_fields(ray) == want
+
+    def test_equal_contents_are_another_matching(self, pair):
+        mu = pair[0]
+        twin = Matching(mu.mu, mu.margins)
+        ray = rationalize_gauge(mu)[0]
+        assert rationalize_gauge(twin)[0] is not ray
+        assert check_rationalizable(mu).mu_star is not ray.mu_star
+
+    def test_the_barycenter_raises_every_time_and_leaves_the_slot(
+        self, uniform2, interior_matching
+    ):
+        bary = barycenter(uniform2)
+        ray, identified = rationalize_gauge(interior_matching)
+        for _ in range(3):
+            assert check_rationalizable(bary).t_star is None
+            with pytest.raises(DegenerateRayError):
+                rationalize_gauge(bary)
+            with pytest.raises(DegenerateRayError):
+                identify_entropy(bary, EntropyModel.gauge())
+        again, reread = rationalize_gauge(interior_matching)
+        assert again is ray
+        assert reread.phi_raw is identified.phi_raw
+
+    def test_the_slot_lets_earlier_verdicts_go(self):
+        rng = np.random.default_rng(17)
+        margins = random_margins(rng, 3, 4)
+        a = random_interior_matching(rng, margins)
+        check_rationalizable(a)
+        check_rationalizable(random_interior_matching(rng, margins))
+        ref = weakref.ref(a)
+        del a
         gc.collect()
         assert ref() is None
 

@@ -97,3 +97,17 @@ def test_no_name_is_public_in_two_modules():
         for name in module.__all__:
             owners.setdefault(name, []).append(module.__name__)
     assert {name: found for name, found in owners.items() if len(found) > 1} == {}
+
+
+def test_only_identify_keeps_module_state():
+    """The package's one memo is ``identify``'s slot: no other module
+    declares a ``global``, and ``identify`` declares one name."""
+    declared = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+        for name in node.names
+    }
+    assert {module for module, _ in declared} == {"identify"}
+    assert len(declared) == 1

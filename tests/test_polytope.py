@@ -14,13 +14,11 @@ from matchident import (
     NotInPolytopeError,
     ValidationError,
     barycenter,
-    check_rationalizable,
     contains,
     dimension,
     enumerate_vertices,
     gauge,
     is_boundary,
-    rationalize_gauge,
 )
 from conftest import (
     boundary_matching_the_ray_grows,
@@ -264,55 +262,11 @@ class TestGauge:
             point = Matching(bary + s * (mu.mu - bary), margins)
             assert gauge(point).t_star == pytest.approx(result.t_star / s, rel=1e-10)
 
-
-class TestGaugeMemo:
-    """``gauge`` keeps the ray of the last matching it scaled, keyed by
-    identity, in one slot."""
-
-    @pytest.fixture
-    def pair(self):
-        rng = np.random.default_rng(16)
-        margins = random_margins(rng, 3, 4)
-        return (random_interior_matching(rng, margins),
-                random_interior_matching(rng, margins))
-
-    def test_verdict_and_identification_share_the_ray(self, pair):
-        mu = pair[0]
-        assert check_rationalizable(mu).mu_star is rationalize_gauge(mu)[0].mu_star
-        assert gauge(mu) is gauge(mu)
-
-    def test_a_b_a_gives_the_fresh_rays(self, pair):
-        def fields(ray):
-            return (ray.t_star, ray.binding.tobytes(), ray.normal.tobytes(),
-                    ray.mu_star.mu.tobytes())
-
-        fresh = [fields(gauge(Matching(mu.mu, mu.margins))) for mu in pair]
-        a, b = pair
-        for mu, want in ((a, fresh[0]), (b, fresh[1]), (a, fresh[0])):
-            assert fields(gauge(mu)) == want
-
-    def test_equal_contents_are_another_matching(self, pair):
-        mu = pair[0]
-        twin = Matching(mu.mu, mu.margins)
-        ray = gauge(mu)
-        assert gauge(twin) is not ray
-        assert gauge(mu) is not ray
-
-    def test_the_barycenter_raises_every_time(self, uniform2, interior_matching):
-        bary = barycenter(uniform2)
-        ray = gauge(interior_matching)
-        for _ in range(3):
-            with pytest.raises(DegenerateRayError):
-                gauge(bary)
-        assert gauge(interior_matching) is ray
-
-    def test_the_slot_lets_earlier_matchings_go(self):
+    def test_gauge_keeps_nothing(self):
+        """``gauge`` is a pure function: the matching it scaled is free to go."""
         rng = np.random.default_rng(17)
-        margins = random_margins(rng, 3, 4)
-        a = random_interior_matching(rng, margins)
-        b = random_interior_matching(rng, margins)
+        a = random_interior_matching(rng, random_margins(rng, 3, 4))
         gauge(a)
-        gauge(b)
         ref = weakref.ref(a)
         del a
         gc.collect()
