@@ -386,9 +386,10 @@ def decompose_separable(phi: Surplus, margins: Margins) -> SeparableParts:
     """
     _check_same_shape("phi", phi.phi.shape, margins)
     p, q = margins.p, margins.q
-    grand_mean = float(p @ phi.phi @ q)
+    col = p @ phi.phi
+    grand_mean = float(col @ q)
     f = phi.phi @ q - grand_mean / 2.0
-    g = p @ phi.phi - grand_mean / 2.0
+    g = col - grand_mean / 2.0
     residual = phi.phi - f[:, None] - g[None, :]
     return _adopt(SeparableParts, f=f, g=g, residual=residual)
 

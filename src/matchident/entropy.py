@@ -252,13 +252,6 @@ def _quantile_side_grad(values: np.ndarray, cond: np.ndarray) -> np.ndarray:
     return values[-1] * u[:, -1:] + _reversed_cumsum_tail(drops)
 
 
-def _quantile_grad(mu: Matching, values: TypeValues) -> np.ndarray:
-    row_cond, col_cond = conditionals(mu)
-    row_part = _quantile_side_grad(values.y_values, row_cond)
-    col_part = _quantile_side_grad(values.x_values, col_cond.T).T
-    return row_part + col_part
-
-
 def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     """Gradient of the entropy at ``mu``, as a surplus matrix.
 
@@ -286,7 +279,8 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     if model.kind == "shannon":
         return _adopt(Surplus, phi=1.0 + np.log(mu.mu))
     values = _check_values_shape(model, mu.mu.shape)
-    for cond in conditionals(mu):
+    row_cond, col_cond = conditionals(mu)
+    for cond in (row_cond, col_cond):
         if cond.min() <= _KINK_TOL:
             cell = np.unravel_index(np.argmin(cond), cond.shape)
             raise KinkPointError(
@@ -295,7 +289,9 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
                 " cumulative masses coincide",
                 cell=(int(cell[0]), int(cell[1])),
             )
-    return _adopt(Surplus, phi=_quantile_grad(mu, values))
+    row_part = _quantile_side_grad(values.y_values, row_cond)
+    col_part = _quantile_side_grad(values.x_values, col_cond.T).T
+    return _adopt(Surplus, phi=row_part + col_part)
 
 
 # Past the float range a scaling turns inf or nan without a warning.

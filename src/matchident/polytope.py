@@ -212,8 +212,7 @@ def gauge(mu_hat: Matching) -> GaugeResult:
         raise DegenerateRayError(
             "matching equals the barycenter; the ray to the boundary is undefined"
         )
-    empty = _empty_cells(mu_hat)
-    if empty.any():
+    if mu_hat.mu.min() <= BOUNDARY_TOL and (empty := _empty_cells(mu_hat)).any():
         binding = empty & shrinking
         if not binding.any():
             raise DegenerateRayError(
@@ -222,8 +221,7 @@ def gauge(mu_hat: Matching) -> GaugeResult:
             )
         t_star, mu_star = 1.0, mu_hat
     else:
-        ratios = np.full(mu_hat.mu.shape, np.inf)
-        ratios[shrinking] = bary[shrinking] / -diff[shrinking]
+        ratios = np.divide(bary, -diff, out=np.full(diff.shape, np.inf), where=shrinking)
         t_star = float(ratios.min())
         # A cell whose ratio is within a relative BOUNDARY_TOL of t* keeps
         # less than BOUNDARY_TOL of its barycenter mass at mu*: it is empty

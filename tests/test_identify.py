@@ -39,6 +39,7 @@ from conftest import (
     random_nonseparable_surplus,
     random_surplus,
 )
+from matchident import identify
 from matchident.identify import _certifies
 
 
@@ -66,6 +67,44 @@ def brute_force_max_abs_cross_difference(mu: np.ndarray) -> float:
         - lm[None, :, :, None]
     )
     return float(np.abs(crosses).max())
+
+
+def loop_cross_difference_maxima(mu: np.ndarray) -> list[float]:
+    """The diagnostic as the loop it replaced: for each type x of the shorter
+    side (rows when square), one ``np.ptp`` over ``lm[x] - lm[x + 1:]``.
+    Returns the maximum for each x; their maximum is the diagnostic."""
+    lm = np.log(mu)
+    pairs = lm if lm.shape[0] <= lm.shape[1] else lm.T
+    return [
+        float(np.ptp(pairs[x] - pairs[x + 1 :], axis=1).max())
+        for x in range(len(pairs) - 1)
+    ]
+
+
+def cycled_matching(rng, d_x: int, d_y: int, last: float = 0.0, floor: float | None = None):
+    """The barycenter of random margins with mass moved around 2x2 cycles,
+    which keep the margins.  ``last`` is the share of mass moved between the
+    last two types of the shorter side; ``floor`` makes one cycle leave its
+    emptier cell at that mass."""
+    margins = random_margins(rng, d_x, d_y)
+    mu = np.outer(margins.p, margins.q)
+    rows = mu if d_x <= d_y else mu.T  # a view: the shorter side's types as rows
+
+    def move(a, b, c, d, share=None, keep=None):
+        e = min(rows[a, d], rows[b, c])
+        e = e * share if keep is None else e - keep
+        rows[[a, b], [c, d]] += e
+        rows[[a, b], [d, c]] -= e
+
+    for _ in range(6):
+        a, b = rng.choice(rows.shape[0], 2, replace=False)
+        c, d = rng.choice(rows.shape[1], 2, replace=False)
+        move(a, b, c, d, share=rng.uniform(0.1, 0.5))
+    if last:
+        move(rows.shape[0] - 2, rows.shape[0] - 1, 0, 1, share=last)
+    if floor is not None:
+        move(0, 1, 1, 0, keep=floor)
+    return Matching(mu, margins)
 
 
 class TestCheckRationalizable:
@@ -395,7 +434,7 @@ class TestIdentifyEntropy:
         assert identified.diagnostics["nonseparable"] == 1.0
 
     def test_max_abs_cross_difference_matches_the_tensor(self):
-        """Square, tall and wide shapes: the loop runs over pairs of the
+        """Square, tall and wide shapes: the scan runs over pairs of the
         shorter side."""
         rng = np.random.default_rng(96)
         shapes = [(d_x, d_y) for d_x in range(2, 7) for d_y in range(2, 7)]
@@ -479,6 +518,48 @@ class TestIdentifyEntropy:
             np.testing.assert_allclose(
                 identified.phi_canonical.phi, expected, atol=1e-7
             )
+
+
+class TestMaxAbsCrossDifferenceOracle:
+    """The blocked ``max_abs_cross_difference`` equals the loop it replaced
+    bit for bit: max and min are exact, so any blocking gives the same value."""
+
+    @staticmethod
+    def diagnostic(mu):
+        return identify_entropy(mu, EntropyModel.shannon()).diagnostics["max_abs_cross_difference"]
+
+    @pytest.mark.parametrize("shape", [
+        (2, 2), (2, 9), (9, 2), (2, 300), (300, 2),  # 2xN and Nx2
+        (7, 40), (40, 7), (12, 12), (150, 300), (300, 150), (200, 200),
+    ])
+    def test_shapes(self, shape):
+        mu = cycled_matching(np.random.default_rng(sum(shape)), *shape)
+        assert self.diagnostic(mu) == max(loop_cross_difference_maxima(mu.mu))
+
+    @pytest.mark.parametrize("shape", [(80, 80), (60, 100), (100, 60), (150, 300), (300, 150)])
+    def test_the_largest_pair_in_the_last_of_ragged_blocks(self, shape):
+        """The pairs span several blocks: five types of the shorter side each
+        at 80x80 and 60x100 (the last block has four), and one type against
+        chunks of 109 others at 150x300 (the last chunk of row 0 has 40)."""
+        short, long = sorted(shape)
+        assert short * (short - 1) * long > 2 * identify._BLOCK_CELLS
+        mu = cycled_matching(np.random.default_rng(short * long), *shape, last=0.99)
+        maxima = loop_cross_difference_maxima(mu.mu)
+        assert int(np.argmax(maxima)) == len(maxima) - 1
+        assert self.diagnostic(mu) == max(maxima)
+
+    @pytest.mark.parametrize("shape", [(3, 70_000), (70_000, 3)])
+    def test_a_long_side_over_several_chunks(self, shape):
+        assert max(shape) % identify._BLOCK_CELLS and max(shape) > 2 * identify._BLOCK_CELLS
+        mu = cycled_matching(np.random.default_rng(7), *shape, last=0.9)
+        assert self.diagnostic(mu) == max(loop_cross_difference_maxima(mu.mu))
+
+    @pytest.mark.parametrize("floor", [1.5 * BOUNDARY_TOL, 3e-12, 1e-10])
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 30), (30, 4), (200, 3)])
+    def test_log_masses_near_the_boundary_tolerance(self, shape, floor):
+        mu = cycled_matching(np.random.default_rng(11), *shape, floor=floor)
+        assert mu.mu.min() == pytest.approx(floor, rel=1e-3)
+        assert self.diagnostic(mu) == max(loop_cross_difference_maxima(mu.mu))
 
 
 class TestSimulateMarket:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from matchident import (
+    BOUNDARY_TOL,
     DegenerateRayError,
     InstanceTooLargeError,
     Margins,
@@ -212,6 +213,35 @@ class TestGauge:
         assert result.normal.max() <= 0.0
         direction = mu.mu - barycenter(margins).mu
         assert np.sum(result.normal * direction) == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_cell_of_exactly_boundary_tol_is_its_own_exit(self):
+        """The empty-cell scan is skipped only when every cell holds more than
+        BOUNDARY_TOL; a smallest cell of exactly BOUNDARY_TOL still binds."""
+        margins = Margins([0.2, 0.8], [0.2, 0.8])
+        mu = Matching(
+            [[BOUNDARY_TOL, 0.2 - BOUNDARY_TOL], [0.2 - BOUNDARY_TOL, 0.6 + BOUNDARY_TOL]],
+            margins,
+        )
+        assert mu.mu.min() == BOUNDARY_TOL and np.sum(mu.mu <= BOUNDARY_TOL) == 1
+        result = gauge(mu)
+        assert result.t_star == 1.0
+        assert result.mu_star is mu
+        np.testing.assert_array_equal(result.binding, [[True, False], [False, False]])
+
+    def test_empty_cells_only_on_a_zero_mass_type_take_the_interior_path(self):
+        """Cells of a zero-mass type are at most BOUNDARY_TOL but never empty
+        in the boundary sense, so the ray stretches past the matching."""
+        margins = Margins([0.5, 0.5, 0.0], [0.4, 0.6], allow_zero_mass=True)
+        mu = Matching([[0.25, 0.25], [0.15, 0.35], [0.0, 0.0]], margins)
+        assert np.all((mu.mu <= BOUNDARY_TOL) == (np.asarray(margins.p) == 0.0)[:, None])
+        result = gauge(mu)
+        bary = np.outer(margins.p, margins.q)
+        assert result.t_star > 1.0
+        assert result.binding.any() and not result.binding[2].any()
+        np.testing.assert_allclose(
+            result.mu_star.mu, bary + result.t_star * (mu.mu - bary), atol=1e-15
+        )
+        assert result.mu_star.mu[result.binding].max() <= BOUNDARY_TOL
 
     def test_boundary_matching_that_shrinks_no_empty_cell_is_degenerate(self):
         p, mu = boundary_matching_the_ray_grows()
