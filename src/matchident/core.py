@@ -5,8 +5,14 @@ matching (a nonnegative matrix with those margins), and a surplus matrix
 giving the joint value created when a type-x agent pairs with a type-y
 agent.  Everything here is small, dense and immutable: arrays are copied on
 construction, validated against the documented invariants, and frozen.
-Surpluses and separable parts the library computes itself are frozen in
-place instead, after the finite test alone.
+Arrays the library computes itself are frozen in place instead, after the
+one test their construction does not settle: the finite test of a
+surplus read off a matching (a gradient, a gauge normal), the finite test
+of a separable decomposition's residual alone (a non-finite ``f[x]`` or
+``g[y]`` makes its whole row or column non-finite), and the margin test
+of the gauge's exit point, which is finite and clipped nonnegative by
+construction.  A residual already tested becomes the canonical surplus
+with no test at all.
 
 The one piece of real analysis in this module is the separable
 decomposition.  Any surplus splits uniquely as ``f[x] + g[y] + residual``
@@ -23,7 +29,12 @@ their algorithms.  Masses sum to one, so mass tests are absolute:
 boundary <=> witness" holds by construction.  Surplus tests are relative
 to ``max|phi|``, which bounds the rounding error of ``phi - f - g``:
 ``SEPARABILITY_TOL`` for residuals and reduced costs, ``OPTIMALITY_TOL``
-for duality gaps.  The units of ``phi`` thus change no verdict.
+for duality gaps.  The units of ``phi`` thus change no verdict.  A
+stretch of the gauge ray by ``t`` scales two margin offsets: the
+matching's own defect, by ``t``, and the barycenter's, by ``t - 1``
+(``outer(p, q)`` has row sums ``p * sum(q)``), so the exit point's margins
+hold within ``MASS_TOL + t * defect + (t - 1) * max(max(p) * |sum(q) - 1|,
+max(q) * |sum(p) - 1|)``.
 """
 
 from __future__ import annotations
@@ -227,20 +238,7 @@ class Matching:
                 f" is negative beyond {BOUNDARY_TOL}"
             )
         np.clip(mu, 0.0, None, out=mu)
-        row_err = np.abs(mu.sum(axis=1) - self.margins.p)
-        if row_err.max() > tol:
-            x = int(np.argmax(row_err))
-            raise NotInPolytopeError(
-                f"row {x} sums to {float(mu[x].sum())!r},"
-                f" expected p[{x}] = {float(self.margins.p[x])!r}"
-            )
-        col_err = np.abs(mu.sum(axis=0) - self.margins.q)
-        if col_err.max() > tol:
-            y = int(np.argmax(col_err))
-            raise NotInPolytopeError(
-                f"column {y} sums to {float(mu[:, y].sum())!r},"
-                f" expected q[{y}] = {float(self.margins.q[y])!r}"
-            )
+        _check_margin_sums(mu, self.margins, tol)
         _freeze(self, mu=mu)
 
     @property
@@ -333,6 +331,33 @@ class TypeValues:
         _freeze(self, x_values=xv, y_values=yv)
 
 
+def _check_margin_sums(mu: np.ndarray, margins: Margins, tol: float) -> None:
+    """Refuse ``mu`` unless its row sums are ``p`` and its column sums ``q``
+    within ``tol``, naming the first line that misses."""
+    row_err = np.abs(mu.sum(axis=1) - margins.p)
+    if row_err.max() > tol:
+        x = int(np.argmax(row_err))
+        raise NotInPolytopeError(
+            f"row {x} sums to {float(mu[x].sum())!r},"
+            f" expected p[{x}] = {float(margins.p[x])!r}"
+        )
+    col_err = np.abs(mu.sum(axis=0) - margins.q)
+    if col_err.max() > tol:
+        y = int(np.argmax(col_err))
+        raise NotInPolytopeError(
+            f"column {y} sums to {float(mu[:, y].sum())!r},"
+            f" expected q[{y}] = {float(margins.q[y])!r}"
+        )
+
+
+def _frozen(cls, **arrays):
+    """An instance of ``cls`` holding arrays the library just built and
+    already tested: frozen in place, with no copy and no test."""
+    obj = object.__new__(cls)
+    _freeze(obj, **arrays)
+    return obj
+
+
 def _adopt(cls, **arrays):
     """A ``Surplus`` or ``SeparableParts`` holding arrays the library just built.
 
@@ -343,8 +368,16 @@ def _adopt(cls, **arrays):
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             raise ValidationError(f"{name} must be finite")
-    obj = object.__new__(cls)
-    _freeze(obj, **arrays)
+    return _frozen(cls, **arrays)
+
+
+def _admit(mu: np.ndarray, margins: Margins, tol: float) -> Matching:
+    """A ``Matching`` of an array the library just built finite and
+    nonnegative: frozen in place after the margin test alone, against
+    ``tol``, with the constructor's message."""
+    _check_margin_sums(mu, margins, tol)
+    obj = _frozen(Matching, mu=mu)
+    object.__setattr__(obj, "margins", margins)
     return obj
 
 
@@ -391,7 +424,12 @@ def decompose_separable(phi: Surplus, margins: Margins) -> SeparableParts:
     f = phi.phi @ q - grand_mean / 2.0
     g = col - grand_mean / 2.0
     residual = phi.phi - f[:, None] - g[None, :]
-    return _adopt(SeparableParts, f=f, g=g, residual=residual)
+    # A non-finite f[x] or g[y] spreads over its whole line of the residual,
+    # so the residual's test covers all three; the field-by-field test runs
+    # only to name the first non-finite field.
+    if not np.isfinite(residual).all():
+        _adopt(SeparableParts, f=f, g=g, residual=residual)
+    return _frozen(SeparableParts, f=f, g=g, residual=residual)
 
 
 def _is_nonzero_residual(residual: np.ndarray, phi: np.ndarray) -> bool:

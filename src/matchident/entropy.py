@@ -401,8 +401,11 @@ def _warm_start(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     centred -= centred.mean(axis=0)[None, :]
     spread = float(np.abs(centred).max()) or 1.0
     cost = centred / spread
-    duals = lp._simplex(Surplus(cost), Margins(p, q), cost)
-    g = -spread * duals.dual_g
+    # A centring that overflows leaves inf or nan, on which the simplex
+    # would pivot to its cap.
+    if not np.isfinite(cost).all():
+        raise ValidationError("phi must be finite")
+    g = -spread * lp._transport(cost, p, q, cost)[2]
     for _ in range(_BLOCK):
         f, g = _fit_margins(centred, g, p, q)
         ratio = np.exp(centred + f[:, None] + g[None, :]).sum(axis=1) / p

@@ -20,7 +20,7 @@ finite-sample experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +32,12 @@ from .core import (
     Surplus,
     ValidationError,
     _adopt,
-    _barycenter_mu,
+    _frozen,
     _is_nonzero_residual,
     decompose_separable,
-    is_nonseparable,
 )
 from .entropy import EntropyModel, grad_entropy, solve_regularized
-from .polytope import GaugeResult, _empty_cells, gauge
+from .polytope import GaugeResult, _empty_cells, _ray
 
 __all__ = [
     "RationalizabilityChecks",
@@ -124,12 +123,30 @@ def _certifies(phi: np.ndarray, mu: Matching) -> bool:
     return bool(phi.max() <= 0.0 and np.sum(mu.mu * phi) >= -slack)
 
 
-#: The last matching observed, its gauge ray and, once read off, its gauge
-#: identification.
-_last_observed: tuple[Matching, GaugeResult, IdentifiedSurplus | None] | None = None
+def _separable_witness(empty: np.ndarray) -> bool:
+    """Whether the surplus -1 on ``empty`` and 0 elsewhere is separable.
+
+    It is ``a[x] + b[y]`` exactly when ``empty`` is a union of whole rows or
+    a union of whole columns: a row holding both values makes every column
+    constant, since ``b[y] - b[y']`` is the same in every row.  So each
+    side takes an ``any`` and an ``all`` reduction, and no decomposition.
+    """
+    return bool(
+        np.array_equal(empty.any(axis=1), empty.all(axis=1))
+        or np.array_equal(empty.any(axis=0), empty.all(axis=0))
+    )
 
 
-def _observed(mu_hat: Matching) -> tuple[Matching, GaugeResult, IdentifiedSurplus | None]:
+#: The last matching observed, its gauge ray, the ray's direction
+#: ``mu_hat - bary`` and, once read off, its gauge identification.
+_last_observed: (
+    tuple[Matching, GaugeResult, np.ndarray, IdentifiedSurplus | None] | None
+) = None
+
+
+def _observed(
+    mu_hat: Matching,
+) -> tuple[Matching, GaugeResult, np.ndarray, IdentifiedSurplus | None]:
     """The slot's entry for ``mu_hat``, scaled to the boundary on a miss.
 
     The global is read once and its key checked, so ``mu_hat`` never gets
@@ -138,7 +155,7 @@ def _observed(mu_hat: Matching) -> tuple[Matching, GaugeResult, IdentifiedSurplu
     global _last_observed
     last = _last_observed
     if last is None or last[0] is not mu_hat:
-        last = _last_observed = (mu_hat, gauge(mu_hat), None)
+        last = _last_observed = (mu_hat, *_ray(mu_hat), None)
     return last
 
 
@@ -150,7 +167,9 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     boundary test and 0 elsewhere.  Any feasible matching scores at most 0
     against it and the observation attains 0, so the observation is
     optimal; the report records that dual certificate and the
-    nonseparability of the witness.
+    nonseparability of the witness, read in closed form off the empty
+    cells: the witness is separable exactly when they form whole rows or
+    whole columns.
 
     The ray goes into ``identify``'s one slot, keyed by the ``Matching``
     object, for ``rationalize_gauge`` to read; the slot retains that
@@ -165,11 +184,11 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     # proves the matching interior without a look at its empty cells.
     empty = _empty_cells(mu_hat) if t_star in (None, 1.0) else None
     if empty is not None and empty.any():
-        witness = _adopt(Surplus, phi=np.where(empty, -1.0, 0.0))
+        witness = _frozen(Surplus, phi=np.where(empty, -1.0, 0.0))
         checks = RationalizabilityChecks(
             boundary=True,
             maximizer=_certifies(witness.phi, mu_hat),
-            nonseparable=is_nonseparable(witness, mu_hat.margins),
+            nonseparable=not _separable_witness(empty),
         )
     else:
         witness, checks = None, RationalizabilityChecks(False, False, False)
@@ -181,15 +200,13 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
 def _gauge_route(mu_hat: Matching, model: EntropyModel) -> tuple[GaugeResult, IdentifiedSurplus]:
     """The slot's ray for ``mu_hat`` and a copy of its identification, as ``model``."""
     global _last_observed
-    _, ray, identified = _observed(mu_hat)
+    _, ray, direction, identified = _observed(mu_hat)
     if identified is None:
-        margins = mu_hat.margins
         phi_raw = _adopt(Surplus, phi=ray.t_star * ray.normal)
-        parts = decompose_separable(phi_raw, margins)
-        direction = mu_hat.mu - _barycenter_mu(margins)
+        parts = decompose_separable(phi_raw, mu_hat.margins)
         identified = IdentifiedSurplus(
             phi_raw=phi_raw,
-            phi_canonical=_adopt(Surplus, phi=parts.residual),
+            phi_canonical=_frozen(Surplus, phi=parts.residual),
             entropy_kind=model,
             diagnostics={
                 "t_star": ray.t_star,
@@ -198,8 +215,13 @@ def _gauge_route(mu_hat: Matching, model: EntropyModel) -> tuple[GaugeResult, Id
                 "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
             },
         )
-        _last_observed = (mu_hat, ray, identified)
-    return ray, replace(identified, entropy_kind=model, diagnostics=dict(identified.diagnostics))
+        _last_observed = (mu_hat, ray, direction, identified)
+    return ray, IdentifiedSurplus(
+        phi_raw=identified.phi_raw,
+        phi_canonical=identified.phi_canonical,
+        entropy_kind=model,
+        diagnostics=dict(identified.diagnostics),
+    )
 
 
 def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]:
@@ -286,7 +308,7 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
             diagnostics["cross_difference"] = float(lm[0, 0] + lm[1, 1] - lm[0, 1] - lm[1, 0])
     return IdentifiedSurplus(
         phi_raw=phi_raw,
-        phi_canonical=_adopt(Surplus, phi=parts.residual),
+        phi_canonical=_frozen(Surplus, phi=parts.residual),
         entropy_kind=model,
         diagnostics=diagnostics,
     )

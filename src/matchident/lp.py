@@ -19,7 +19,10 @@ below a column of row 0's tree through a zero cell from one of its own
 rows, which makes it strongly feasible (Cunningham, Math. Prog. 1976).
 ``maximize_surplus`` fills a constant, which is the northwest corner; the
 entropic warm start reads only the duals and fills by surplus, which
-needs a fraction of the pivots.  A pivot that moves mass raises the
+needs a fraction of the pivots.  The simplex itself, ``_transport``,
+works on arrays and returns the masses and the dual potentials: only
+``maximize_surplus`` packages them into a validated ``LpSolution``, and
+the warm start builds no vertex.  A pivot that moves mass raises the
 value, and one that moves none strictly lowers ``sum(v) - sum(u)`` of the
 potentials (``u[0] = 0``), so no basis repeats and the simplex terminates
 (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11).
@@ -292,12 +295,37 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
 
 
 def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
-    """The transportation simplex of ``maximize_surplus``, started from
-    ``_greedy_start`` with the cells filled in descending order of
-    ``fill``."""
-    m, n = margins.shape
-    p, q = margins.p, margins.q
+    """The solve of ``maximize_surplus`` started from ``_greedy_start`` with the
+    cells filled in descending order of ``fill``, packaged as a validated
+    ``LpSolution``."""
     cost = phi.phi
+    mu, dual_f, dual_g, pivots, degenerate = _transport(cost, margins.p, margins.q, fill)
+    mu = np.array(mu)
+    # The cycles leave rounding-size masses where exact arithmetic empties a
+    # cell.  They are zero, as in the start basis; zeroing them while
+    # pivoting would unbalance the margins, and the next tie would then
+    # leave a larger remainder.
+    mu[mu <= BOUNDARY_TOL] = 0.0
+    return LpSolution(
+        mu_opt=Matching(mu, margins, tol=_imbalance_tol(margins)),
+        value=float(np.sum(mu * cost)),
+        dual_f=dual_f,
+        dual_g=dual_g,
+        pivots=pivots,
+        degenerate_pivots=degenerate,
+    )
+
+
+def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray):
+    """The transportation simplex on arrays: maximizes ``<mu, cost>`` over
+    the matchings of ``p`` and ``q`` from ``_greedy_start`` on ``fill``.
+
+    Returns the masses as nested lists, as the pivots left them, the dual
+    potentials ``dual_f`` and ``dual_g`` (the last ``dual_g`` zero), and the
+    pivot and degenerate pivot counts.  ``cost`` must be finite: nothing
+    here tests it.
+    """
+    m, n = p.size, q.size
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
     mu, basic, adjacency = _greedy_start(fill, p, q, cost)
     mu = mu.tolist()
@@ -324,21 +352,8 @@ def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
         np.greater_equal(reduced, best - entering_tol, out=eligible)
         entering = divmod(int(eligible.argmax()), n)
         degenerate += _pivot(entering, mu, priced, adjacency, parent, depth, potential)
-    mu = np.array(mu)
-    # The cycles leave rounding-size masses where exact arithmetic empties a
-    # cell.  They are zero, as in the start basis; zeroing them while
-    # pivoting would unbalance the margins, and the next tie would then
-    # leave a larger remainder.
-    mu[mu <= BOUNDARY_TOL] = 0.0
     shift = potential[-1]
-    return LpSolution(
-        mu_opt=Matching(mu, margins, tol=_imbalance_tol(margins)),
-        value=float(np.sum(mu * cost)),
-        dual_f=duals[:m] + shift,
-        dual_g=duals[m:] - shift,
-        pivots=pivots,
-        degenerate_pivots=degenerate,
-    )
+    return mu, duals[:m] + shift, duals[m:] - shift, pivots, degenerate
 
 
 def is_maximizer(phi: Surplus, mu: Matching) -> bool:

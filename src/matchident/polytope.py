@@ -25,6 +25,7 @@ from .core import (
     Margins,
     Matching,
     NotInPolytopeError,
+    _admit,
     _barycenter_mu,
     _check_same_shape,
 )
@@ -195,6 +196,14 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     ``is_boundary``) is its own exit point, at ``t_star = 1``, through the
     empty cells it shrinks.
 
+    The exit point is built finite and is clipped nonnegative in place, so
+    of ``Matching``'s checks only the margin test runs on it, once.  Its
+    tolerance is ``MASS_TOL`` plus the two margin offsets the stretch
+    scales: ``t_star`` times the margin defect of ``mu_hat`` (a matching
+    admitted with a loose ``tol``), and ``t_star - 1`` times the
+    barycenter's, ``max(max(p) * |sum(q) - 1|, max(q) * |sum(p) - 1|)``
+    (margins that sum to one only within ``MASS_TOL``).
+
     Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter, up to
     ``BOUNDARY_TOL`` or within its margin defect (no cell shrinks), or when
     it is on the boundary but shrinks no empty cell: the ray then has no
@@ -204,7 +213,13 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     verdict and the gauge identification of one observation share its ray
     through ``identify``'s slot instead.
     """
+    return _ray(mu_hat)[0]
+
+
+def _ray(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
+    """``gauge(mu_hat)`` and the direction ``mu_hat - bary`` it scaled."""
     margins = mu_hat.margins
+    p, q = margins.p, margins.q
     bary = _barycenter_mu(margins)
     diff = mu_hat.mu - bary
     shrinking = diff < 0.0
@@ -227,23 +242,25 @@ def gauge(mu_hat: Matching) -> GaugeResult:
         # less than BOUNDARY_TOL of its barycenter mass at mu*: it is empty
         # there too.
         binding = ratios <= t_star * (1.0 + BOUNDARY_TOL)
-        # A matching admitted with a loose feasibility tolerance carries a
-        # margin defect that the stretch scales by t*; allow exactly that
-        # much.
+        # Row x of bary + t * diff misses p[x] by t times the row's defect
+        # plus (t - 1) * p[x] * (1 - sum(q)), and likewise for columns: the
+        # stretch scales the matching's margin defect (a loose tol) by t*
+        # and the barycenter's offset by t* - 1.
         defect = max(
-            np.abs(mu_hat.mu.sum(axis=1) - margins.p).max(),
-            np.abs(mu_hat.mu.sum(axis=0) - margins.q).max(),
+            np.abs(mu_hat.mu.sum(axis=1) - p).max(),
+            np.abs(mu_hat.mu.sum(axis=0) - q).max(),
         )
-        mu_star = Matching(
-            np.clip(bary + t_star * diff, 0.0, None),
-            margins,
-            tol=MASS_TOL + t_star * defect,
-        )
+        offset = max(p.max() * abs(q.sum() - 1.0), q.max() * abs(p.sum() - 1.0))
+        # The ratios are read; their buffer takes bary + t* * diff.
+        star = np.multiply(diff, t_star, out=ratios)
+        star += bary
+        np.clip(star, 0.0, None, out=star)
+        mu_star = _admit(star, margins, MASS_TOL + t_star * defect + (t_star - 1.0) * offset)
     # Binding cells shrink, so the normalizer is negative; + 0.0 clears -0.0.
     normal = binding / float(np.sum(binding * diff)) + 0.0
     binding.setflags(write=False)
     normal.setflags(write=False)
-    return GaugeResult(t_star=t_star, mu_star=mu_star, binding=binding, normal=normal)
+    return GaugeResult(t_star=t_star, mu_star=mu_star, binding=binding, normal=normal), diff
 
 
 def _empty_cells(mu: Matching) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from matchident import (
     IPFP_TOL,
+    MASS_TOL,
     Margins,
     Matching,
     Surplus,
@@ -71,6 +72,33 @@ def boundary_matching_the_ray_grows() -> tuple[np.ndarray, np.ndarray]:
     mu[2, 1] = p[1] - mu[0, 1] - mu[1, 1]
     mu[2, 2] = p[2] - mu[2, 0] - mu[2, 1]
     return p, mu
+
+
+#: A market written with 10 decimals whose margins are its matching's own
+#: sums: both sum to 1 - 1e-10, and the matching has no margin defect.  Its
+#: gauge ray stretches to t* = 35.11, which scales the barycenter's margin
+#: offset of 1e-10 past ``MASS_TOL``.
+TEN_DECIMAL_MARKET = {
+    "p": [0.1980191829, 0.1207384008, 0.1949825438, 0.2157374929, 0.2705223795],
+    "q": [0.6215830035, 0.3784169964],
+    "mu": [
+        [0.1227921143, 0.0752270686],
+        [0.0750141586, 0.0457242422],
+        [0.121822278, 0.0731602658],
+        [0.1308865931, 0.0848508998],
+        [0.1710678595, 0.09945452],
+    ],
+}
+
+
+def exit_point_tolerance(mu: Matching, t_star: float) -> float:
+    """The margin tolerance of the gauge's exit point at stretch ``t_star``:
+    ``MASS_TOL``, the matching's margin defect scaled by ``t_star`` and the
+    barycenter's margin offset scaled by ``t_star - 1``."""
+    p, q = mu.margins.p, mu.margins.q
+    defect = max(np.abs(mu.mu.sum(axis=1) - p).max(), np.abs(mu.mu.sum(axis=0) - q).max())
+    offset = max(p.max() * abs(q.sum() - 1.0), q.max() * abs(p.sum() - 1.0))
+    return MASS_TOL + t_star * defect + (t_star - 1.0) * offset
 
 
 def random_surplus(

@@ -23,7 +23,12 @@ from matchident import (
 )
 from matchident import entropy, lp
 from matchident.cli import main
-from conftest import boundary_matching_the_ray_grows, random_margins, random_surplus
+from conftest import (
+    TEN_DECIMAL_MARKET,
+    boundary_matching_the_ray_grows,
+    random_margins,
+    random_surplus,
+)
 
 INTERIOR_MU = [[0.35, 0.15], [0.15, 0.35]]
 ASSORTATIVE_MU = [[0.5, 0.0], [0.0, 0.5]]
@@ -380,6 +385,20 @@ class TestCheck:
         code, report = run_json(capsys, ["check", "--input", market, "--tol", "1e-5"])
         assert code == 0
         assert report["rationalizable"] is True
+
+    def test_margins_that_are_their_own_sums_are_answered(self, tmp_path, capsys):
+        """Ten-decimal margins summing to 1 - 1e-10 are valid input: the
+        ray's exit point is not refused, so check answers 'interior' and the
+        gauge identification answers too."""
+        market = write_market(tmp_path / "m.json", **TEN_DECIMAL_MARKET)
+        code, report = run_json(capsys, ["check", "--input", market])
+        assert code == 1
+        validate(report, CHECK_REPORT_SCHEMA)
+        assert report["rationalizable"] is False
+        assert report["t_star"] == pytest.approx(35.11, abs=5e-3)
+        code, report = run_json(capsys, ["identify", "--input", market, "--entropy", "gauge"])
+        assert code == 0
+        assert report["diagnostics"]["maximizer_verified"] == 1.0
 
     def test_matches_direct_library_calls(self, tmp_path, capsys):
         market = write_market(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matchident import (
+    MASS_TOL,
     SEPARABILITY_TOL,
     EntropyModel,
     Margins,
@@ -23,6 +24,7 @@ from matchident import (
     rationalize_gauge,
     total_surplus,
 )
+from matchident import core
 from conftest import random_margins, random_interior_matching, random_surplus, vertices_for
 
 
@@ -280,6 +282,21 @@ class TestLibraryBuiltArrays:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="f must be finite"):
                 decompose_separable(phi, margins)
+
+    def test_an_exit_point_off_its_margins_is_refused_with_the_constructors_message(
+        self, uniform2
+    ):
+        """The gauge's exit point skips the constructor's other checks, not
+        its margin test: a row, or a column, off by more than ``MASS_TOL`` is
+        refused in the same words."""
+        row_off = [[0.25, 0.25], [0.25, 0.25 + 2e-9]]
+        column_off = [[0.25 + 2e-9, 0.25 - 2e-9]] * 2
+        for crafted in (row_off, column_off):
+            with pytest.raises(NotInPolytopeError) as constructed:
+                Matching(crafted, uniform2)
+            with pytest.raises(NotInPolytopeError) as admitted:
+                core._admit(np.array(crafted), uniform2, MASS_TOL)
+            assert str(admitted.value) == str(constructed.value)
 
     def test_results_are_read_only(self, interior_matching, assortative_matching):
         models = (EntropyModel.shannon(), EntropyModel.gauge(),

@@ -706,6 +706,15 @@ class TestSolveRegularized:
             solve_regularized(EntropyModel.shannon(), phi, margins)
         assert math.isfinite(info.value.residual) and info.value.residual > IPFP_TOL
 
+    def test_a_surplus_whose_centring_overflows_is_refused_at_the_warm_start(self):
+        """The sweeps hand this surplus over to the Newton phase, and its
+        centred copy overflows: the warm start refuses it as non-finite
+        instead of pivoting the LP on it to the cap."""
+        phi = Surplus([[-1.5e308, 1.5e308], [1.5e308, 1.5e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="^phi must be finite$"):
+                solve_regularized(EntropyModel.shannon(), phi, Margins([0.5, 0.5], [0.5, 0.5]))
+
     def test_only_shannon_is_supported(self, uniform2):
         with pytest.raises(ValidationError):
             solve_regularized(EntropyModel.gauge(), Surplus(np.zeros((2, 2))), uniform2)

@@ -32,7 +32,9 @@ from matchident import (
     total_surplus,
 )
 from conftest import (
+    TEN_DECIMAL_MARKET,
     UNIT_CHANGES,
+    exit_point_tolerance,
     random_boundary_matching,
     random_interior_matching,
     random_margins,
@@ -187,6 +189,37 @@ class TestCheckRationalizable:
                 assert report.checks.nonseparable
             else:
                 assert report.witness is None
+
+    def test_a_witness_of_whole_light_rows_is_separable_whatever_the_margin_sums(self):
+        """A light type whose row is empty gives the witness -1 on that whole
+        row, which is ``f[x]`` alone: separable, however far within
+        ``MASS_TOL`` the margins' sums are from one."""
+        for excess in (0.0, 5e-10):
+            margins = Margins([0.5, 0.5 - 1e-13, 1e-13], [0.5, 0.5 + excess])
+            mu = Matching([[0.25, 0.25], [0.25 - 1e-13, 0.25 + excess], [0.0, 0.0]], margins)
+            report = check_rationalizable(mu)
+            np.testing.assert_array_equal(report.witness.phi, [[0, 0], [0, 0], [-1, -1]])
+            assert report.checks.maximizer and not report.checks.nonseparable
+
+    def test_margins_that_are_their_own_sums_get_an_answer(self):
+        """Ten-decimal margins summing to 1 - 1e-10: the ray stretches 35
+        times, and its exit point meets the margins within the tolerance
+        that scales the barycenter's offset too."""
+        margins = Margins(TEN_DECIMAL_MARKET["p"], TEN_DECIMAL_MARKET["q"])
+        mu = Matching(TEN_DECIMAL_MARKET["mu"], margins)
+        report = check_rationalizable(mu)
+        assert not report.rationalizable
+        assert report.t_star == pytest.approx(35.11, abs=5e-3)
+        tol = exit_point_tolerance(mu, report.t_star)
+        star = report.mu_star.mu
+        assert np.abs(star.sum(axis=1) - margins.p).max() <= tol
+        assert np.abs(star.sum(axis=0) - margins.q).max() <= tol
+        ray, identified = rationalize_gauge(mu)
+        assert ray.t_star == report.t_star and ray.mu_star is report.mu_star
+        assert identified.diagnostics["maximizer_verified"] == 1.0
+        gauged = identify_entropy(mu, EntropyModel.gauge())
+        np.testing.assert_array_equal(gauged.phi_raw.phi, identified.phi_raw.phi)
+        assert gauged.diagnostics == identified.diagnostics
 
 
 class TestCertificates:

@@ -292,6 +292,21 @@ class TestGauge:
             point = Matching(bary + s * (mu.mu - bary), margins)
             assert gauge(point).t_star == pytest.approx(result.t_star / s, rel=1e-10)
 
+    def test_exit_point_is_the_clipped_ray_point(self):
+        """On matchings admitted with a margin defect up to 1e-6, the exit
+        point is ``clip(bary + t* (mu - bary), 0)`` bit for bit, read-only."""
+        rng = np.random.default_rng(18)
+        for _ in range(25):
+            margins = random_margins(rng, *rng.integers(2, 5, size=2))
+            mu = random_interior_matching(rng, margins).mu.copy()
+            mu[0] *= 1.0 + rng.uniform(-1.0, 1.0) * 1e-6 / mu[0].sum()
+            loose = Matching(mu, margins, tol=1e-6)
+            result = gauge(loose)
+            bary = np.outer(margins.p, margins.q)
+            expected = np.clip(bary + result.t_star * (loose.mu - bary), 0.0, None)
+            np.testing.assert_array_equal(result.mu_star.mu, expected)
+            assert not result.mu_star.mu.flags.writeable
+
     def test_gauge_keeps_nothing(self):
         """``gauge`` is a pure function: the matching it scaled is free to go."""
         rng = np.random.default_rng(17)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from matchident import (
     BOUNDARY_TOL,
+    MASS_TOL,
     OPTIMALITY_TOL,
     SEPARABILITY_TOL,
     DegenerateRayError,
@@ -39,8 +40,8 @@ from matchident import (
     solve_regularized,
     total_surplus,
 )
-from matchident.identify import _certifies
-from conftest import assert_ipfp_certificate, vertices_for
+from matchident.identify import _certifies, _separable_witness
+from conftest import assert_ipfp_certificate, exit_point_tolerance, vertices_for
 
 
 @st.composite
@@ -157,6 +158,74 @@ def test_gauge_ray_exits_through_a_face_it_shrinks_toward(mu):
     assert normal.max() <= 0.0
     assert np.all(normal[~ray.binding] == 0.0)
     assert abs(np.sum(normal * direction) - 1.0) <= 1e-12
+
+
+@st.composite
+def near_barycenter_observations(draw) -> Matching:
+    """A matching within a relative 1e-2 to 1e-5 of the barycenter, so the
+    ray stretches far, scaled by ``1 + delta`` with ``|delta| <= MASS_TOL /
+    2``; its margins are its own sums, which then miss one by about
+    ``delta``.  The perturbation ``a[x] b[y]`` is centred under the margin
+    weights, so it moves no line's sum."""
+    margins, _ = draw(markets(max_side=6))
+    p, q = margins.p, margins.q
+    spread = st.lists(st.integers(-4, 4), unique=True, min_size=2, max_size=2)
+    a = np.array(draw(spread) + draw(st.lists(st.integers(-4, 4), min_size=p.size - 2,
+                                              max_size=p.size - 2)), float)
+    b = np.array(draw(spread) + draw(st.lists(st.integers(-4, 4), min_size=q.size - 2,
+                                              max_size=q.size - 2)), float)
+    bump = np.outer(a - p @ a, b - q @ b)
+    step = 10.0 ** -draw(st.integers(2, 5))
+    delta = draw(st.floats(-MASS_TOL / 2, MASS_TOL / 2))
+    mu = np.outer(p, q) * (1.0 + step * bump / np.abs(bump).max()) * (1.0 + delta)
+    return Matching(mu, Margins(mu.sum(axis=1), mu.sum(axis=0)))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(mu=near_barycenter_observations())
+def test_far_stretched_rays_exit_within_the_stated_tolerance(mu):
+    """The exit point's margins hold within ``MASS_TOL`` plus the
+    barycenter's margin offset scaled by ``t* - 1``, however far the ray
+    stretches, so the verdict and the gauge identification answer."""
+    verdict = check_rationalizable(mu)
+    assert not verdict.rationalizable and verdict.t_star > 1.0
+    tol = exit_point_tolerance(mu, verdict.t_star)
+    star, margins = verdict.mu_star.mu, mu.margins
+    assert np.abs(star.sum(axis=1) - margins.p).max() <= tol
+    assert np.abs(star.sum(axis=0) - margins.q).max() <= tol
+    assert identify_entropy(mu, EntropyModel.gauge()).diagnostics["t_star"] == verdict.t_star
+
+
+@st.composite
+def witness_masks(draw) -> tuple[Margins, np.ndarray]:
+    """Margins with zero-mass types or without, and a mask of random cells,
+    of whole rows, of whole columns or of every cell."""
+    d_x, d_y = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    weights = st.integers(0, 4) if draw(st.booleans()) else st.integers(1, 4)
+    p = np.array(draw(st.lists(weights, min_size=d_x, max_size=d_x).filter(any)), float)
+    q = np.array(draw(st.lists(weights, min_size=d_y, max_size=d_y).filter(any)), float)
+    margins = Margins(p / p.sum(), q / q.sum(), allow_zero_mass=True)
+    kind = draw(st.sampled_from(["cells", "rows", "columns", "all"]))
+    if kind == "all":
+        return margins, np.ones((d_x, d_y), dtype=bool)
+    lines = st.lists(st.booleans(), min_size=d_x, max_size=d_x)
+    if kind == "rows":
+        return margins, np.repeat(np.array(draw(lines))[:, None], d_y, axis=1)
+    lines = st.lists(st.booleans(), min_size=d_y, max_size=d_y)
+    if kind == "columns":
+        return margins, np.repeat(np.array(draw(lines))[None, :], d_x, axis=0)
+    cells = st.lists(st.booleans(), min_size=d_x * d_y, max_size=d_x * d_y)
+    return margins, np.reshape(draw(cells), (d_x, d_y))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(drawn=witness_masks())
+def test_the_witness_is_separable_exactly_on_whole_rows_or_whole_columns(drawn):
+    """The closed form of the verdict's separability test agrees with the
+    decomposition of the witness -1 on the mask and 0 elsewhere."""
+    margins, empty = drawn
+    witness = Surplus(np.where(empty, -1.0, 0.0))
+    assert _separable_witness(empty) == (not is_nonseparable(witness, margins))
 
 
 @st.composite
