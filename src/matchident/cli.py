@@ -173,9 +173,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "nonseparable": verdict.checks.nonseparable,
         },
     }
-    if verdict.t_star is None and verdict.rationalizable:
-        report["note"] = "the barycenter is empty wherever mu is: the ray is undefined"
-    elif verdict.t_star is None:
+    if verdict.t_star is None:
         report["note"] = "mu is the barycenter of the matching polytope"
     _print_json(report, args.out)
     return EXIT_OK if verdict.rationalizable else EXIT_DOMAIN

@@ -23,13 +23,15 @@ with whom.  ``is_nonseparable`` asks whether that residual is nonzero.
 
 Tolerances.  Every answer of the package is a zero test; the thresholds
 live here, and only ``entropy``'s stopping and kink criteria stay with
-their algorithms.  Masses sum to one, so mass tests are absolute:
-``MASS_TOL`` for margins, and ``BOUNDARY_TOL`` as the one empty-cell test
-(clamp, boundary, witness, entropy gradients), so "rationalizable <=>
-boundary <=> witness" holds by construction.  Surplus tests are relative
-to ``max|phi|``, which bounds the rounding error of ``phi - f - g``:
-``SEPARABILITY_TOL`` for residuals and reduced costs, ``OPTIMALITY_TOL``
-for duality gaps.  The units of ``phi`` thus change no verdict.  A
+their algorithms.  Margin tests are absolute: ``MASS_TOL``, and the
+input clamp of entries in ``[-BOUNDARY_TOL, 0)``.  A cell is empty when it
+holds at most ``BOUNDARY_TOL`` times its barycenter mass ``p_x q_y``: one
+rule, in ``polytope``, for the boundary, the ray, the witness and the
+entropy gradients, so "rationalizable <=> boundary <=> t* = 1" holds by
+construction.  Surplus tests are relative to ``max|phi|``, which bounds the
+rounding of ``phi - f - g``: ``SEPARABILITY_TOL`` for residuals (plus the
+margins' sum defects) and reduced costs, ``OPTIMALITY_TOL`` for duality
+gaps.  The units of ``phi`` thus change no verdict.  A
 stretch of the gauge ray by ``t`` scales two margin offsets: the
 matching's own defect, by ``t``, and the barycenter's, by ``t - 1``
 (``outer(p, q)`` has row sums ``p * sum(q)``), so the exit point's margins
@@ -71,8 +73,8 @@ __all__ = [
 #: Tolerance for mass constraints: margin sums, normalization, feasibility.
 MASS_TOL = 1e-9
 
-#: A cell with at most this much mass is empty.  Matching entries in
-#: ``[-BOUNDARY_TOL, 0)`` are clamped to zero; anything lower is rejected.
+#: A cell with at most this fraction of its barycenter mass is empty.
+#: Matching entries in ``[-BOUNDARY_TOL, 0)`` are clamped to zero.
 BOUNDARY_TOL = 1e-12
 
 #: Relative to ``max|phi|``: a doubly centered residual or a reduced cost
@@ -96,8 +98,8 @@ class NotInPolytopeError(ValidationError):
 
 
 class DegenerateRayError(MarketError):
-    """Ray construction undefined: the matching equals the barycenter, or the
-    barycenter is empty wherever the matching is."""
+    """Ray construction undefined: the matching equals the barycenter, no cell
+    shrinking by more than ``BOUNDARY_TOL`` times its barycenter mass."""
 
 
 class NonInteriorError(MarketError):
@@ -432,9 +434,16 @@ def decompose_separable(phi: Surplus, margins: Margins) -> SeparableParts:
     return _frozen(SeparableParts, f=f, g=g, residual=residual)
 
 
-def _is_nonzero_residual(residual: np.ndarray, phi: np.ndarray) -> bool:
-    """Whether the residual of ``phi`` exceeds ``SEPARABILITY_TOL * max|phi|``."""
-    return bool(np.abs(residual).max() > SEPARABILITY_TOL * np.abs(phi).max())
+def _is_nonzero_residual(residual: np.ndarray, phi: np.ndarray, margins: Margins) -> bool:
+    """Whether the residual exceeds ``SEPARABILITY_TOL * max|phi|`` plus what
+    margins whose sums miss one by ``a`` and ``b`` leave of a separable ``phi =
+    u[x] + v[y]``: ``-b (u - u0) - a (v - v0) + a b (u0 + v0)``, with ``u0``
+    and ``v0`` the weighted means.  A deviation is at most the range of ``phi``
+    and ``u0 + v0`` is its weighted mean, so that is at most ``(2 (|a| + |b|)
+    + |a b|) max|phi|``."""
+    a, b = abs(margins.p.sum() - 1.0), abs(margins.q.sum() - 1.0)
+    slack = (SEPARABILITY_TOL + 2.0 * (a + b) + a * b) * np.abs(phi).max()
+    return bool(np.abs(residual).max() > slack)
 
 
 def is_nonseparable(phi: Surplus, margins: Margins) -> bool:
@@ -446,7 +455,7 @@ def is_nonseparable(phi: Surplus, margins: Margins) -> bool:
     ``phi[0,0] + phi[1,1] != phi[0,1] + phi[1,0]``.  Nonzero means above
     ``SEPARABILITY_TOL * max|phi|``, so rescaling ``phi`` keeps the answer.
     """
-    return _is_nonzero_residual(decompose_separable(phi, margins).residual, phi.phi)
+    return _is_nonzero_residual(decompose_separable(phi, margins).residual, phi.phi, margins)
 
 
 def barycenter(margins: Margins) -> Matching:

@@ -258,19 +258,19 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     The gradient is taken with the margins held fixed, which is the
     relevant derivative on the polytope; it is defined up to a separable
     term, and the returned representative is the natural closed form for
-    each entropy.  Shannon and quantile gradients require every cell to
-    hold more than ``BOUNDARY_TOL``, zero-mass types included, so the
-    shannon gradient never takes ``log 0``; the quantile gradient
-    also requires all cumulative conditional masses to be distinct
-    (otherwise the entropy has a kink).
+    each entropy.  Shannon and quantile gradients require every cell, zero-mass
+    types included, to hold more than ``BOUNDARY_TOL`` times its barycenter
+    mass (``polytope``'s rule), so the shannon gradient never takes ``log 0``;
+    the quantile gradient also requires all cumulative conditional masses to
+    be distinct (otherwise the entropy has a kink).
     The gauge gradient exists off the barycenter and equals the stretch
     factor times the normal of the face where the gauge ray exits.
     """
     if model.kind == "gauge":
         ray = polytope.gauge(mu)
         return _adopt(Surplus, phi=ray.t_star * ray.normal)
-    if mu.mu.min() <= BOUNDARY_TOL:
-        cell = np.unravel_index(np.argmin(mu.mu), mu.mu.shape)
+    if mu.mu.min() <= BOUNDARY_TOL and (empty := polytope._empty_cells(mu, zero_mass=True)).any():
+        cell = np.unravel_index(np.argmin(np.where(empty, mu.mu, np.inf)), mu.mu.shape)
         raise NonInteriorError(
             f"boundary point: entropy gradient undefined, mu[{cell[0]}, {cell[1]}]"
             f" = {float(mu.mu[cell])!r}",

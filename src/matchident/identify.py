@@ -37,7 +37,7 @@ from .core import (
     decompose_separable,
 )
 from .entropy import EntropyModel, grad_entropy, solve_regularized
-from .polytope import GaugeResult, _empty_cells, _ray
+from .polytope import GaugeResult, _ray
 
 __all__ = [
     "RationalizabilityChecks",
@@ -162,39 +162,34 @@ def _observed(
 def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     """Decide whether an observed matching is rationalizable, with proof.
 
-    The verdict is the boundary test.  On the boundary an explicit witness
-    is constructed: the surplus equal to -1 on the empty cells of the
-    boundary test and 0 elsewhere.  Any feasible matching scores at most 0
-    against it and the observation attains 0, so the observation is
-    optimal; the report records that dual certificate and the
-    nonseparability of the witness, read in closed form off the empty
-    cells: the witness is separable exactly when they form whole rows or
-    whole columns.
+    The verdict is the boundary test, read off the gauge ray: a matching
+    with an empty cell is its own exit point, ``t_star == 1``, and one
+    without is interior, as is the barycenter, where the ray is undefined.
+    The witness is the surplus -1 on the ray's binding (empty) cells and 0
+    elsewhere.  Any feasible matching scores at most 0 against it and the
+    observation attains 0, so the observation is optimal; the report records
+    that dual certificate and the nonseparability of the witness, read in
+    closed form: it is separable exactly when the empty cells form whole
+    rows or whole columns.
 
     The ray goes into ``identify``'s one slot, keyed by the ``Matching``
     object, for ``rationalize_gauge`` to read; the slot retains that
     matching until a call on another one.
     """
+    interior = RationalizabilityChecks(False, False, False)
     try:
         ray = _observed(mu_hat)[1]
-        t_star, mu_star = ray.t_star, ray.mu_star
     except DegenerateRayError:
-        t_star, mu_star = None, None
-    # The ray of a boundary matching stops at t* = 1, so any other stretch
-    # proves the matching interior without a look at its empty cells.
-    empty = _empty_cells(mu_hat) if t_star in (None, 1.0) else None
-    if empty is not None and empty.any():
-        witness = _frozen(Surplus, phi=np.where(empty, -1.0, 0.0))
-        checks = RationalizabilityChecks(
-            boundary=True,
-            maximizer=_certifies(witness.phi, mu_hat),
-            nonseparable=not _separable_witness(empty),
-        )
-    else:
-        witness, checks = None, RationalizabilityChecks(False, False, False)
-    return RationalizabilityReport(
-        witness=witness, t_star=t_star, mu_star=mu_star, checks=checks
+        return RationalizabilityReport(None, None, None, interior)
+    if ray.t_star > 1.0:
+        return RationalizabilityReport(None, ray.t_star, ray.mu_star, interior)
+    witness = _frozen(Surplus, phi=np.where(ray.binding, -1.0, 0.0))
+    checks = RationalizabilityChecks(
+        boundary=True,
+        maximizer=_certifies(witness.phi, mu_hat),
+        nonseparable=not _separable_witness(ray.binding),
     )
+    return RationalizabilityReport(witness, ray.t_star, ray.mu_star, checks)
 
 
 def _gauge_route(mu_hat: Matching, model: EntropyModel) -> tuple[GaugeResult, IdentifiedSurplus]:
@@ -202,8 +197,8 @@ def _gauge_route(mu_hat: Matching, model: EntropyModel) -> tuple[GaugeResult, Id
     global _last_observed
     _, ray, direction, identified = _observed(mu_hat)
     if identified is None:
-        phi_raw = _adopt(Surplus, phi=ray.t_star * ray.normal)
-        parts = decompose_separable(phi_raw, mu_hat.margins)
+        phi_raw, margins = _adopt(Surplus, phi=ray.t_star * ray.normal), mu_hat.margins
+        parts = decompose_separable(phi_raw, margins)
         identified = IdentifiedSurplus(
             phi_raw=phi_raw,
             phi_canonical=_frozen(Surplus, phi=parts.residual),
@@ -212,7 +207,7 @@ def _gauge_route(mu_hat: Matching, model: EntropyModel) -> tuple[GaugeResult, Id
                 "t_star": ray.t_star,
                 "normalization": float(np.sum(ray.normal * direction)),
                 "maximizer_verified": float(_certifies(ray.normal, ray.mu_star)),
-                "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
+                "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi, margins)),
             },
         )
         _last_observed = (mu_hat, ray, direction, identified)
@@ -234,10 +229,9 @@ def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]
     ``t_star`` times it, is the gauge entropy's gradient at ``mu_hat``.  A
     boundary observation is its own exit point (``t_star = 1``).
 
-    Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter, or
-    when it is on the boundary but shrinks none of its empty cells (the
-    barycenter is empty wherever the observation is); the slot is then
-    left as it was.
+    Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter: when
+    no cell shrinks by more than ``BOUNDARY_TOL`` times its barycenter
+    mass.  The slot is then left as it was.
 
     The ray and its identification are kept with ``mu_hat`` in one slot,
     keyed by the ``Matching`` object: after ``check_rationalizable`` the
@@ -299,7 +293,7 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
     phi_raw = grad_entropy(model, mu_hat)
     parts = decompose_separable(phi_raw, margins)
     diagnostics: dict[str, float] = {
-        "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
+        "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi, margins)),
     }
     if model.kind == "shannon":
         lm = np.log(mu_hat.mu)

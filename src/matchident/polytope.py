@@ -193,8 +193,8 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     the smallest such ratio; because ``mu_hat`` itself is feasible it is
     always at least 1.  The cells whose ratio attains it form the
     ``binding`` mask, of shrinking cells.  A matching on the boundary (see
-    ``is_boundary``) is its own exit point, at ``t_star = 1``, through the
-    empty cells it shrinks.
+    ``is_boundary``) is its own exit point, at ``t_star = 1``, through its
+    empty cells, which all shrink.
 
     The exit point is built finite and is clipped nonnegative in place, so
     of ``Matching``'s checks only the margin test runs on it, once.  Its
@@ -204,10 +204,10 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     barycenter's, ``max(max(p) * |sum(q) - 1|, max(q) * |sum(p) - 1|)``
     (margins that sum to one only within ``MASS_TOL``).
 
-    Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter, up to
-    ``BOUNDARY_TOL`` or within its margin defect (no cell shrinks), or when
-    it is on the boundary but shrinks no empty cell: the ray then has no
-    direction or no exit.
+    Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter: when
+    no cell shrinks by more than ``BOUNDARY_TOL`` times its barycenter
+    mass, as within a loose ``tol``'s margin defect.  The ray then has no
+    direction, and ``mu_hat`` has no empty cell.
 
     A pure function: each call scales afresh and keeps nothing.  The
     verdict and the gauge identification of one observation share its ray
@@ -222,21 +222,14 @@ def _ray(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
     p, q = margins.p, margins.q
     bary = _barycenter_mu(margins)
     diff = mu_hat.mu - bary
-    shrinking = diff < 0.0
-    if np.abs(diff).max() <= BOUNDARY_TOL or not shrinking.any():
+    if not (diff < -BOUNDARY_TOL * bary).any():
         raise DegenerateRayError(
             "matching equals the barycenter; the ray to the boundary is undefined"
         )
-    if mu_hat.mu.min() <= BOUNDARY_TOL and (empty := _empty_cells(mu_hat)).any():
-        binding = empty & shrinking
-        if not binding.any():
-            raise DegenerateRayError(
-                "the barycenter is empty wherever the matching is; the ray"
-                " leaves through none of its empty cells"
-            )
+    if mu_hat.mu.min() <= BOUNDARY_TOL and (binding := _empty_cells(mu_hat, bary)).any():
         t_star, mu_star = 1.0, mu_hat
     else:
-        ratios = np.divide(bary, -diff, out=np.full(diff.shape, np.inf), where=shrinking)
+        ratios = np.divide(bary, -diff, out=np.full(diff.shape, np.inf), where=diff < 0.0)
         t_star = float(ratios.min())
         # A cell whose ratio is within a relative BOUNDARY_TOL of t* keeps
         # less than BOUNDARY_TOL of its barycenter mass at mu*: it is empty
@@ -263,18 +256,23 @@ def _ray(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
     return GaugeResult(t_star=t_star, mu_star=mu_star, binding=binding, normal=normal), diff
 
 
-def _empty_cells(mu: Matching) -> np.ndarray:
-    """Cells of at most ``BOUNDARY_TOL`` between types of positive mass."""
-    p, q = mu.margins.p, mu.margins.q
-    return (mu.mu <= BOUNDARY_TOL) & (p > 0.0)[:, None] & (q > 0.0)[None, :]
+def _empty_cells(mu: Matching, bary: np.ndarray | None = None, zero_mass=False) -> np.ndarray:
+    """The one empty-cell rule: at most ``BOUNDARY_TOL`` times the barycenter
+    mass ``bary = p_x q_y``.  Cells of zero-mass types (``bary = 0``) count
+    only with ``zero_mass``; any other empty cell shrinks along the gauge ray.
+    No cell above ``BOUNDARY_TOL`` is empty (``bary <= 1`` wherever a cell can
+    be that light), so ``mu.min() <= BOUNDARY_TOL`` prefilters the rule."""
+    bary = _barycenter_mu(mu.margins) if bary is None else bary
+    empty = mu.mu <= BOUNDARY_TOL * bary
+    return empty if zero_mass else empty & (bary > 0.0)
 
 
 def is_boundary(mu: Matching) -> bool:
     """Whether the matching sits on the (relative) boundary of the polytope.
 
     Margins are equalities everywhere on the polytope, so the relative
-    boundary is reached exactly when some entry vanishes, that is, is at
-    most ``BOUNDARY_TOL``.  The cells of a zero-mass type are empty in
-    every feasible matching and constrain nothing, so they do not count.
+    boundary is reached exactly when some cell is empty, holding at most
+    ``BOUNDARY_TOL`` times its barycenter mass; a zero-mass type's cells are
+    empty in every feasible matching and constrain nothing, so do not count.
     """
     return bool(_empty_cells(mu).any())

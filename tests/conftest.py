@@ -58,10 +58,11 @@ def random_boundary_matching(rng: np.random.Generator, margins: Margins) -> Matc
     return Matching(sum(w * v.mu for w, v in zip(weights, sharing)), margins)
 
 
-def boundary_matching_the_ray_grows() -> tuple[np.ndarray, np.ndarray]:
-    """Margins ``p = q`` and a 3x3 matching whose only empty cell, (0, 0),
+def matching_with_a_cell_the_ray_grows() -> tuple[np.ndarray, np.ndarray]:
+    """Margins ``p = q`` and a 3x3 matching whose smallest cell, (0, 0),
     holds 5e-13 against the barycenter's 1e-14: the ray from the barycenter
-    grows the cell, so it leaves through no face the matching is on."""
+    grows the cell, which holds 50 times its barycenter mass, so the cell is
+    not empty and the matching is interior."""
     small, corner = 1e-7, 5e-13
     p = np.array([small, 0.5, 0.5 - small])
     mu = np.zeros((3, 3))

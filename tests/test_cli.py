@@ -25,7 +25,7 @@ from matchident import entropy, lp
 from matchident.cli import main
 from conftest import (
     TEN_DECIMAL_MARKET,
-    boundary_matching_the_ray_grows,
+    matching_with_a_cell_the_ray_grows,
     random_margins,
     random_surplus,
 )
@@ -364,17 +364,17 @@ class TestCheck:
         else:
             assert document["error"] == error
 
-    def test_boundary_matching_without_a_ray_gets_a_note(self, tmp_path, capsys):
-        """Where the barycenter is empty wherever mu is, mu is rationalizable
-        but the ray from the barycenter leaves through none of its faces."""
-        p, mu = boundary_matching_the_ray_grows()
+    def test_a_small_cell_the_ray_grows_is_interior(self, tmp_path, capsys):
+        """A cell of 5e-13 holding 50 times its barycenter mass is not empty:
+        mu is interior, its ray is defined and the report has no note."""
+        p, mu = matching_with_a_cell_the_ray_grows()
         market = write_market(tmp_path / "m.json", p=p.tolist(), q=p.tolist(), mu=mu.tolist())
         code, report = run_json(capsys, ["check", "--input", market])
-        assert code == 0
+        assert code == 1
         validate(report, CHECK_REPORT_SCHEMA)
-        assert report["rationalizable"] is True
-        assert report["t_star"] is None and report["mu_star"] is None
-        assert report["note"] == "the barycenter is empty wherever mu is: the ray is undefined"
+        assert report["rationalizable"] is False and report["witness"] is None
+        assert report["t_star"] == pytest.approx(5.0, rel=1e-6)
+        assert report["mu_star"] is not None and "note" not in report
 
     def test_custom_tolerance_admits_slightly_off_margins(self, tmp_path, capsys):
         mu = [[0.5, 0.0], [0.0, 0.5 - 1e-6]]

@@ -203,6 +203,23 @@ class TestIsNonseparable:
             g = rng.normal(0.0, 2.0, d_y)
             assert not is_nonseparable(Surplus(f[:, None] + g[None, :]), margins)
 
+    def test_margins_summing_to_one_within_mass_tol_leave_separable_surpluses_separable(self):
+        """Margins whose sums miss one by ``a`` and ``b`` leave a residual of
+        up to ``(2 (|a| + |b|) + |a b|) max|phi|`` on a separable surplus;
+        that is not discrimination, while a cross-difference still is."""
+        margins = Margins([0.5, 0.5], [0.5, 0.5 + 5e-10])
+        assert not is_nonseparable(Surplus([[1.0, 1.0], [0.0, 0.0]]), margins)
+        assert is_nonseparable(Surplus(np.eye(2)), margins)
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            d_x, d_y = rng.integers(2, 6, size=2)
+            base = random_margins(rng, d_x, d_y)
+            a, b = rng.uniform(-MASS_TOL, MASS_TOL, size=2) / 2
+            margins = Margins(base.p * (1.0 + a), base.q * (1.0 + b))
+            f = rng.normal(0.0, 2.0, d_x)
+            g = rng.normal(0.0, 2.0, d_y)
+            assert not is_nonseparable(Surplus(f[:, None] + g[None, :]), margins)
+
     def test_cross_difference_equivalence_2x2_uniform(self, uniform2):
         """With uniform 2x2 margins the residual is a quarter of the
         cross-difference, so the verdict flips at cross-difference

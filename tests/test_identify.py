@@ -190,6 +190,32 @@ class TestCheckRationalizable:
             else:
                 assert report.witness is None
 
+    def test_a_light_type_is_empty_only_relative_to_its_barycenter_mass(self):
+        """A row type of mass 1e-13 whose cells hold 1e-13 and 0: only the
+        second is empty, so the witness is -1 on cell (2, 1) alone, which
+        discriminates, and the matching is its own exit point."""
+        margins = Margins([0.5, 0.5 - 1e-13, 1e-13], [0.5, 0.5])
+        mu = Matching([[0.4, 0.1], [0.1 - 1e-13, 0.4], [1e-13, 0.0]], margins)
+        report = check_rationalizable(mu)
+        assert report.rationalizable and report.t_star == 1.0
+        np.testing.assert_array_equal(report.witness.phi, [[0, 0], [0, 0], [0, -1]])
+        assert report.checks.maximizer and report.checks.nonseparable
+
+    def test_the_barycenter_of_a_light_type_has_no_empty_cell(self):
+        """At the barycenter of margins with a type of mass 1e-13 no cell is
+        empty, however small, and the ray is undefined; replacing the light
+        row by ``[1e-13, 0]`` gives it a ray and one empty cell, (1, 1)."""
+        margins = Margins([1.0 - 1e-13, 1e-13], [0.5, 0.5])
+        report = check_rationalizable(barycenter(margins))
+        assert not report.rationalizable and report.witness is None
+        assert report.t_star is None and report.mu_star is None
+        mu = barycenter(margins).mu.copy()
+        mu[1] = [1e-13, 0.0]
+        report = check_rationalizable(Matching(mu, margins))
+        assert report.rationalizable and report.t_star == 1.0
+        np.testing.assert_array_equal(report.witness.phi, [[0, 0], [0, -1]])
+        assert report.checks.maximizer and report.checks.nonseparable
+
     def test_a_witness_of_whole_light_rows_is_separable_whatever_the_margin_sums(self):
         """A light type whose row is empty gives the witness -1 on that whole
         row, which is ``f[x]`` alone: separable, however far within

@@ -22,7 +22,7 @@ from matchident import (
     is_boundary,
 )
 from conftest import (
-    boundary_matching_the_ray_grows,
+    matching_with_a_cell_the_ray_grows,
     random_boundary_matching,
     random_interior_matching,
     random_margins,
@@ -198,13 +198,24 @@ class TestGauge:
             gauge(mu)
 
     def test_small_mass_boundary_matching_is_its_own_exit(self):
-        """A cell within BOUNDARY_TOL of zero puts the matching on the
-        boundary, even where a type's barycenter mass is small: the ray exits
-        at the matching itself, through that cell."""
+        """Empty is relative to the barycenter mass: where a type's barycenter
+        mass is 5e-7, a cell of 5e-13 is interior and the ray stretches past
+        it by about 1e-6, while a cell within BOUNDARY_TOL of its barycenter
+        mass puts the matching on the boundary; the ray then exits at the
+        matching itself, through that cell."""
         margins = Margins([1e-6, 1.0 - 1e-6], [0.5, 0.5])
-        mu = Matching(
-            [[5e-13, 1e-6 - 5e-13], [0.5 - 5e-13, 0.5 - 1e-6 + 5e-13]], margins
-        )
+
+        def light(corner):
+            rows = [[corner, 1e-6 - corner], [0.5 - corner, 0.5 - 1e-6 + corner]]
+            return Matching(rows, margins)
+
+        interior = light(5e-13)
+        assert not is_boundary(interior)
+        result = gauge(interior)
+        assert result.t_star == pytest.approx(1.0 + 1e-6, rel=1e-9)
+        np.testing.assert_array_equal(result.binding, [[True, False], [False, False]])
+        mu = light(2e-19)
+        assert mu.mu[0, 0] <= BOUNDARY_TOL * barycenter(margins).mu[0, 0]
         assert is_boundary(mu)
         result = gauge(mu)
         assert result.t_star == 1.0
@@ -216,17 +227,23 @@ class TestGauge:
 
     def test_a_cell_of_exactly_boundary_tol_is_its_own_exit(self):
         """The empty-cell scan is skipped only when every cell holds more than
-        BOUNDARY_TOL; a smallest cell of exactly BOUNDARY_TOL still binds."""
+        BOUNDARY_TOL; a smallest cell of exactly BOUNDARY_TOL times its
+        barycenter mass still binds, and one a float above it is interior."""
         margins = Margins([0.2, 0.8], [0.2, 0.8])
-        mu = Matching(
-            [[BOUNDARY_TOL, 0.2 - BOUNDARY_TOL], [0.2 - BOUNDARY_TOL, 0.6 + BOUNDARY_TOL]],
-            margins,
-        )
-        assert mu.mu.min() == BOUNDARY_TOL and np.sum(mu.mu <= BOUNDARY_TOL) == 1
+        edge = BOUNDARY_TOL * barycenter(margins).mu[0, 0]
+
+        def corner(c):
+            return Matching([[c, 0.2 - c], [0.2 - c, 0.6 + c]], margins)
+
+        mu = corner(edge)
+        assert mu.mu[0, 0] == edge and is_boundary(mu)
         result = gauge(mu)
         assert result.t_star == 1.0
         assert result.mu_star is mu
         np.testing.assert_array_equal(result.binding, [[True, False], [False, False]])
+        above = corner(np.nextafter(edge, 1.0))
+        assert not is_boundary(above)
+        assert gauge(above).t_star > 1.0
 
     def test_empty_cells_only_on_a_zero_mass_type_take_the_interior_path(self):
         """Cells of a zero-mass type are at most BOUNDARY_TOL but never empty
@@ -243,12 +260,18 @@ class TestGauge:
         )
         assert result.mu_star.mu[result.binding].max() <= BOUNDARY_TOL
 
-    def test_boundary_matching_that_shrinks_no_empty_cell_is_degenerate(self):
-        p, mu = boundary_matching_the_ray_grows()
+    def test_a_small_cell_the_ray_grows_is_not_empty(self):
+        """A cell of 5e-13 holding 50 times its barycenter mass is not empty:
+        the matching is interior, and its ray exits through cells it shrinks."""
+        p, mu = matching_with_a_cell_the_ray_grows()
         mu = Matching(mu, Margins(p, p))
-        assert is_boundary(mu)
-        with pytest.raises(DegenerateRayError, match="empty wherever"):
-            gauge(mu)
+        assert not is_boundary(mu)
+        result = gauge(mu)
+        assert result.t_star == pytest.approx(5.0, rel=1e-6)
+        np.testing.assert_array_equal(result.binding, [[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+        bary = barycenter(mu.margins).mu
+        assert np.all(mu.mu[result.binding] < bary[result.binding])
+        assert result.mu_star.mu[0, 0] > mu.mu[0, 0]
 
     def test_normal_is_the_scaled_exit_face(self, interior_matching):
         result = gauge(interior_matching)

@@ -9,7 +9,7 @@ shifts.
 from collections import Counter
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matchident import (
@@ -226,6 +226,52 @@ def test_the_witness_is_separable_exactly_on_whole_rows_or_whole_columns(drawn):
     margins, empty = drawn
     witness = Surplus(np.where(empty, -1.0, 0.0))
     assert _separable_witness(empty) == (not is_nonseparable(witness, margins))
+
+
+@st.composite
+def light_type_observations(draw) -> Matching:
+    """A matching with cells from 1 down to 1e-15 or exactly 0, some row and
+    column types lighter by 1e-6 to 1e-13 (or of zero mass), mixed with
+    weight 0, 1/2, 1 - 1e-6 or 1 with the barycenter of its sums.  Its
+    margins are its own sums: a light row admitted off its margin could
+    hold less than its barycenter mass in every cell."""
+    d_x, d_y = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    masses = st.one_of(st.just(0.0), st.floats(-15.0, 0.0).map(lambda e: 10.0**e))
+    cells = draw(st.lists(masses, min_size=d_x * d_y, max_size=d_x * d_y))
+    scales = st.sampled_from([1.0, 1.0, 1e-6, 1e-9, 1e-12, 1e-13])
+    rows = draw(st.lists(scales, min_size=d_x, max_size=d_x))
+    cols = draw(st.lists(scales, min_size=d_y, max_size=d_y))
+    raw = np.reshape(cells, (d_x, d_y)) * np.outer(rows, cols)
+    assume(raw.sum() > 0.0)
+    raw /= raw.sum()
+    weight = draw(st.sampled_from([0.0, 0.5, 1.0 - 1e-6, 1.0]))
+    mu = weight * np.outer(raw.sum(axis=1), raw.sum(axis=0)) + (1.0 - weight) * raw
+    margins = Margins(mu.sum(axis=1), mu.sum(axis=0), allow_zero_mass=True)
+    return Matching(mu, margins)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mu=light_type_observations())
+def test_light_types_are_empty_only_relative_to_their_barycenter_mass(mu):
+    """One empty-cell rule: the verdict is the boundary test and the gauge's
+    t* = 1, a positive verdict has a certified nonseparable witness, and on
+    positive margins the shannon gradient refuses exactly the rationalizable
+    matchings."""
+    verdict = check_rationalizable(mu)
+    assert verdict.rationalizable == is_boundary(mu)
+    if verdict.t_star is None:
+        assert not verdict.rationalizable
+    else:
+        assert verdict.rationalizable == (verdict.t_star == 1.0)
+    if verdict.rationalizable:
+        assert verdict.checks.maximizer and verdict.checks.nonseparable
+    if mu.margins.p.min() > 0.0 and mu.margins.q.min() > 0.0:
+        try:
+            identify_entropy(mu, EntropyModel.shannon())
+        except NonInteriorError:
+            assert verdict.rationalizable
+        else:
+            assert not verdict.rationalizable
 
 
 @st.composite
