@@ -41,7 +41,7 @@ max(q) * |sum(p) - 1|)``.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -170,26 +170,20 @@ def _freeze(obj, **arrays) -> None:
 class Margins:
     """Type distributions ``p`` (x side) and ``q`` (y side).
 
-    Both must be strictly positive and sum to one (total mass on each side
-    is normalized to the same constant, taken to be 1).  Empirical margins
-    computed from finite samples may legitimately miss a type entirely;
-    pass ``allow_zero_mass=True`` for those, at the price that operations
-    requiring conditional distributions will refuse the zero rows.
+    Both must be zero or positive and sum to one (total mass on each side
+    is normalized to the same constant, taken to be 1).  A type of zero
+    mass, as a small sample may leave, is absent: its cells are zero in
+    every feasible matching, and conditional distributions refuse it.
     """
 
     p: np.ndarray
     q: np.ndarray
-    allow_zero_mass: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         p = _validated_vector("p", self.p, 2)
         q = _validated_vector("q", self.q, 2)
-        least = min(p.min(), q.min())
-        if self.allow_zero_mass:
-            if least < 0:
-                raise ValidationError("margins must be nonnegative")
-        elif least <= 0:
-            raise ValidationError("margins must be strictly positive")
+        if min(p.min(), q.min()) < 0:
+            raise ValidationError("margins must be zero or positive")
         for name, arr in (("p", p), ("q", q)):
             if abs(arr.sum() - 1.0) > MASS_TOL:
                 raise ValidationError(
@@ -454,8 +448,13 @@ def is_nonseparable(phi: Surplus, margins: Margins) -> bool:
     In the 2x2 case it reduces to the cross-difference test
     ``phi[0,0] + phi[1,1] != phi[0,1] + phi[1,0]``.  Nonzero means above
     ``SEPARABILITY_TOL * max|phi|``, so rescaling ``phi`` keeps the answer.
+    Only cells between positive-mass types count, in the residual and in
+    ``max|phi|``: every feasible matching is zero on a zero-mass type's
+    lines, which weigh 0 in the decomposition.
     """
-    return _is_nonzero_residual(decompose_separable(phi, margins).residual, phi.phi, margins)
+    live = np.ix_(margins.p > 0, margins.q > 0)
+    residual = decompose_separable(phi, margins).residual
+    return _is_nonzero_residual(residual[live], phi.phi[live], margins)
 
 
 def barycenter(margins: Margins) -> Matching:

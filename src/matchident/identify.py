@@ -319,9 +319,9 @@ def simulate_market(
 
     Solves the shannon-regularized problem for the population matching,
     then draws ``households`` pairings from it multinomially.  Returns the
-    population matching and the empirical one; the empirical margins are
-    recomputed from the draw (they differ from the population margins and
-    may contain zero-mass types for small samples).
+    population matching and the empirical one, whose margins are its own
+    sums: a type the sample misses has zero mass, absent to the verdict and
+    the gauge and refused by the shannon and quantile gradients.
 
     The draw is reproducible: the same ``seed`` gives the same sample.
     ``households`` must be an integer from 1 to ``2**63 - 1``, and ``seed`` a
@@ -341,7 +341,5 @@ def simulate_market(
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(int(households), weights / weights.sum())
     empirical = counts.reshape(mu_true.mu.shape).astype(float) / float(households)
-    empirical_margins = Margins(
-        empirical.sum(axis=1), empirical.sum(axis=0), allow_zero_mass=True
-    )
+    empirical_margins = Margins(empirical.sum(axis=1), empirical.sum(axis=0))
     return mu_true, Matching(empirical, empirical_margins)

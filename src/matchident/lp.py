@@ -116,7 +116,8 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
     without row 0 then hangs below a column of row 0's tree through its
     best zero cell from one of its own rows.  Every zero-flow cell thus
     hangs below its column node, as Cunningham's leaving rule requires,
-    provided every type has mass.
+    except that a zero-mass column, or a zero-mass row 0, joins the tree
+    through a zero cell below its row: there the pivot cap bounds the solve.
     """
     m, n = p.size, q.size
     mu = np.zeros((m, n))

@@ -4,12 +4,17 @@ Every command is exercised in-process through ``cli.main`` so that exit
 codes, report contents and error documents can be asserted directly.
 """
 
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
 from matchident import (
@@ -217,6 +222,18 @@ class TestSolve:
         assert report["discriminating"] is False
         assert "separable" in report["note"]
         assert report["value"] == pytest.approx(2.5, abs=1e-12)
+
+    def test_surplus_on_a_zero_mass_type_does_not_discriminate(self, tmp_path, capsys):
+        """Row 2 has no mass, so every feasible matching is zero on it and the
+        1 there favours none of them."""
+        market = write_market(
+            tmp_path / "m.json", p=[0.5, 0.5, 0.0], q=UNIFORM_P, phi=[[0, 0], [0, 0], [1, 0]]
+        )
+        code, report = run_json(capsys, ["solve", "--input", market])
+        assert code == 0
+        validate(report, SOLVE_REPORT_SCHEMA)
+        assert report["discriminating"] is False
+        assert report["note"] == "surplus is separable: every feasible matching is optimal"
 
     def test_margin_sums_that_differ_by_mass_tol_solve(self, tmp_path, capsys):
         """Each sum is within ``MASS_TOL`` of 1, so the market is valid,
@@ -695,6 +712,36 @@ class TestSimulate:
         assert code == 1  # the regularized optimizer is strictly interior
         assert report["rationalizable"] is False
 
+    def test_an_empirical_matching_that_misses_a_type_reads_back(self, tmp_path, capsys):
+        """Three households miss type 2 on both sides: the zero-mass type is
+        absent to check and the gauge, and the shannon gradient refuses it."""
+        market = write_market(
+            tmp_path / "m.json",
+            p=[0.5, 0.3, 0.2],
+            q=[0.4, 0.35, 0.25],
+            phi=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        )
+        out = tmp_path / "out"
+        argv = ["simulate", "--input", market, "--households", "3", "--seed", "1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        empirical = out / "mu_empirical.json"
+        document = json.loads(empirical.read_text())
+        assert document["p"] == document["q"] == [2 / 3, 1 / 3, 0.0]
+        empirical = str(empirical)
+        code, report = run_json(capsys, ["check", "--input", empirical])
+        assert code == 0
+        validate(report, CHECK_REPORT_SCHEMA)
+        assert report["rationalizable"] is True and all(report["checks"].values())
+        code, report = run_json(capsys, ["identify", "--input", empirical, "--entropy", "gauge"])
+        assert code == 0
+        validate(report, IDENTIFY_REPORT_SCHEMA)
+        code, document = run_json(
+            capsys, ["identify", "--input", empirical, "--entropy", "shannon"]
+        )
+        assert code == 1
+        assert document["error"] == "boundary-point"
+
 
 class TestGeometry:
     def write_interior(self, tmp_path: Path) -> str:
@@ -905,3 +952,119 @@ class TestInputErrors:
         assert code in (1, 2)
         assert number in document["message"]
         assert "np." not in document["message"]
+
+
+#: Leaves of a junk field: every JSON scalar, NaN, the infinities and
+#: integers past the float range.
+JUNK_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([10**400, -(10**400)]),
+)
+JUNK = st.recursive(JUNK_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400])
+MATRICES = ("mu", "phi")
+#: A field is kept two times in three.
+FIELD_CHANGES = st.sampled_from(["keep"] * 12 + ["drop", "junk", "nest", "cut", "ragged", "inf"])
+
+
+@st.composite
+def fuzzed_market_documents(draw):
+    """A market of 2x2 to 4x4 types, zero-mass ones included, with a
+    barycenter, vertex or arbitrary ``mu``; each field is kept, dropped,
+    swapped for junk, nested once more, made ragged, given a non-finite
+    entry or cut by its last entry or row.  One document in ten is junk
+    whole."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+
+    def margin(size: int) -> list[float]:
+        weights = st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any)
+        weights = np.array(draw(weights), float)
+        return (weights / weights.sum()).tolist()
+
+    p, q = margin(m), margin(n)
+    cells = st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n)
+    phi = np.reshape(draw(cells), (m, n))
+    kind = draw(st.sampled_from(["barycenter", "vertex", "arbitrary"]))
+    if kind == "barycenter":
+        mu = np.outer(p, q).tolist()
+    elif kind == "vertex":
+        mu = maximize_surplus(Surplus(phi), Margins(p, q)).mu_opt.mu.tolist()
+    else:
+        mu = (np.abs(np.reshape(draw(cells), (m, n))) / 10.0).tolist()
+    document = {
+        "p": p,
+        "q": q,
+        "mu": mu,
+        "phi": phi.tolist(),
+        "x_values": list(range(m)),
+        "y_values": list(range(n)),
+    }
+    for field in list(document):
+        value = document[field]
+        change = draw(FIELD_CHANGES)
+        if change == "drop":
+            del document[field]
+        elif change == "junk":
+            document[field] = draw(JUNK)
+        elif change == "nest":
+            document[field] = [value]
+        elif change == "cut":
+            document[field] = value[:-1]
+        elif change == "ragged":
+            document[field] = [value[0][:-1], *value[1:]] if field in MATRICES else [*value, [0]]
+        elif change == "inf":
+            (value[0] if field in MATRICES else value)[0] = draw(NON_FINITE)
+    return document
+
+
+COMMANDS = st.one_of(
+    st.sampled_from(
+        [
+            ["solve"],
+            ["check"],
+            ["identify", "--entropy", "gauge"],
+            ["identify", "--entropy", "shannon"],
+            ["identify", "--entropy", "quantile"],
+            ["geometry"],
+        ]
+    ),
+    st.builds(
+        lambda households, seed, round_trip: [
+            "simulate", "--households", str(households), "--seed", str(seed), *round_trip
+        ],
+        st.integers(1, 40),
+        st.integers(0, 3),
+        st.sampled_from([[], ["--round-trip"]]),
+    ),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(document=fuzzed_market_documents(), command=COMMANDS)
+def test_fuzzed_market_files_get_a_report_or_a_named_error(document, command):
+    """Every subcommand on any market file exits 0 to 3 with one JSON
+    document on stdout, or ``geometry``'s text; exit 2 names malformed input
+    or a file error, and no exception escapes ``main``."""
+    with tempfile.TemporaryDirectory() as directory:
+        market = Path(directory) / "m.json"
+        market.write_text(json.dumps(document))
+        argv = [command[0], "--input", str(market), *command[1:]]
+        if command[0] == "simulate":
+            argv += ["--out", str(Path(directory) / "out")]
+        stdout = io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if command[0] == "geometry" and code == 0:
+        assert set(parse_geometry(stdout.getvalue())) == {
+            "segment", "barycenter", "mu_hat", "mu_star", "ray"
+        }
+        return
+    report = json.loads(stdout.getvalue())
+    if code == 2:
+        assert report["error"] in ("invalid-input", "io-error")

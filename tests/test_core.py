@@ -35,17 +35,12 @@ class TestMargins:
         np.testing.assert_allclose(m.q, [0.4, 0.6])
         assert m.shape == (2, 2)
 
-    def test_rejects_nonpositive_entries(self):
-        with pytest.raises(ValidationError):
-            Margins([0.0, 1.0], [0.5, 0.5])
-        with pytest.raises(ValidationError):
-            Margins([0.5, 0.5], [-0.1, 1.1])
-
-    def test_allow_zero_mass_accepts_zeros_but_not_negatives(self):
-        m = Margins([0.0, 1.0], [0.5, 0.5], allow_zero_mass=True)
+    def test_accepts_zeros_but_not_negatives(self):
+        m = Margins([0.0, 1.0], [0.5, 0.5])
         assert m.p[0] == 0.0
-        with pytest.raises(ValidationError):
-            Margins([-0.1, 1.1], [0.5, 0.5], allow_zero_mass=True)
+        for p, q in (([-0.1, 1.1], [0.5, 0.5]), ([0.5, 0.5], [-0.1, 1.1])):
+            with pytest.raises(ValidationError, match="positive"):
+                Margins(p, q)
 
     def test_rejects_bad_normalization(self):
         with pytest.raises(ValidationError):
@@ -220,6 +215,15 @@ class TestIsNonseparable:
             g = rng.normal(0.0, 2.0, d_y)
             assert not is_nonseparable(Surplus(f[:, None] + g[None, :]), margins)
 
+    def test_only_cells_between_positive_mass_types_count(self):
+        """Every feasible matching is zero on a zero-mass type's lines, so
+        what ``phi`` holds there neither discriminates nor sets the scale."""
+        margins = Margins([0.5, 0.5, 0.0], [0.5, 0.5])
+        assert not is_nonseparable(Surplus([[0, 0], [0, 0], [1, 0]]), margins)
+        assert is_nonseparable(Surplus([[1, 0], [0, 1], [0, 0]]), margins)
+        # Against max|phi| = 1e12 the flip would sit at 1e2, far above 1e-3.
+        assert is_nonseparable(Surplus([[1e-3, 0], [0, 0], [1e12, 0]]), margins)
+
     def test_cross_difference_equivalence_2x2_uniform(self, uniform2):
         """With uniform 2x2 margins the residual is a quarter of the
         cross-difference, so the verdict flips at cross-difference
@@ -282,7 +286,7 @@ class TestConditionals:
         np.testing.assert_allclose(col_cond.sum(axis=0), np.ones(4), atol=1e-12)
 
     def test_refuses_zero_mass_margins(self):
-        margins = Margins([0.0, 1.0], [0.5, 0.5], allow_zero_mass=True)
+        margins = Margins([0.0, 1.0], [0.5, 0.5])
         mu = Matching([[0.0, 0.0], [0.5, 0.5]], margins)
         with pytest.raises(ValidationError):
             conditionals(mu)

@@ -597,7 +597,7 @@ class TestSolveRegularized:
             margins = random_margins(rng, d_x, d_y)
             markets.append((margins, random_surplus(rng, d_x, d_y, scale=scale)))
         p = np.append(random_margins(rng, 5, 6).p, 0.0)
-        zero_mass = Margins(p, random_margins(rng, 5, 6).q, allow_zero_mass=True)
+        zero_mass = Margins(p, random_margins(rng, 5, 6).q)
         markets.append((zero_mass, random_surplus(rng, 6, 6, scale=400.0)))
         model = EntropyModel.shannon()
         for margins, phi in markets:
@@ -660,7 +660,7 @@ class TestSolveRegularized:
 
     @pytest.mark.parametrize("scale", [1.0, 40.0])
     def test_zero_mass_types_get_zero_rows_without_warnings(self, scale):
-        margins = Margins([0.5, 0.5, 0.0], [0.3, 0.7], allow_zero_mass=True)
+        margins = Margins([0.5, 0.5, 0.0], [0.3, 0.7])
         phi = Surplus(scale * np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

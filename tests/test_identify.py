@@ -136,7 +136,7 @@ class TestCheckRationalizable:
         """An interior matching of the positive types stays interior when a
         type has zero mass; the entropy gradients still refuse its empty
         cells, naming the same cell as before."""
-        margins = Margins([0.5, 0.5, 0.0], [0.5, 0.5], allow_zero_mass=True)
+        margins = Margins([0.5, 0.5, 0.0], [0.5, 0.5])
         bary = Matching([[0.25, 0.25], [0.25, 0.25], [0.0, 0.0]], margins)
         report = check_rationalizable(bary)
         assert not report.rationalizable and report.t_star is None
@@ -149,7 +149,7 @@ class TestCheckRationalizable:
         assert info.value.cell == (2, 0)
 
     def test_zero_mass_market_with_an_empty_cell_has_a_nonseparable_witness(self):
-        margins = Margins([0.5, 0.5, 0.0], [0.5, 0.5], allow_zero_mass=True)
+        margins = Margins([0.5, 0.5, 0.0], [0.5, 0.5])
         mu = Matching([[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]], margins)
         report = check_rationalizable(mu)
         assert report.rationalizable

@@ -476,7 +476,35 @@ def assert_agrees_with_highs(phi: Surplus, margins: Margins, solution) -> None:
     assert np.abs(slack[support]).max() <= SEPARABILITY_TOL * scale
 
 
+def zero_mass_market(rng: np.random.Generator, i: int, d_x: int, d_y: int):
+    """Margins with zero-mass types: one to half of the columns, up to half
+    of rows 1 and on, and row 0 on every third ``i``; the positive masses
+    are uniform on even ``i``; the surplus is a normal one, or integers
+    from -3 to 3 (ties) on odd ``i``."""
+    p, q = (np.ones(d) if i % 2 == 0 else rng.uniform(0.2, 1.0, d) for d in (d_x, d_y))
+    q[rng.choice(d_y, rng.integers(1, d_y // 2 + 1), replace=False)] = 0.0
+    p[rng.choice(np.arange(1, d_x), rng.integers(0, (d_x - 1) // 2 + 1), replace=False)] = 0.0
+    if i % 3 == 0:
+        p[0] = 0.0
+    phi = rng.normal(size=(d_x, d_y))
+    if i % 2:
+        phi = rng.integers(-3, 4, (d_x, d_y)).astype(float)
+    return Margins(p / p.sum(), q / q.sum()), Surplus(phi)
+
+
 class TestAgainstHighs:
+    def test_zero_mass_markets_agree_with_linprog(self):
+        """A zero-mass column, or a zero-mass row 0, joins the start's tree
+        through a zero cell below its row, so strong feasibility does not
+        bound these solves; the answers and dual certificates still hold
+        from 2x2 to 40x40, from the northwest start and the surplus fill."""
+        rng = np.random.default_rng(67)
+        for i in range(60):
+            d_x, d_y = 2 + (i * 38) // 59, int(rng.integers(2, 41))
+            margins, phi = zero_mass_market(rng, i, d_x, d_y)
+            assert_agrees_with_highs(phi, margins, maximize_surplus(phi, margins))
+            assert_agrees_with_highs(phi, margins, greedy_solve(phi, margins))
+
     def test_value_and_dual_certificate_agree_with_linprog(self):
         rng = np.random.default_rng(62)
         for i in range(40):

@@ -95,7 +95,7 @@ class TestDimension:
                     q[rng.choice(d_y, rng.integers(0, d_y), replace=False)] = 0.0
                     cases.append((p / p.sum(), q / q.sum()))
         for p, q in cases:
-            margins = Margins(p, q, allow_zero_mass=True)
+            margins = Margins(p, q)
             verts = [v.mu.ravel() for v in enumerate_vertices(margins)]
             rank = np.linalg.matrix_rank(np.array(verts) - verts[0])
             assert dimension(margins) == rank
@@ -248,7 +248,7 @@ class TestGauge:
     def test_empty_cells_only_on_a_zero_mass_type_take_the_interior_path(self):
         """Cells of a zero-mass type are at most BOUNDARY_TOL but never empty
         in the boundary sense, so the ray stretches past the matching."""
-        margins = Margins([0.5, 0.5, 0.0], [0.4, 0.6], allow_zero_mass=True)
+        margins = Margins([0.5, 0.5, 0.0], [0.4, 0.6])
         mu = Matching([[0.25, 0.25], [0.15, 0.35], [0.0, 0.0]], margins)
         assert np.all((mu.mu <= BOUNDARY_TOL) == (np.asarray(margins.p) == 0.0)[:, None])
         result = gauge(mu)
@@ -365,7 +365,7 @@ class TestIsBoundary:
     def test_zero_mass_types_are_not_a_boundary(self):
         """The cells of a zero-mass type are empty in every feasible matching;
         only the cells between types of positive mass count."""
-        margins = Margins([0.5, 0.5, 0.0], [0.5, 0.5], allow_zero_mass=True)
+        margins = Margins([0.5, 0.5, 0.0], [0.5, 0.5])
         for mu in ([[0.25, 0.25], [0.25, 0.25], [0.0, 0.0]],
                    [[0.3, 0.2], [0.2, 0.3], [0.0, 0.0]]):
             assert not is_boundary(Matching(mu, margins))

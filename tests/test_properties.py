@@ -204,7 +204,7 @@ def witness_masks(draw) -> tuple[Margins, np.ndarray]:
     weights = st.integers(0, 4) if draw(st.booleans()) else st.integers(1, 4)
     p = np.array(draw(st.lists(weights, min_size=d_x, max_size=d_x).filter(any)), float)
     q = np.array(draw(st.lists(weights, min_size=d_y, max_size=d_y).filter(any)), float)
-    margins = Margins(p / p.sum(), q / q.sum(), allow_zero_mass=True)
+    margins = Margins(p / p.sum(), q / q.sum())
     kind = draw(st.sampled_from(["cells", "rows", "columns", "all"]))
     if kind == "all":
         return margins, np.ones((d_x, d_y), dtype=bool)
@@ -221,11 +221,50 @@ def witness_masks(draw) -> tuple[Margins, np.ndarray]:
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(drawn=witness_masks())
 def test_the_witness_is_separable_exactly_on_whole_rows_or_whole_columns(drawn):
-    """The closed form of the verdict's separability test agrees with the
-    decomposition of the witness -1 on the mask and 0 elsewhere."""
+    """The closed form of the verdict's separability test, on the cells
+    between positive-mass types (the verdict's masks hold no other), agrees
+    with the decomposition of the witness -1 on the mask and 0 elsewhere."""
     margins, empty = drawn
     witness = Surplus(np.where(empty, -1.0, 0.0))
-    assert _separable_witness(empty) == (not is_nonseparable(witness, margins))
+    live = np.ix_(margins.p > 0, margins.q > 0)
+    assert _separable_witness(empty[live]) == (not is_nonseparable(witness, margins))
+
+
+@st.composite
+def zero_mass_surpluses(draw) -> tuple[Margins, np.ndarray]:
+    """Margins up to 4x4 with at least one zero-mass type, and a quarter-integer
+    surplus separable on the cells between positive-mass types, plus, for half
+    the draws, a random bump there on at least 2x2 of them, with arbitrary
+    values on the zero-mass lines."""
+    d_x, d_y = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    bumped = draw(st.booleans())
+    m, n = draw(st.integers(1 + bumped, d_x)), draw(st.integers(1 + bumped, d_y))
+    assume(m * n < d_x * d_y)
+    p, q = np.zeros(d_x), np.zeros(d_y)
+    weights = st.integers(1, 4)
+    p[draw(st.permutations(range(d_x)))[:m]] = draw(st.lists(weights, min_size=m, max_size=m))
+    q[draw(st.permutations(range(d_y)))[:n]] = draw(st.lists(weights, min_size=n, max_size=n))
+    quarters = st.lists(st.integers(-20, 20), min_size=d_x * d_y, max_size=d_x * d_y)
+    f = np.array(draw(st.lists(st.integers(-8, 8), min_size=d_x, max_size=d_x)))
+    g = np.array(draw(st.lists(st.integers(-8, 8), min_size=d_y, max_size=d_y)))
+    phi = f[:, None] + g[None, :]
+    if bumped:
+        phi = phi + np.reshape(draw(quarters), (d_x, d_y))
+    live = np.outer(p > 0, q > 0)
+    phi = np.where(live, phi, np.reshape(draw(quarters), (d_x, d_y))) / 4.0
+    return Margins(p / p.sum(), q / q.sum()), phi
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(market=zero_mass_surpluses())
+def test_a_surplus_discriminates_exactly_when_it_is_nonseparable_on_positive_mass_types(market):
+    """Against vertex enumeration: ``is_nonseparable`` holds exactly when two
+    vertices differ in total surplus beyond ``OPTIMALITY_TOL * max|phi|``,
+    whatever the surplus holds on the lines of a zero-mass type."""
+    margins, phi = market
+    values = [total_surplus(v, Surplus(phi)) for v in vertices_for(margins)]
+    discriminates = max(values) - min(values) > OPTIMALITY_TOL * np.abs(phi).max()
+    assert is_nonseparable(Surplus(phi), margins) == discriminates
 
 
 @st.composite
@@ -246,7 +285,7 @@ def light_type_observations(draw) -> Matching:
     raw /= raw.sum()
     weight = draw(st.sampled_from([0.0, 0.5, 1.0 - 1e-6, 1.0]))
     mu = weight * np.outer(raw.sum(axis=1), raw.sum(axis=0)) + (1.0 - weight) * raw
-    margins = Margins(mu.sum(axis=1), mu.sum(axis=0), allow_zero_mass=True)
+    margins = Margins(mu.sum(axis=1), mu.sum(axis=0))
     return Matching(mu, margins)
 
 
