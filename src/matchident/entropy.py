@@ -211,10 +211,11 @@ def _quantile_moments(values: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
 
 
 def _quantile_value(mu: Matching, values: TypeValues) -> float:
-    p, q = mu.margins.p, mu.margins.q
-    row_cond, col_cond = conditionals(mu)
-    row_moments = _quantile_moments(values.y_values, np.cumsum(row_cond, axis=1))
-    col_moments = _quantile_moments(values.x_values, np.cumsum(col_cond.T, axis=1))
+    # A zero-mass type weighs 0 and adds no conditional mass: read the positive-mass lines.
+    rows, cols = mu.margins.p > 0.0, mu.margins.q > 0.0
+    p, q, sub = mu.margins.p[rows], mu.margins.q[cols], mu.mu[np.ix_(rows, cols)]
+    row_moments = _quantile_moments(values.y_values[cols], np.cumsum(sub / p[:, None], axis=1))
+    col_moments = _quantile_moments(values.x_values[rows], np.cumsum((sub / q).T, axis=1))
     return float(p @ row_moments + q @ col_moments)
 
 

@@ -16,11 +16,19 @@ inverts any of the supported entropies this way; for the gauge it calls
 ``rationalize_gauge``, which scales the matching to the boundary and reads
 the surplus off the exit face.  ``simulate_market`` closes the loop for
 finite-sample experiments.
+
+The verdict and the gauge identification read one ray, so it is computed
+once per observation: ``_scaled`` memoizes the ray and ``_identified`` the
+gauge identification, each a ``functools.lru_cache`` of one entry keyed by
+the ``Matching`` object (which compares by identity).  A call that raises,
+as at the barycenter, stores nothing, and at most two matchings are held:
+the last one scaled and the last one identified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,26 +145,30 @@ def _separable_witness(empty: np.ndarray) -> bool:
     )
 
 
-#: The last matching observed, its gauge ray, the ray's direction
-#: ``mu_hat - bary`` and, once read off, its gauge identification.
-_last_observed: (
-    tuple[Matching, GaugeResult, np.ndarray, IdentifiedSurplus | None] | None
-) = None
+@lru_cache(maxsize=1)
+def _scaled(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
+    """The gauge ray of ``mu_hat`` and its direction ``mu_hat - bary``: ``_ray``,
+    read by name at call time, so a wrapper put in its place sees the call."""
+    return _ray(mu_hat)
 
 
-def _observed(
-    mu_hat: Matching,
-) -> tuple[Matching, GaugeResult, np.ndarray, IdentifiedSurplus | None]:
-    """The slot's entry for ``mu_hat``, scaled to the boundary on a miss.
-
-    The global is read once and its key checked, so ``mu_hat`` never gets
-    another matching's ray; a ``DegenerateRayError`` leaves the slot alone.
-    """
-    global _last_observed
-    last = _last_observed
-    if last is None or last[0] is not mu_hat:
-        last = _last_observed = (mu_hat, *_ray(mu_hat), None)
-    return last
+@lru_cache(maxsize=1)
+def _identified(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]:
+    """The gauge ray of ``mu_hat`` and the identification read off it."""
+    ray, direction = _scaled(mu_hat)
+    phi_raw, margins = _adopt(Surplus, phi=ray.t_star * ray.normal), mu_hat.margins
+    parts = decompose_separable(phi_raw, margins)
+    return ray, IdentifiedSurplus(
+        phi_raw=phi_raw,
+        phi_canonical=_frozen(Surplus, phi=parts.residual),
+        entropy_kind=EntropyModel.gauge(),
+        diagnostics={
+            "t_star": ray.t_star,
+            "normalization": float(np.sum(ray.normal * direction)),
+            "maximizer_verified": float(_certifies(ray.normal, ray.mu_star)),
+            "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi, margins)),
+        },
+    )
 
 
 def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
@@ -172,13 +184,11 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     closed form: it is separable exactly when the empty cells form whole
     rows or whole columns.
 
-    The ray goes into ``identify``'s one slot, keyed by the ``Matching``
-    object, for ``rationalize_gauge`` to read; the slot retains that
-    matching until a call on another one.
+    The ray is memoized for the gauge identification (see the module docstring).
     """
     interior = RationalizabilityChecks(False, False, False)
     try:
-        ray = _observed(mu_hat)[1]
+        ray = _scaled(mu_hat)[0]
     except DegenerateRayError:
         return RationalizabilityReport(None, None, None, interior)
     if ray.t_star > 1.0:
@@ -193,24 +203,8 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
 
 
 def _gauge_route(mu_hat: Matching, model: EntropyModel) -> tuple[GaugeResult, IdentifiedSurplus]:
-    """The slot's ray for ``mu_hat`` and a copy of its identification, as ``model``."""
-    global _last_observed
-    _, ray, direction, identified = _observed(mu_hat)
-    if identified is None:
-        phi_raw, margins = _adopt(Surplus, phi=ray.t_star * ray.normal), mu_hat.margins
-        parts = decompose_separable(phi_raw, margins)
-        identified = IdentifiedSurplus(
-            phi_raw=phi_raw,
-            phi_canonical=_frozen(Surplus, phi=parts.residual),
-            entropy_kind=model,
-            diagnostics={
-                "t_star": ray.t_star,
-                "normalization": float(np.sum(ray.normal * direction)),
-                "maximizer_verified": float(_certifies(ray.normal, ray.mu_star)),
-                "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi, margins)),
-            },
-        )
-        _last_observed = (mu_hat, ray, direction, identified)
+    """The memo's ray for ``mu_hat`` and a copy of its identification, as ``model``."""
+    ray, identified = _identified(mu_hat)
     return ray, IdentifiedSurplus(
         phi_raw=identified.phi_raw,
         phi_canonical=identified.phi_canonical,
@@ -230,14 +224,10 @@ def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]
     boundary observation is its own exit point (``t_star = 1``).
 
     Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter: when
-    no cell shrinks by more than ``BOUNDARY_TOL`` times its barycenter
-    mass.  The slot is then left as it was.
+    no cell shrinks by more than ``BOUNDARY_TOL`` times its barycenter mass.
 
-    The ray and its identification are kept with ``mu_hat`` in one slot,
-    keyed by the ``Matching`` object: after ``check_rationalizable`` the
-    ray is not scaled again, and a repeated call, or a gauge
-    ``identify_entropy`` after it, identifies nothing again.  Each call
-    returns its own copy of ``diagnostics``.
+    The ray and the identification are memoized (see the module docstring);
+    each call returns its own copy of ``diagnostics``.
     """
     return _gauge_route(mu_hat, EntropyModel.gauge())
 
@@ -276,11 +266,8 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
     gradient is the raw answer and its doubly centered residual the
     canonical one.  Gradient domain errors (boundary point, kink,
     barycenter) propagate and name the offending cell.  The gauge entropy
-    takes the route, and reports the diagnostics, of ``rationalize_gauge``:
-    it reads ``identify``'s one slot, so after ``check_rationalizable`` on
-    the same ``Matching`` object it scales nothing again, and after
-    ``rationalize_gauge`` it identifies nothing again; it returns its own
-    copy of ``diagnostics`` with ``entropy_kind`` set to ``model``.
+    takes the route, and reports the diagnostics, of ``rationalize_gauge``,
+    memo included (see the module docstring), with ``entropy_kind`` ``model``.
 
     For the shannon entropy the canonical part is, equivalently, the matrix
     of log cross-difference contrasts of the observation; the diagnostics

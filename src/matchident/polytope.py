@@ -211,7 +211,7 @@ def gauge(mu_hat: Matching) -> GaugeResult:
 
     A pure function: each call scales afresh and keeps nothing.  The
     verdict and the gauge identification of one observation share its ray
-    through ``identify``'s slot instead.
+    through ``identify``'s memo instead.
     """
     return _ray(mu_hat)[0]
 

@@ -248,6 +248,27 @@ class TestEvalQuantile:
                 quantile_entropy_by_quadrature(mu, values), abs=1e-6
             )
 
+    def test_a_zero_mass_type_gives_the_value_of_the_market_without_it(self):
+        """A zero-mass type weighs 0 and adds no conditional mass, so the value
+        is the deleted market's; the gradient still refuses the point."""
+        model = EntropyModel.quantile(TypeValues([1.0, 2.0, 3.0], [1.0, 2.0]))
+        light_row = Matching([[0.3, 0.2], [0.2, 0.3], [0, 0]], Margins([0.5, 0.5, 0], [0.5, 0.5]))
+        assert eval_entropy(model, light_row) == pytest.approx(1.74, abs=1e-12)
+        with pytest.raises(NonInteriorError):
+            grad_entropy(model, light_row)
+        middle = Matching(
+            [[0.3, 0, 0.2], [0, 0, 0], [0.2, 0, 0.3]], Margins([0.5, 0, 0.5], [0.5, 0, 0.5])
+        )
+        deleted = Matching([[0.3, 0.2], [0.2, 0.3]], Margins([0.5, 0.5], [0.5, 0.5]))
+        assert eval_entropy(
+            EntropyModel.quantile(TypeValues([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])), middle
+        ) == eval_entropy(EntropyModel.quantile(TypeValues([1.0, 3.0], [1.0, 4.0])), deleted)
+        # One positive row: its conditional [0.5, 0.5] on y-values [1, 2] gives
+        # 1 * 0.25 / 2 + 2 * 0.75 / 2, and each column puts all its mass on x = 1.
+        single = Matching([[0.5, 0.5], [0, 0]], Margins([1, 0], [0.5, 0.5]))
+        value = eval_entropy(EntropyModel.quantile(TypeValues([1.0, 2.0], [1.0, 2.0])), single)
+        assert value == pytest.approx(0.875 + 0.5, abs=1e-12)
+
     def test_dimension_mismatch(self, unit_values):
         rng = np.random.default_rng(73)
         margins = random_margins(rng, 3, 3)

@@ -356,10 +356,10 @@ class TestRationalizeGauge:
 
 
 class TestGaugeIdentificationMemo:
-    """``identify`` keeps the last observed matching, keyed by identity, in
-    one slot with its ray and, once read off, its gauge identification:
-    the verdict fills the ray, ``rationalize_gauge`` the identification,
-    and ``identify_entropy`` with the gauge reads both."""
+    """``identify`` memoizes, keyed by identity, the last matching scaled with
+    its ray and the last one identified with its gauge identification: the
+    verdict fills the ray, ``rationalize_gauge`` the identification, and
+    ``identify_entropy`` with the gauge reads both."""
 
     @pytest.fixture
     def pair(self):
@@ -476,6 +476,55 @@ class TestGaugeIdentificationMemo:
         check_rationalizable(random_interior_matching(rng, margins))
         ref = weakref.ref(a)
         del a
+        gc.collect()
+        assert ref() is None
+
+    def test_one_ray_per_matching_and_nothing_stored_on_a_raise(
+        self, monkeypatch, pair, uniform2
+    ):
+        scaled, ray_of = [], identify._ray
+
+        def counted(mu_hat):
+            scaled.append(mu_hat)
+            return ray_of(mu_hat)
+
+        monkeypatch.setattr(identify, "_ray", counted)
+        mu = pair[0]
+        check_rationalizable(mu)
+        rationalize_gauge(mu)
+        identify_entropy(mu, EntropyModel.gauge())
+        check_rationalizable(mu)
+        assert len(scaled) == 1
+        twin = Matching(mu.mu, mu.margins)
+        ray, identified = rationalize_gauge(twin)
+        check_rationalizable(twin)
+        assert len(scaled) == 2 and scaled[1] is twin
+        bary = barycenter(uniform2)
+        for _ in range(3):
+            assert check_rationalizable(bary).t_star is None
+            with pytest.raises(DegenerateRayError):
+                rationalize_gauge(bary)
+            with pytest.raises(DegenerateRayError):
+                identify_entropy(bary, EntropyModel.gauge())
+        assert len(scaled) == 2 + 9
+        assert check_rationalizable(twin).mu_star is ray.mu_star
+        again, reread = rationalize_gauge(twin)
+        assert again is ray and reread.phi_raw is identified.phi_raw
+        assert len(scaled) == 11
+
+    def test_a_matching_goes_once_both_caches_have_moved_on(self):
+        # A boundary matching is its own exit point, so its ray holds it.
+        rng = np.random.default_rng(20)
+        margins = random_margins(rng, 3, 4)
+        a = random_boundary_matching(rng, margins)
+        b = random_interior_matching(rng, margins)
+        rationalize_gauge(a)
+        check_rationalizable(b)
+        ref = weakref.ref(a)
+        del a
+        gc.collect()
+        assert ref() is not None  # the last matching identified
+        identify_entropy(b, EntropyModel.gauge())
         gc.collect()
         assert ref() is None
 

@@ -1,6 +1,7 @@
 """The import graph of the package: no cycles, and the layering it relies on."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -100,14 +101,26 @@ def test_no_name_is_public_in_two_modules():
 
 
 def test_only_identify_keeps_module_state():
-    """The package's one memo is ``identify``'s slot: no other module
-    declares a ``global``, and ``identify`` declares one name."""
-    declared = {
-        (path.stem, name)
-        for path in PACKAGE.glob("*.py")
+    """The package's one memo is ``identify``'s two one-entry caches: no
+    module declares a ``global``, and no other function is cached."""
+    modules = {path.stem: path for path in PACKAGE.glob("*.py")}
+    declared = [
+        (stem, node.names)
+        for stem, path in modules.items()
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Global)
-        for name in node.names
+    ]
+    assert declared == []
+    names = [f"matchident.{stem}".removesuffix(".__init__") for stem in modules]
+    cached = {
+        (module.__name__, name): value
+        for module in map(importlib.import_module, names)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_parameters")
     }
-    assert {module for module, _ in declared} == {"identify"}
-    assert len(declared) == 1
+    assert set(cached) == {
+        ("matchident.identify", "_scaled"),
+        ("matchident.identify", "_identified"),
+    }
+    for fn in cached.values():
+        assert fn.cache_parameters() == {"maxsize": 1, "typed": False}
