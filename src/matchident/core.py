@@ -23,20 +23,21 @@ with whom.  ``is_nonseparable`` asks whether that residual is nonzero.
 
 Tolerances.  Every answer of the package is a zero test; the thresholds
 live here, and only ``entropy``'s stopping and kink criteria stay with
-their algorithms.  Margin tests are absolute: ``MASS_TOL``, and the
-input clamp of entries in ``[-BOUNDARY_TOL, 0)``.  A cell is empty when it
-holds at most ``BOUNDARY_TOL`` times its barycenter mass ``p_x q_y``: one
-rule, in ``polytope``, for the boundary, the ray, the witness and the
-entropy gradients, so "rationalizable <=> boundary <=> t* = 1" holds by
-construction.  Surplus tests are relative to ``max|phi|``, which bounds the
-rounding of ``phi - f - g``: ``SEPARABILITY_TOL`` for residuals (plus the
-margins' sum defects) and reduced costs, ``OPTIMALITY_TOL`` for duality
-gaps.  The units of ``phi`` thus change no verdict.  A
-stretch of the gauge ray by ``t`` scales two margin offsets: the
-matching's own defect, by ``t``, and the barycenter's, by ``t - 1``
-(``outer(p, q)`` has row sums ``p * sum(q)``), so the exit point's margins
-hold within ``MASS_TOL + t * defect + (t - 1) * max(max(p) * |sum(q) - 1|,
-max(q) * |sum(p) - 1|)``.
+their algorithms.  Margin tests are absolute: ``MASS_TOL``, and the input
+clamp of entries in ``[-BOUNDARY_TOL, 0)``.  One support rule holds for
+every layer, the exact LP included: a cell is empty when it holds at most
+``BOUNDARY_TOL`` times ``p_x q_y``, and a line is absent when its type has
+zero mass or, in a matching, its every cell is empty (``_empty_cells``,
+``_present``), so "rationalizable <=> boundary <=> t* = 1 <=> a
+nonseparable witness" holds by construction.  Surplus tests are relative to
+``max|phi|``, which bounds the rounding of ``phi - f - g``:
+``SEPARABILITY_TOL`` for residuals (plus the margins' sum defects) and
+reduced costs, ``OPTIMALITY_TOL`` for duality gaps.  The units of ``phi``
+thus change no verdict.  A stretch of the gauge ray by ``t`` scales two
+margin offsets, the matching's own defect by ``t`` and that of the present
+lines' barycenter by ``t - 1``, so the exit point's margins hold within
+``MASS_TOL + t * defect + (t - 1) * max(max(p) * |Q - 1|, max(q) *
+|P - 1|)``, ``P`` and ``Q`` the present lines' masses.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ class NotInPolytopeError(ValidationError):
 
 
 class DegenerateRayError(MarketError):
-    """Ray construction undefined: the matching equals the barycenter, no cell
-    shrinking by more than ``BOUNDARY_TOL`` times its barycenter mass."""
+    """Ray construction undefined: the matching is the barycenter, no cell of
+    present lines shrinking by more than ``BOUNDARY_TOL`` of its barycenter mass."""
 
 
 class NonInteriorError(MarketError):
@@ -392,7 +393,20 @@ def _check_same_shape(name: str, shape, margins: Margins) -> None:
 
 def _barycenter_mu(margins: Margins) -> np.ndarray:
     """The matrix ``p[x] * q[y]`` of ``barycenter``, without the validation."""
-    return np.outer(margins.p, margins.q)
+    return margins.p[:, None] * margins.q
+
+
+def _empty_cells(mu: np.ndarray, margins: Margins) -> np.ndarray:
+    """The empty cells of ``mu``; none holds more than ``BOUNDARY_TOL``."""
+    return mu <= BOUNDARY_TOL * _barycenter_mu(margins)
+
+
+def _present(p: np.ndarray, q: np.ndarray, empty: np.ndarray | None = None):
+    """Masks of the present rows and columns, of a matching given its ``empty`` cells."""
+    if empty is None:
+        return p > 0.0, q > 0.0
+    held = ~empty & (p > 0.0)[:, None] & (q > 0.0)
+    return held.any(axis=1), held.any(axis=0)
 
 
 def total_surplus(mu: Matching, phi: Surplus) -> float:
@@ -448,11 +462,10 @@ def is_nonseparable(phi: Surplus, margins: Margins) -> bool:
     In the 2x2 case it reduces to the cross-difference test
     ``phi[0,0] + phi[1,1] != phi[0,1] + phi[1,0]``.  Nonzero means above
     ``SEPARABILITY_TOL * max|phi|``, so rescaling ``phi`` keeps the answer.
-    Only cells between positive-mass types count, in the residual and in
-    ``max|phi|``: every feasible matching is zero on a zero-mass type's
-    lines, which weigh 0 in the decomposition.
+    Only cells between present types count, in the residual and in
+    ``max|phi|``: zero-mass lines weigh 0 in the decomposition.
     """
-    live = np.ix_(margins.p > 0, margins.q > 0)
+    live = np.ix_(*_present(margins.p, margins.q))
     residual = decompose_separable(phi, margins).residual
     return _is_nonzero_residual(residual[live], phi.phi[live], margins)
 

@@ -54,7 +54,9 @@ from .core import (
     ValidationError,
     _adopt,
     _check_same_shape,
+    _empty_cells,
     _imbalance_tol,
+    _present,
     conditionals,
     total_surplus,
 )
@@ -211,8 +213,8 @@ def _quantile_moments(values: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
 
 
 def _quantile_value(mu: Matching, values: TypeValues) -> float:
-    # A zero-mass type weighs 0 and adds no conditional mass: read the positive-mass lines.
-    rows, cols = mu.margins.p > 0.0, mu.margins.q > 0.0
+    # A zero-mass type weighs 0 and adds no conditional mass: read the present types.
+    rows, cols = _present(mu.margins.p, mu.margins.q)
     p, q, sub = mu.margins.p[rows], mu.margins.q[cols], mu.mu[np.ix_(rows, cols)]
     row_moments = _quantile_moments(values.y_values[cols], np.cumsum(sub / p[:, None], axis=1))
     col_moments = _quantile_moments(values.x_values[rows], np.cumsum((sub / q).T, axis=1))
@@ -259,9 +261,8 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     The gradient is taken with the margins held fixed, which is the
     relevant derivative on the polytope; it is defined up to a separable
     term, and the returned representative is the natural closed form for
-    each entropy.  Shannon and quantile gradients require every cell, zero-mass
-    types included, to hold more than ``BOUNDARY_TOL`` times its barycenter
-    mass (``polytope``'s rule), so the shannon gradient never takes ``log 0``;
+    each entropy.  Shannon and quantile gradients refuse every empty cell
+    (see ``core``), so the shannon gradient never takes ``log 0``;
     the quantile gradient also requires all cumulative conditional masses to
     be distinct (otherwise the entropy has a kink).
     The gauge gradient exists off the barycenter and equals the stretch
@@ -270,7 +271,7 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     if model.kind == "gauge":
         ray = polytope.gauge(mu)
         return _adopt(Surplus, phi=ray.t_star * ray.normal)
-    if mu.mu.min() <= BOUNDARY_TOL and (empty := polytope._empty_cells(mu, zero_mass=True)).any():
+    if mu.mu.min() <= BOUNDARY_TOL and (empty := _empty_cells(mu.mu, mu.margins)).any():
         cell = np.unravel_index(np.argmin(np.where(empty, mu.mu, np.inf)), mu.mu.shape)
         raise NonInteriorError(
             f"boundary point: entropy gradient undefined, mu[{cell[0]}, {cell[1]}]"
@@ -390,13 +391,13 @@ def _warm_start(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     Log-domain sweeps from the column duals then fit the margins, so no
     type, however small its mass, starts far off it.  Each sweep fits the
     columns exactly; the sweeps go on, ``_BLOCK`` (10) at most, until every
-    row sum is within a factor ``e`` of its margin too.  A type of mass near
-    1e-12 can use them all and still be off by more, yet within
-    ``IPFP_TOL``, so the Newton phase takes no step.  Newton's step in a row
-    potential is the row's relative error, the linearization of the log of
-    its ratio, and one sweep can leave a light row whose only tight cell
-    shares a column with a heavy row off by a factor of 3e11: no
-    backtracking within ``_MIN_STEP`` tames that step.
+    row sum is within a factor ``e`` of its margin too.  The LP keeps every
+    light type's mass, so on the stress recipe's light-type markets three
+    sweeps at most get there.  Newton's step in a row potential is the row's
+    relative error, the linearization of the log of its ratio, and one
+    sweep can leave a light row whose only tight cell shares a column with
+    a heavy row off by a factor of 7e11: no backtracking within
+    ``_MIN_STEP`` tames that step.
     """
     centred = phi - phi.mean(axis=1)[:, None]
     centred -= centred.mean(axis=0)[None, :]
@@ -529,9 +530,8 @@ def solve_regularized(
             f"regularized solver implemented for shannon entropy only, got {model.kind!r}"
         )
     _check_same_shape("phi", phi.phi.shape, margins)
-    # Zero-mass types carry no mass at any sweep, so IPFP runs on the
-    # others and every scaling it sees is positive.
-    rows, cols = margins.p > 0.0, margins.q > 0.0
+    # IPFP runs on the present types, so every scaling it sees is positive.
+    rows, cols = _present(margins.p, margins.q)
     support = np.ix_(rows, cols)
     p, q = margins.p[rows], margins.q[cols]
     # IPFP stops only within IPFP_TOL of both sides, which no matching

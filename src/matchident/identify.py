@@ -175,14 +175,14 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     """Decide whether an observed matching is rationalizable, with proof.
 
     The verdict is the boundary test, read off the gauge ray: a matching
-    with an empty cell is its own exit point, ``t_star == 1``, and one
-    without is interior, as is the barycenter, where the ray is undefined.
-    The witness is the surplus -1 on the ray's binding (empty) cells and 0
+    with an empty cell between present lines (see ``core``) is its own exit
+    point, ``t_star == 1``, and one without is interior, as is the
+    barycenter.  The witness is -1 on the ray's binding (empty) cells and 0
     elsewhere.  Any feasible matching scores at most 0 against it and the
     observation attains 0, so the observation is optimal; the report records
     that dual certificate and the nonseparability of the witness, read in
     closed form: it is separable exactly when the empty cells form whole
-    rows or whole columns.
+    rows or whole columns, which those of present lines never do.
 
     The ray is memoized for the gauge identification (see the module docstring).
     """
@@ -223,8 +223,7 @@ def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]
     ``t_star`` times it, is the gauge entropy's gradient at ``mu_hat``.  A
     boundary observation is its own exit point (``t_star = 1``).
 
-    Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter: when
-    no cell shrinks by more than ``BOUNDARY_TOL`` times its barycenter mass.
+    Raises ``DegenerateRayError`` at the barycenter, as ``gauge`` does.
 
     The ray and the identification are memoized (see the module docstring);
     each call returns its own copy of ``diagnostics``.

@@ -48,7 +48,9 @@ from .core import (
     Matching,
     Surplus,
     _check_same_shape,
+    _empty_cells,
     _imbalance_tol,
+    _present,
     is_nonseparable,
     total_surplus,
 )
@@ -74,8 +76,8 @@ class LpSolution:
     The potentials are normalized so the last entry of ``dual_g`` is zero.
     ``pivots`` counts the simplex pivots the solve took, and
     ``degenerate_pivots`` those among them that moved no mass beyond
-    rounding (at most ``BOUNDARY_TOL``).  No cell of ``mu_opt`` holds a mass
-    in ``(0, BOUNDARY_TOL]``.
+    rounding (at most ``BOUNDARY_TOL``).  No cell of ``mu_opt`` is both
+    empty (``core``'s rule) and positive.
     """
 
     mu_opt: Matching
@@ -109,15 +111,17 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
     smaller of what its row and its column have left.  Ties break by flat
     index, so any positive multiple of ``fill`` gives the same start, and a
     constant ``fill`` takes the cells in row-major order: the northwest
-    corner.  Every positive allocation is basic, however small, so no type
-    is left out of the tree for being light.  The allocations form a
-    forest.  When the margins' sums differ, a column (or row 0) can be left
-    without any: it takes what it has left in its best cell.  Each tree
-    without row 0 then hangs below a column of row 0's tree through its
-    best zero cell from one of its own rows.  Every zero-flow cell thus
-    hangs below its column node, as Cunningham's leaving rule requires,
-    except that a zero-mass column, or a zero-mass row 0, joins the tree
-    through a zero cell below its row: there the pivot cap bounds the solve.
+    corner.  A remainder is zero once it would be empty (``core``'s rule)
+    in the lightest cell of its line.  Every positive allocation is basic,
+    however small, so no type is left out of the tree for being light.  The
+    allocations form a forest.  When the margins' sums differ, a column (or
+    row 0) can be left without any: it takes what it has left in its best
+    cell.  Each tree without row 0 then hangs below a column of row 0's
+    tree through its best zero cell from one of its own rows.  Every
+    zero-flow cell thus hangs below its column node, as Cunningham's
+    leaving rule requires, except that a zero-mass column, or a zero-mass
+    row 0, joins the tree through a zero cell below its row: there the
+    pivot cap bounds the solve.
     """
     m, n = p.size, q.size
     mu = np.zeros((m, n))
@@ -129,9 +133,11 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
         basic[x, y] = True
         adjacency[x][m + y] = adjacency[m + y][x] = float(cost[x, y])
 
+    rows, cols = _present(p, q)
+    live_rows, live_cols = int(np.count_nonzero(rows)), int(np.count_nonzero(cols))
+    floor_p = (BOUNDARY_TOL * q[cols].min() * p).tolist()
+    floor_q = (BOUNDARY_TOL * p[rows].min() * q).tolist()
     remaining_p, remaining_q = p.tolist(), q.tolist()
-    live_rows = sum(mass > 0.0 for mass in remaining_p)
-    live_cols = sum(mass > 0.0 for mass in remaining_q)
     allocations = 0
     order = np.argsort(-fill, axis=None, kind="stable")
     for x, y in zip((order // n).tolist(), (order % n).tolist()):
@@ -143,10 +149,10 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
             remaining_q[y] -= t
             # A remainder within rounding of zero is zero: margins whose
             # partial sums tie in exact arithmetic then tie here too.
-            if remaining_p[x] <= BOUNDARY_TOL:
+            if remaining_p[x] <= floor_p[x]:
                 remaining_p[x] = 0.0
                 live_rows -= 1
-            if remaining_q[y] <= BOUNDARY_TOL:
+            if remaining_q[y] <= floor_q[y]:
                 remaining_q[y] = 0.0
                 live_cols -= 1
             if not (live_rows and live_cols):
@@ -303,10 +309,10 @@ def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
     mu, dual_f, dual_g, pivots, degenerate = _transport(cost, margins.p, margins.q, fill)
     mu = np.array(mu)
     # The cycles leave rounding-size masses where exact arithmetic empties a
-    # cell.  They are zero, as in the start basis; zeroing them while
-    # pivoting would unbalance the margins, and the next tie would then
-    # leave a larger remainder.
-    mu[mu <= BOUNDARY_TOL] = 0.0
+    # cell.  The empty cells are zero, as in the start basis; zeroing them
+    # while pivoting would unbalance the margins, and the next tie would
+    # then leave a larger remainder.
+    mu[_empty_cells(mu, margins)] = 0.0
     return LpSolution(
         mu_opt=Matching(mu, margins, tol=_imbalance_tol(margins)),
         value=float(np.sum(mu * cost)),

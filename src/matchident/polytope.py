@@ -28,6 +28,8 @@ from .core import (
     _admit,
     _barycenter_mu,
     _check_same_shape,
+    _empty_cells,
+    _present,
 )
 
 __all__ = [
@@ -46,16 +48,11 @@ VERTEX_CELL_GUARD = 16
 
 def dimension(margins: Margins) -> int:
     """Dimension of the polytope: ``(m - 1) * (n - 1)`` for the ``m`` x types
-    and ``n`` y types of positive mass.
-
-    The cells of a zero-mass type are zero in every feasible matching, so
-    only the ``m * n`` cells between positive-mass types are free.  Of
-    their ``m + n`` margin equations only ``m + n - 1`` are independent
-    (both sides share the same total mass), which leaves this many free
-    directions.
-    """
-    m = int(np.count_nonzero(margins.p > 0.0))
-    n = int(np.count_nonzero(margins.q > 0.0))
+    and ``n`` y types present, of positive mass: a zero-mass type's cells are
+    zero in every feasible matching, and of the ``m + n`` margin equations
+    of the others only ``m + n - 1`` are independent (both sides share the
+    same total mass)."""
+    m, n = (int(np.count_nonzero(line)) for line in _present(margins.p, margins.q))
     return (m - 1) * (n - 1)
 
 
@@ -188,26 +185,21 @@ def gauge(mu_hat: Matching) -> GaugeResult:
 
     Writing ``bary = p * q`` for the barycenter, the ray point at stretch t
     is ``bary + t * (mu_hat - bary)``.  Margins hold for every t, so
-    feasibility only ever fails at a cell with ``mu_hat < bary``, where the
-    entry hits zero at ``t = bary / (bary - mu_hat)``.  The exit stretch is
-    the smallest such ratio; because ``mu_hat`` itself is feasible it is
-    always at least 1.  The cells whose ratio attains it form the
-    ``binding`` mask, of shrinking cells.  A matching on the boundary (see
-    ``is_boundary``) is its own exit point, at ``t_star = 1``, through its
-    empty cells, which all shrink.
+    feasibility only ever fails at a cell, between present lines (see
+    ``core``), with ``mu_hat < bary``, where the entry hits zero at ``t =
+    bary / (bary - mu_hat)``.  The exit stretch is the smallest such ratio;
+    because ``mu_hat`` itself is feasible it is always at least 1.  The
+    cells whose ratio attains it form the ``binding`` mask, of shrinking
+    cells.  A matching on the boundary (see ``is_boundary``) is its own
+    exit point, at ``t_star = 1``, through those empty cells.
 
     The exit point is built finite and is clipped nonnegative in place, so
-    of ``Matching``'s checks only the margin test runs on it, once.  Its
-    tolerance is ``MASS_TOL`` plus the two margin offsets the stretch
-    scales: ``t_star`` times the margin defect of ``mu_hat`` (a matching
-    admitted with a loose ``tol``), and ``t_star - 1`` times the
-    barycenter's, ``max(max(p) * |sum(q) - 1|, max(q) * |sum(p) - 1|)``
-    (margins that sum to one only within ``MASS_TOL``).
+    of ``Matching``'s checks only the margin test runs on it, once, within
+    the tolerance that ``core``'s tolerance paragraph derives.
 
-    Raises ``DegenerateRayError`` when ``mu_hat`` is the barycenter: when
-    no cell shrinks by more than ``BOUNDARY_TOL`` times its barycenter
-    mass, as within a loose ``tol``'s margin defect.  The ray then has no
-    direction, and ``mu_hat`` has no empty cell.
+    Raises ``DegenerateRayError`` at the barycenter, as within a loose
+    ``tol``'s margin defect: no such cell then shrinks by more than
+    ``BOUNDARY_TOL`` times its barycenter mass, so the ray has no direction.
 
     A pure function: each call scales afresh and keeps nothing.  The
     verdict and the gauge identification of one observation share its ray
@@ -222,28 +214,29 @@ def _ray(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
     p, q = margins.p, margins.q
     bary = _barycenter_mu(margins)
     diff = mu_hat.mu - bary
-    if not (diff < -BOUNDARY_TOL * bary).any():
+    shrinking = diff < -BOUNDARY_TOL * bary
+    empty, rows, cols = None, slice(None), slice(None)
+    if mu_hat.mu.min() <= BOUNDARY_TOL:  # else no cell is empty; zero-mass lines never shrink
+        rows, cols = _present(p, q, empty := _empty_cells(mu_hat.mu, margins))
+        shrinking &= rows[:, None] & cols
+    if not shrinking.any():
         raise DegenerateRayError(
             "matching equals the barycenter; the ray to the boundary is undefined"
         )
-    if mu_hat.mu.min() <= BOUNDARY_TOL and (binding := _empty_cells(mu_hat, bary)).any():
+    if empty is not None and (binding := empty & shrinking).any():
         t_star, mu_star = 1.0, mu_hat
     else:
-        ratios = np.divide(bary, -diff, out=np.full(diff.shape, np.inf), where=diff < 0.0)
+        ratios = np.divide(bary, -diff, out=np.full(diff.shape, np.inf), where=shrinking)
         t_star = float(ratios.min())
         # A cell whose ratio is within a relative BOUNDARY_TOL of t* keeps
         # less than BOUNDARY_TOL of its barycenter mass at mu*: it is empty
         # there too.
         binding = ratios <= t_star * (1.0 + BOUNDARY_TOL)
-        # Row x of bary + t * diff misses p[x] by t times the row's defect
-        # plus (t - 1) * p[x] * (1 - sum(q)), and likewise for columns: the
-        # stretch scales the matching's margin defect (a loose tol) by t*
-        # and the barycenter's offset by t* - 1.
         defect = max(
             np.abs(mu_hat.mu.sum(axis=1) - p).max(),
             np.abs(mu_hat.mu.sum(axis=0) - q).max(),
         )
-        offset = max(p.max() * abs(q.sum() - 1.0), q.max() * abs(p.sum() - 1.0))
+        offset = max(p.max() * abs(q[cols].sum() - 1.0), q.max() * abs(p[rows].sum() - 1.0))
         # The ratios are read; their buffer takes bary + t* * diff.
         star = np.multiply(diff, t_star, out=ratios)
         star += bary
@@ -256,23 +249,12 @@ def _ray(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
     return GaugeResult(t_star=t_star, mu_star=mu_star, binding=binding, normal=normal), diff
 
 
-def _empty_cells(mu: Matching, bary: np.ndarray | None = None, zero_mass=False) -> np.ndarray:
-    """The one empty-cell rule: at most ``BOUNDARY_TOL`` times the barycenter
-    mass ``bary = p_x q_y``.  Cells of zero-mass types (``bary = 0``) count
-    only with ``zero_mass``; any other empty cell shrinks along the gauge ray.
-    No cell above ``BOUNDARY_TOL`` is empty (``bary <= 1`` wherever a cell can
-    be that light), so ``mu.min() <= BOUNDARY_TOL`` prefilters the rule."""
-    bary = _barycenter_mu(mu.margins) if bary is None else bary
-    empty = mu.mu <= BOUNDARY_TOL * bary
-    return empty if zero_mass else empty & (bary > 0.0)
-
-
 def is_boundary(mu: Matching) -> bool:
     """Whether the matching sits on the (relative) boundary of the polytope.
 
     Margins are equalities everywhere on the polytope, so the relative
-    boundary is reached exactly when some cell is empty, holding at most
-    ``BOUNDARY_TOL`` times its barycenter mass; a zero-mass type's cells are
-    empty in every feasible matching and constrain nothing, so do not count.
+    boundary is reached exactly when some cell between present lines (see
+    ``core``) is empty: an absent line constrains nothing.
     """
-    return bool(_empty_cells(mu).any())
+    empty = _empty_cells(mu.mu, mu.margins)
+    return bool(empty[np.ix_(*_present(mu.margins.p, mu.margins.q, empty))].any())

@@ -216,16 +216,32 @@ class TestCheckRationalizable:
         np.testing.assert_array_equal(report.witness.phi, [[0, 0], [0, -1]])
         assert report.checks.maximizer and report.checks.nonseparable
 
-    def test_a_witness_of_whole_light_rows_is_separable_whatever_the_margin_sums(self):
-        """A light type whose row is empty gives the witness -1 on that whole
-        row, which is ``f[x]`` alone: separable, however far within
-        ``MASS_TOL`` the margins' sums are from one."""
+    def test_a_light_row_that_holds_nothing_is_absent_whatever_the_margin_sums(self):
+        """A light type whose every cell is empty is an absent line, as a
+        zero-mass type is: rows 0 and 1 are the barycenter of their margins
+        within ``BOUNDARY_TOL``, so the verdict is interior with no witness,
+        however far within ``MASS_TOL`` the margins' sums are from one.  At
+        equal sums the ray is undefined; the column sums' excess alone gives
+        it a direction."""
         for excess in (0.0, 5e-10):
             margins = Margins([0.5, 0.5 - 1e-13, 1e-13], [0.5, 0.5 + excess])
             mu = Matching([[0.25, 0.25], [0.25 - 1e-13, 0.25 + excess], [0.0, 0.0]], margins)
             report = check_rationalizable(mu)
-            np.testing.assert_array_equal(report.witness.phi, [[0, 0], [0, 0], [-1, -1]])
-            assert report.checks.maximizer and not report.checks.nonseparable
+            assert not report.rationalizable and not is_boundary(mu)
+            assert report.witness is None
+            assert (report.t_star is None) == (excess == 0.0)
+
+    def test_a_light_row_that_holds_nothing_does_not_rationalize(self):
+        """The zero-mass market of ``test_zero_mass_types_do_not_rationalize``
+        with a row type of mass 1e-13 that holds nothing: the row is absent,
+        so the verdict is interior and the ray stretches to 5, not 1."""
+        margins = Margins([0.5, 0.5 - 1e-13, 1e-13], [0.5, 0.5])
+        mu = Matching([[0.3, 0.2], [0.2, 0.3 - 1e-13], [0.0, 0.0]], margins)
+        report = check_rationalizable(mu)
+        assert not report.rationalizable and report.witness is None
+        assert not (report.checks.maximizer or report.checks.nonseparable)
+        assert report.t_star == pytest.approx(5.0, rel=1e-12)
+        assert not report.mu_star.mu[2].any()
 
     def test_margins_that_are_their_own_sums_get_an_answer(self):
         """Ten-decimal margins summing to 1 - 1e-10: the ray stretches 35

@@ -18,6 +18,7 @@ from matchident import (
     Surplus,
     ValidationError,
     barycenter,
+    check_rationalizable,
     enumerate_vertices,
     is_discriminating,
     is_maximizer,
@@ -153,7 +154,7 @@ def transportation_simplex_reference(phi: Surplus, margins: Margins):
         basis_set.remove(leaving)
         basis_set.add(entering)
         basis = sorted(basis_set)
-    mu[mu <= BOUNDARY_TOL] = 0.0  # rounding-size masses are zero
+    mu[mu <= BOUNDARY_TOL * np.outer(margins.p, margins.q)] = 0.0  # empty cells are zero
     shift = v[-1]
     return mu, float(np.sum(mu * cost)), u + shift, v - shift, pivots, degenerate
 
@@ -657,6 +658,18 @@ class TestGreedyStart:
             assert light[cell] == mass
             assert (mu[:, cell] if transpose else mu[cell]).sum() > full[cell]
             assert_agrees_with_highs(Surplus(phi), margins, greedy_solve(Surplus(phi), margins))
+
+    def test_a_light_column_keeps_its_mass(self):
+        """A column type of mass 1e-14: the start drops a remainder only when
+        it would be empty in the lightest cell left to take it, so the
+        optimum keeps the column's whole mass, and the verdict on that vertex
+        has a nonseparable witness."""
+        margins = Margins([0.5, 0.5], [1e-14, 1.0 - 1e-14])
+        solution = maximize_surplus(Surplus([[1.0, 0.0], [0.0, 1.0]]), margins)
+        assert solution.mu_opt.mu[0, 0] == 1e-14
+        report = check_rationalizable(solution.mu_opt)
+        assert report.rationalizable and report.checks.nonseparable
+        np.testing.assert_array_equal(report.witness.phi, [[0, 0], [-1, 0]])
 
     def test_basis_tree_stays_strongly_feasible(self, monkeypatch):
         """Before every pivot from the greedy start, each basic cell without

@@ -28,6 +28,7 @@ from matchident import (
     barycenter,
     check_rationalizable,
     decompose_separable,
+    dimension,
     eval_entropy,
     gauge,
     identify_entropy,
@@ -268,12 +269,17 @@ def test_a_surplus_discriminates_exactly_when_it_is_nonseparable_on_positive_mas
 
 
 @st.composite
-def light_type_observations(draw) -> Matching:
+def light_type_observations(draw) -> tuple[str, Matching]:
     """A matching with cells from 1 down to 1e-15 or exactly 0, some row and
-    column types lighter by 1e-6 to 1e-13 (or of zero mass), mixed with
-    weight 0, 1/2, 1 - 1e-6 or 1 with the barycenter of its sums.  Its
-    margins are its own sums: a light row admitted off its margin could
-    hold less than its barycenter mass in every cell."""
+    column types lighter by 1e-6 to 1e-13 (or of zero mass), and its kind.
+    ``"sums"``: mixed with weight 0, 1/2, 1 - 1e-6 or 1 with the barycenter
+    of its sums, which are its margins.  ``"off"``: the same, with each
+    margin moved off its sum by up to ``MASS_TOL / 2`` in all, as
+    ``Matching`` admits, so a light line may hold less than its barycenter
+    mass in every cell and a zero-mass line may gain a mass.  ``"vertex"``:
+    the exact LP's vertex for a quarter-integer surplus, on margins of the
+    same scales times weights from 0.2 to 1 or 0; no type is lighter than
+    about 1e-15, which a double still resolves next to the total mass."""
     d_x, d_y = draw(st.integers(2, 5)), draw(st.integers(2, 5))
     masses = st.one_of(st.just(0.0), st.floats(-15.0, 0.0).map(lambda e: 10.0**e))
     cells = draw(st.lists(masses, min_size=d_x * d_y, max_size=d_x * d_y))
@@ -283,19 +289,41 @@ def light_type_observations(draw) -> Matching:
     raw = np.reshape(cells, (d_x, d_y)) * np.outer(rows, cols)
     assume(raw.sum() > 0.0)
     raw /= raw.sum()
+    p, q = raw.sum(axis=1), raw.sum(axis=0)
+    kind = draw(st.sampled_from(["sums", "off", "vertex"]))
+    if kind == "vertex":
+        weights = st.one_of(st.just(0.0), st.floats(0.2, 1.0))
+        p = np.multiply(rows, draw(st.lists(weights, min_size=d_x, max_size=d_x)))
+        q = np.multiply(cols, draw(st.lists(weights, min_size=d_y, max_size=d_y)))
+        assume(p.sum() > 0.0 and q.sum() > 0.0)
+        phi = draw(st.lists(st.integers(-8, 8), min_size=d_x * d_y, max_size=d_x * d_y))
+        surplus = Surplus(np.reshape(phi, (d_x, d_y)) / 4.0)
+        return kind, maximize_surplus(surplus, Margins(p / p.sum(), q / q.sum())).mu_opt
     weight = draw(st.sampled_from([0.0, 0.5, 1.0 - 1e-6, 1.0]))
-    mu = weight * np.outer(raw.sum(axis=1), raw.sum(axis=0)) + (1.0 - weight) * raw
+    mu = weight * np.outer(p, q) + (1.0 - weight) * raw
     margins = Margins(mu.sum(axis=1), mu.sum(axis=0))
-    return Matching(mu, margins)
+    if kind == "off":
+        shifts = st.floats(-0.5, 0.5)
+        shift_p = draw(st.lists(shifts, min_size=d_x, max_size=d_x))
+        shift_q = draw(st.lists(shifts, min_size=d_y, max_size=d_y))
+        margins = Margins(
+            np.maximum(margins.p + np.multiply(shift_p, MASS_TOL / d_x), 0.0),
+            np.maximum(margins.q + np.multiply(shift_q, MASS_TOL / d_y), 0.0),
+        )
+    return kind, Matching(mu, margins)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(mu=light_type_observations())
-def test_light_types_are_empty_only_relative_to_their_barycenter_mass(mu):
-    """One empty-cell rule: the verdict is the boundary test and the gauge's
-    t* = 1, a positive verdict has a certified nonseparable witness, and on
-    positive margins the shannon gradient refuses exactly the rationalizable
-    matchings."""
+@settings(derandomize=True, database=None, max_examples=450, deadline=None)
+@given(observation=light_type_observations())
+def test_light_types_are_empty_only_relative_to_their_barycenter_mass(observation):
+    """One support rule: the verdict is the boundary test and the gauge's
+    t* = 1, and a positive verdict has all three checks true, with a
+    certified nonseparable witness.  The exact LP's vertex keeps at least
+    half of every positive-mass type's mass, so it is rationalizable
+    exactly when the polytope is more than a point.  On positive margins
+    the shannon gradient refuses exactly the matchings with an empty cell:
+    the rationalizable ones and those with an absent line."""
+    kind, mu = observation
     verdict = check_rationalizable(mu)
     assert verdict.rationalizable == is_boundary(mu)
     if verdict.t_star is None:
@@ -303,13 +331,21 @@ def test_light_types_are_empty_only_relative_to_their_barycenter_mass(mu):
     else:
         assert verdict.rationalizable == (verdict.t_star == 1.0)
     if verdict.rationalizable:
-        assert verdict.checks.maximizer and verdict.checks.nonseparable
-    if mu.margins.p.min() > 0.0 and mu.margins.q.min() > 0.0:
+        checks = verdict.checks
+        assert checks.boundary and checks.maximizer and checks.nonseparable
+    p, q = mu.margins.p, mu.margins.q
+    if kind == "vertex":
+        assert np.all(mu.mu.sum(axis=1) >= p / 2.0) and np.all(mu.mu.sum(axis=0) >= q / 2.0)
+        assert verdict.rationalizable == (dimension(mu.margins) > 0)
+    if p.min() > 0.0 and q.min() > 0.0:
+        empty = mu.mu <= BOUNDARY_TOL * np.outer(p, q)
         try:
             identify_entropy(mu, EntropyModel.shannon())
         except NonInteriorError:
-            assert verdict.rationalizable
+            # Only margins off the sums can leave a positive-mass line absent.
+            assert empty.any() and (verdict.rationalizable or kind == "off")
         else:
+            assert not empty.any()
             assert not verdict.rationalizable
 
 
