@@ -276,17 +276,15 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     low = max(0.0, p1 + q1 - 1.0)
     high = min(p1, q1)
     bary = _barycenter_mu(margins)
-    ray_result = gauge(matching)
-    stretches = np.linspace(0.0, ray_result.t_star, _RAY_POINTS)
-    direction = matching.mu - bary
+    mu_star = gauge(matching).mu_star.mu
     # A 2x2 polytope is the segment of matrices parametrized by the first
     # cell; each block lists full matrices by their first row.
     blocks = [
         ("segment", [full_matrix(low), full_matrix(high)]),
         ("barycenter", [bary]),
         ("mu_hat", [matching.mu]),
-        ("mu_star", [ray_result.mu_star.mu]),
-        ("ray", [bary + t * direction for t in stretches]),
+        ("mu_star", [mu_star]),
+        ("ray", [bary + s * (mu_star - bary) for s in np.linspace(0.0, 1.0, _RAY_POINTS)]),
     ]
     lines = []
     for name, matrices in blocks:

@@ -31,13 +31,14 @@ zero mass or, in a matching, its every cell is empty (``_empty_cells``,
 ``_present``), so "rationalizable <=> boundary <=> t* = 1 <=> a
 nonseparable witness" holds by construction.  Surplus tests are relative to
 ``max|phi|``, which bounds the rounding of ``phi - f - g``:
-``SEPARABILITY_TOL`` for residuals (plus the margins' sum defects) and
-reduced costs, ``OPTIMALITY_TOL`` for duality gaps.  The units of ``phi``
-thus change no verdict.  A stretch of the gauge ray by ``t`` scales two
-margin offsets, the matching's own defect by ``t`` and that of the present
-lines' barycenter by ``t - 1``, so the exit point's margins hold within
-``MASS_TOL + t * defect + (t - 1) * max(max(p) * |Q - 1|, max(q) *
-|P - 1|)``, ``P`` and ``Q`` the present lines' masses.
+``SEPARABILITY_TOL`` for residuals and reduced costs, ``OPTIMALITY_TOL``
+for duality gaps.  The units of ``phi`` thus change no verdict.  Margins
+sum to one within ``MASS_TOL``; two tests read that defect.  A matching
+solved for given margins (an LP vertex, an IPFP solution) meets them within
+``MASS_TOL`` plus their sums' difference (``_imbalance_tol``); the gauge's
+exit point keeps the observation's own line sums, so it meets them within
+``MASS_TOL`` plus the observation's own defect.  The separable
+decomposition normalizes its weights, so no surplus test reads it.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class NotInPolytopeError(ValidationError):
 
 
 class DegenerateRayError(MarketError):
-    """Ray construction undefined: the matching is the barycenter, no cell of
-    present lines shrinking by more than ``BOUNDARY_TOL`` of its barycenter mass."""
+    """Ray construction undefined: the matching is the barycenter of its own line
+    sums, no present cell shrinking by more than ``BOUNDARY_TOL`` of its mass there."""
 
 
 class NonInteriorError(MarketError):
@@ -418,17 +419,18 @@ def total_surplus(mu: Matching, phi: Surplus) -> float:
 def decompose_separable(phi: Surplus, margins: Margins) -> SeparableParts:
     """Split a surplus into a separable part plus a doubly centered residual.
 
-    The split sets ``f[x] = sum_y q[y] phi[x, y] - m/2`` and
-    ``g[y] = sum_x p[x] phi[x, y] - m/2`` where ``m`` is the (p, q)-weighted
-    grand mean of ``phi``.  The residual then has zero q-weighted row means
-    and zero p-weighted column means, which makes it the orthogonal
-    projection of ``phi`` onto the complement of the separable subspace
-    under the p-by-q weighted inner product.  In particular the residual is
-    the canonical representative of ``phi`` modulo separable shifts: two
-    surpluses differ by ``f + g`` exactly when their residuals coincide.
+    With ``p`` and ``q`` normalized to sum to one, whatever their sums, the
+    split sets ``f[x] = sum_y q[y] phi[x, y] - m/2`` and ``g[y] = sum_x p[x]
+    phi[x, y] - m/2`` where ``m`` is the (p, q)-weighted grand mean of
+    ``phi``.  The residual then has zero q-weighted row means and zero
+    p-weighted column means, which makes it the orthogonal projection of
+    ``phi`` onto the complement of the separable subspace under the p-by-q
+    weighted inner product.  In particular the residual is the canonical
+    representative of ``phi`` modulo separable shifts: two surpluses differ
+    by ``f + g`` exactly when their residuals coincide.
     """
     _check_same_shape("phi", phi.phi.shape, margins)
-    p, q = margins.p, margins.q
+    p, q = margins.p / margins.p.sum(), margins.q / margins.q.sum()
     col = p @ phi.phi
     grand_mean = float(col @ q)
     f = phi.phi @ q - grand_mean / 2.0
@@ -442,16 +444,10 @@ def decompose_separable(phi: Surplus, margins: Margins) -> SeparableParts:
     return _frozen(SeparableParts, f=f, g=g, residual=residual)
 
 
-def _is_nonzero_residual(residual: np.ndarray, phi: np.ndarray, margins: Margins) -> bool:
-    """Whether the residual exceeds ``SEPARABILITY_TOL * max|phi|`` plus what
-    margins whose sums miss one by ``a`` and ``b`` leave of a separable ``phi =
-    u[x] + v[y]``: ``-b (u - u0) - a (v - v0) + a b (u0 + v0)``, with ``u0``
-    and ``v0`` the weighted means.  A deviation is at most the range of ``phi``
-    and ``u0 + v0`` is its weighted mean, so that is at most ``(2 (|a| + |b|)
-    + |a b|) max|phi|``."""
-    a, b = abs(margins.p.sum() - 1.0), abs(margins.q.sum() - 1.0)
-    slack = (SEPARABILITY_TOL + 2.0 * (a + b) + a * b) * np.abs(phi).max()
-    return bool(np.abs(residual).max() > slack)
+def _is_nonzero_residual(residual: np.ndarray, phi: np.ndarray) -> bool:
+    """Whether a residual of ``phi`` exceeds ``SEPARABILITY_TOL * max|phi|``: its
+    weights are normalized, so a separable ``phi`` leaves rounding alone."""
+    return bool(np.abs(residual).max() > SEPARABILITY_TOL * np.abs(phi).max())
 
 
 def is_nonseparable(phi: Surplus, margins: Margins) -> bool:
@@ -467,7 +463,7 @@ def is_nonseparable(phi: Surplus, margins: Margins) -> bool:
     """
     live = np.ix_(*_present(margins.p, margins.q))
     residual = decompose_separable(phi, margins).residual
-    return _is_nonzero_residual(residual[live], phi.phi[live], margins)
+    return _is_nonzero_residual(residual[live], phi.phi[live])
 
 
 def barycenter(margins: Margins) -> Matching:

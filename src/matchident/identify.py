@@ -147,7 +147,7 @@ def _separable_witness(empty: np.ndarray) -> bool:
 
 @lru_cache(maxsize=1)
 def _scaled(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
-    """The gauge ray of ``mu_hat`` and its direction ``mu_hat - bary``: ``_ray``,
+    """The gauge ray of ``mu_hat`` and the direction its normal pairs with: ``_ray``,
     read by name at call time, so a wrapper put in its place sees the call."""
     return _ray(mu_hat)
 
@@ -156,8 +156,8 @@ def _scaled(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
 def _identified(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]:
     """The gauge ray of ``mu_hat`` and the identification read off it."""
     ray, direction = _scaled(mu_hat)
-    phi_raw, margins = _adopt(Surplus, phi=ray.t_star * ray.normal), mu_hat.margins
-    parts = decompose_separable(phi_raw, margins)
+    phi_raw = _adopt(Surplus, phi=ray.t_star * ray.normal)
+    parts = decompose_separable(phi_raw, mu_hat.margins)
     return ray, IdentifiedSurplus(
         phi_raw=phi_raw,
         phi_canonical=_frozen(Surplus, phi=parts.residual),
@@ -166,7 +166,7 @@ def _identified(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]:
             "t_star": ray.t_star,
             "normalization": float(np.sum(ray.normal * direction)),
             "maximizer_verified": float(_certifies(ray.normal, ray.mu_star)),
-            "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi, margins)),
+            "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
         },
     )
 
@@ -275,11 +275,10 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
     """
     if model.kind == "gauge":
         return _gauge_route(mu_hat, model)[1]
-    margins = mu_hat.margins
     phi_raw = grad_entropy(model, mu_hat)
-    parts = decompose_separable(phi_raw, margins)
+    parts = decompose_separable(phi_raw, mu_hat.margins)
     diagnostics: dict[str, float] = {
-        "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi, margins)),
+        "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
     }
     if model.kind == "shannon":
         lm = np.log(mu_hat.mu)

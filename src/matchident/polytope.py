@@ -170,8 +170,9 @@ class GaugeResult:
     and ``binding`` a read-only boolean mask, shaped like the matching, of
     the cells whose nonnegativity constraint stops the ray: the exit face.
     ``normal``, read-only, is ``binding`` scaled to inner product one with
-    the ray direction ``mu_hat - bary``: nonpositive, zero on the support
-    of ``mu_star``, and ``t_star`` times it is the gauge entropy's gradient.
+    the direction the ray scaled (see ``gauge``): nonpositive, zero on the
+    support of ``mu_star``, and ``t_star`` times it is the gauge entropy's
+    gradient.
     """
 
     t_star: float
@@ -183,65 +184,71 @@ class GaugeResult:
 def gauge(mu_hat: Matching) -> GaugeResult:
     """Scale ``mu_hat`` along the ray from the barycenter to the boundary.
 
-    Writing ``bary = p * q`` for the barycenter, the ray point at stretch t
-    is ``bary + t * (mu_hat - bary)``.  Margins hold for every t, so
-    feasibility only ever fails at a cell, between present lines (see
-    ``core``), with ``mu_hat < bary``, where the entry hits zero at ``t =
-    bary / (bary - mu_hat)``.  The exit stretch is the smallest such ratio;
-    because ``mu_hat`` itself is feasible it is always at least 1.  The
-    cells whose ratio attains it form the ``binding`` mask, of shrinking
-    cells.  A matching on the boundary (see ``is_boundary``) is its own
-    exit point, at ``t_star = 1``, through those empty cells.
+    The ray runs in the polytope of ``mu_hat``'s own line sums ``r``, ``c``
+    over its present lines (see ``core``), from ``bary = r c / sum(r)``, which
+    is ``p * q`` when the margins are those sums: at stretch t it is ``bary +
+    t * (mu_hat - bary)`` there, plus what absent lines hold.  The direction's
+    rounding-level line sums are moved onto one cell of each line, so every
+    t keeps the line sums, and a cell with ``mu_hat < bary`` hits zero at
+    ``t = bary / (bary - mu_hat)``.  The exit stretch is the least such
+    ratio, at least 1 as ``mu_hat`` is feasible, and its cells form the
+    ``binding`` mask.  The exit point keeps ``mu_hat``'s line sums, so it
+    meets the margins within ``MASS_TOL`` plus ``mu_hat``'s own defect.  A
+    matching on the boundary (see ``is_boundary``) is its own exit point, at
+    ``t_star = 1``, through its empty cells between present lines, and its
+    normal pairs with ``mu_hat - p * q``.
 
-    The exit point is built finite and is clipped nonnegative in place, so
-    of ``Matching``'s checks only the margin test runs on it, once, within
-    the tolerance that ``core``'s tolerance paragraph derives.
+    Raises ``DegenerateRayError`` at the barycenter of ``mu_hat``'s own line
+    sums, as on one present row or column, whose polytope is a point: no
+    cell then shrinks by more than ``BOUNDARY_TOL`` times its barycenter
+    mass, so the ray has no direction.
 
-    Raises ``DegenerateRayError`` at the barycenter, as within a loose
-    ``tol``'s margin defect: no such cell then shrinks by more than
-    ``BOUNDARY_TOL`` times its barycenter mass, so the ray has no direction.
-
-    A pure function: each call scales afresh and keeps nothing.  The
-    verdict and the gauge identification of one observation share its ray
-    through ``identify``'s memo instead.
+    A pure function: each call scales afresh and keeps nothing; the verdict
+    and the gauge identification share one ray through ``identify``'s memo.
     """
     return _ray(mu_hat)[0]
 
 
 def _ray(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
-    """``gauge(mu_hat)`` and the direction ``mu_hat - bary`` it scaled."""
+    """``gauge(mu_hat)`` and the direction its normal pairs with."""
     margins = mu_hat.margins
-    p, q = margins.p, margins.q
-    bary = _barycenter_mu(margins)
-    diff = mu_hat.mu - bary
-    shrinking = diff < -BOUNDARY_TOL * bary
-    empty, rows, cols = None, slice(None), slice(None)
-    if mu_hat.mu.min() <= BOUNDARY_TOL:  # else no cell is empty; zero-mass lines never shrink
-        rows, cols = _present(p, q, empty := _empty_cells(mu_hat.mu, margins))
-        shrinking &= rows[:, None] & cols
-    if not shrinking.any():
-        raise DegenerateRayError(
-            "matching equals the barycenter; the ray to the boundary is undefined"
-        )
-    if empty is not None and (binding := empty & shrinking).any():
-        t_star, mu_star = 1.0, mu_hat
-    else:
+    mu = block = mu_hat.mu
+    boundary = False
+    if mu.min() <= BOUNDARY_TOL or not (margins.p.all() and margins.q.all()):
+        # Else no cell is empty and every line is present.
+        empty = _empty_cells(mu, margins)
+        present = np.logical_and.outer(*_present(margins.p, margins.q, empty))
+        if boundary := (binding := empty & present).any():
+            t_star, mu_star, diff = 1.0, mu_hat, mu - _barycenter_mu(margins)
+        elif not present.all():
+            block = np.where(present, mu, 0.0)
+    if not boundary:
+        r, c = block.sum(axis=1), block.sum(axis=0)
+        bary = r[:, None] * (c / r.sum())
+        diff = block - bary
+        # The rounding in diff's line sums goes onto one cell of each line, in
+        # the heaviest column and row, so that no stretch carries it.
+        diff[:, c.argmax()] -= diff.sum(axis=1)
+        diff[r.argmax()] -= diff.sum(axis=0)
+        shrinking = diff < -BOUNDARY_TOL * bary
+        if not shrinking.any():
+            raise DegenerateRayError(
+                "matching equals the barycenter; the ray to the boundary is undefined"
+            )
         ratios = np.divide(bary, -diff, out=np.full(diff.shape, np.inf), where=shrinking)
         t_star = float(ratios.min())
         # A cell whose ratio is within a relative BOUNDARY_TOL of t* keeps
-        # less than BOUNDARY_TOL of its barycenter mass at mu*: it is empty
-        # there too.
+        # less than BOUNDARY_TOL of its barycenter mass at mu*: empty there too.
         binding = ratios <= t_star * (1.0 + BOUNDARY_TOL)
-        defect = max(
-            np.abs(mu_hat.mu.sum(axis=1) - p).max(),
-            np.abs(mu_hat.mu.sum(axis=0) - q).max(),
-        )
-        offset = max(p.max() * abs(q[cols].sum() - 1.0), q.max() * abs(p[rows].sum() - 1.0))
         # The ratios are read; their buffer takes bary + t* * diff.
         star = np.multiply(diff, t_star, out=ratios)
         star += bary
         np.clip(star, 0.0, None, out=star)
-        mu_star = _admit(star, margins, MASS_TOL + t_star * defect + (t_star - 1.0) * offset)
+        if block is not mu:
+            star += mu - block  # what the absent lines hold
+            r, c = mu.sum(axis=1), mu.sum(axis=0)
+        defect = max(np.abs(r - margins.p).max(), np.abs(c - margins.q).max())
+        mu_star = _admit(star, margins, MASS_TOL + defect)
     # Binding cells shrink, so the normalizer is negative; + 0.0 clears -0.0.
     normal = binding / float(np.sum(binding * diff)) + 0.0
     binding.setflags(write=False)

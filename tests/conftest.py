@@ -5,7 +5,6 @@ import pytest
 
 from matchident import (
     IPFP_TOL,
-    MASS_TOL,
     Margins,
     Matching,
     Surplus,
@@ -77,8 +76,8 @@ def matching_with_a_cell_the_ray_grows() -> tuple[np.ndarray, np.ndarray]:
 
 #: A market written with 10 decimals whose margins are its matching's own
 #: sums: both sum to 1 - 1e-10, and the matching has no margin defect.  Its
-#: gauge ray stretches to t* = 35.11, which scales the barycenter's margin
-#: offset of 1e-10 past ``MASS_TOL``.
+#: gauge ray stretches to t* = 35.11, which would scale the margin offset of
+#: a ``p * q`` barycenter, 1e-10, past ``MASS_TOL``.
 TEN_DECIMAL_MARKET = {
     "p": [0.1980191829, 0.1207384008, 0.1949825438, 0.2157374929, 0.2705223795],
     "q": [0.6215830035, 0.3784169964],
@@ -92,14 +91,13 @@ TEN_DECIMAL_MARKET = {
 }
 
 
-def exit_point_tolerance(mu: Matching, t_star: float) -> float:
-    """The margin tolerance of the gauge's exit point at stretch ``t_star``:
-    ``MASS_TOL``, the matching's margin defect scaled by ``t_star`` and the
-    barycenter's margin offset scaled by ``t_star - 1``."""
-    p, q = mu.margins.p, mu.margins.q
-    defect = max(np.abs(mu.mu.sum(axis=1) - p).max(), np.abs(mu.mu.sum(axis=0) - q).max())
-    offset = max(p.max() * abs(q.sum() - 1.0), q.max() * abs(p.sum() - 1.0))
-    return MASS_TOL + t_star * defect + (t_star - 1.0) * offset
+def assert_keeps_line_sums(mu_star: Matching, mu: Matching) -> None:
+    """The gauge's exit point has the observation's own line sums within
+    ``4 * eps``, whatever the stretch, and so meets the margins within
+    ``MASS_TOL`` plus the observation's own margin defect."""
+    eps = 4.0 * np.finfo(float).eps
+    assert np.abs(mu_star.mu.sum(axis=1) - mu.mu.sum(axis=1)).max() <= eps
+    assert np.abs(mu_star.mu.sum(axis=0) - mu.mu.sum(axis=0)).max() <= eps
 
 
 def random_surplus(

@@ -777,15 +777,22 @@ class TestGeometry:
                 assert contains(full, margins, tol=1e-9)
 
     def test_ray_runs_from_barycenter_to_mu_star(self, tmp_path, capsys):
-        market = self.write_interior(tmp_path)
-        code = main(["geometry", "--input", market])
-        assert code == 0
-        blocks = parse_geometry(capsys.readouterr().out)
-        assert len(blocks["ray"]) == 33
-        np.testing.assert_allclose(blocks["ray"][0], blocks["barycenter"][0], atol=1e-15)
-        np.testing.assert_allclose(blocks["ray"][-1], blocks["mu_star"][0], atol=1e-12)
-        first_cells = [row[0] for row in blocks["ray"]]
-        assert all(a <= b + 1e-15 for a, b in zip(first_cells, first_cells[1:]))
+        """Also when the ray stretches 2e9 times along the margins' sum
+        defect: its points meet the first row's margin within ``MASS_TOL``."""
+        far = write_market(
+            tmp_path / "far.json", p=UNIFORM_P, q=[0.5, 0.5 + 5e-10],
+            mu=[[0.25, 0.25], [0.25, 0.25 + 5e-10]],
+        )
+        for market in (self.write_interior(tmp_path), far):
+            code = main(["geometry", "--input", market])
+            assert code == 0
+            blocks = parse_geometry(capsys.readouterr().out)
+            assert len(blocks["ray"]) == 33
+            np.testing.assert_allclose(blocks["ray"][0], blocks["barycenter"][0], atol=1e-15)
+            np.testing.assert_allclose(blocks["ray"][-1], blocks["mu_star"][0], atol=1e-12)
+            first_cells = [row[0] for row in blocks["ray"]]
+            assert all(a <= b + 1e-15 for a, b in zip(first_cells, first_cells[1:]))
+            assert all(abs(a + b - UNIFORM_P[0]) <= MASS_TOL for a, b in blocks["ray"])
 
     def test_boundary_input_degenerates_to_its_own_point(self, tmp_path, capsys):
         market = write_market(

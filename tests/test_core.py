@@ -199,9 +199,10 @@ class TestIsNonseparable:
             assert not is_nonseparable(Surplus(f[:, None] + g[None, :]), margins)
 
     def test_margins_summing_to_one_within_mass_tol_leave_separable_surpluses_separable(self):
-        """Margins whose sums miss one by ``a`` and ``b`` leave a residual of
-        up to ``(2 (|a| + |b|) + |a b|) max|phi|`` on a separable surplus;
-        that is not discrimination, while a cross-difference still is."""
+        """Margins whose sums miss one within ``MASS_TOL`` are normalized in
+        the decomposition: a separable surplus leaves a residual of rounding
+        alone, and a residual has zero weighted row and column means, while a
+        cross-difference still discriminates."""
         margins = Margins([0.5, 0.5], [0.5, 0.5 + 5e-10])
         assert not is_nonseparable(Surplus([[1.0, 1.0], [0.0, 0.0]]), margins)
         assert is_nonseparable(Surplus(np.eye(2)), margins)
@@ -213,7 +214,15 @@ class TestIsNonseparable:
             margins = Margins(base.p * (1.0 + a), base.q * (1.0 + b))
             f = rng.normal(0.0, 2.0, d_x)
             g = rng.normal(0.0, 2.0, d_y)
-            assert not is_nonseparable(Surplus(f[:, None] + g[None, :]), margins)
+            separable = Surplus(f[:, None] + g[None, :])
+            assert not is_nonseparable(separable, margins)
+            scale = 1e-15 * np.abs(separable.phi).max()
+            assert np.abs(decompose_separable(separable, margins).residual).max() <= scale
+            phi = random_surplus(rng, d_x, d_y)
+            residual = decompose_separable(phi, margins).residual
+            scale = 1e-15 * np.abs(phi.phi).max()
+            assert np.abs(residual @ margins.q).max() <= scale
+            assert np.abs(margins.p @ residual).max() <= scale
 
     def test_only_cells_between_positive_mass_types_count(self):
         """Every feasible matching is zero on a zero-mass type's lines, so

@@ -34,7 +34,7 @@ from matchident import (
 from conftest import (
     TEN_DECIMAL_MARKET,
     UNIT_CHANGES,
-    exit_point_tolerance,
+    assert_keeps_line_sums,
     random_boundary_matching,
     random_interior_matching,
     random_margins,
@@ -147,6 +147,16 @@ class TestCheckRationalizable:
         with pytest.raises(NonInteriorError) as info:
             identify_entropy(interior, EntropyModel.shannon())
         assert info.value.cell == (2, 0)
+        # A zero-mass row that holds 9.1e-10, within MASS_TOL, is absent too:
+        # the ray keeps what it holds and exits through the present cells.
+        report = check_rationalizable(Matching([[0.3, 0.2], [0.2, 0.3], [9e-10, 1e-11]], margins))
+        assert report.t_star == pytest.approx(5.0, rel=1e-12)
+        np.testing.assert_array_equal(report.mu_star.mu[2], [9e-10, 1e-11])
+        # One present column: the polytope is a point, whatever the margins'
+        # defect, so there is no ray.
+        margins = Margins([0.3 + 4e-10, 0.7 - 4e-10], [1.0, 0.0])
+        report = check_rationalizable(Matching([[0.3, 0.0], [0.7, 0.0]], margins))
+        assert not report.rationalizable and report.t_star is None
 
     def test_zero_mass_market_with_an_empty_cell_has_a_nonseparable_witness(self):
         margins = Margins([0.5, 0.5, 0.0], [0.5, 0.5])
@@ -245,23 +255,39 @@ class TestCheckRationalizable:
 
     def test_margins_that_are_their_own_sums_get_an_answer(self):
         """Ten-decimal margins summing to 1 - 1e-10: the ray stretches 35
-        times, and its exit point meets the margins within the tolerance
-        that scales the barycenter's offset too."""
+        times, and its exit point keeps the matching's own line sums."""
         margins = Margins(TEN_DECIMAL_MARKET["p"], TEN_DECIMAL_MARKET["q"])
         mu = Matching(TEN_DECIMAL_MARKET["mu"], margins)
         report = check_rationalizable(mu)
         assert not report.rationalizable
         assert report.t_star == pytest.approx(35.11, abs=5e-3)
-        tol = exit_point_tolerance(mu, report.t_star)
-        star = report.mu_star.mu
-        assert np.abs(star.sum(axis=1) - margins.p).max() <= tol
-        assert np.abs(star.sum(axis=0) - margins.q).max() <= tol
+        assert_keeps_line_sums(report.mu_star, mu)
         ray, identified = rationalize_gauge(mu)
         assert ray.t_star == report.t_star and ray.mu_star is report.mu_star
         assert identified.diagnostics["maximizer_verified"] == 1.0
         gauged = identify_entropy(mu, EntropyModel.gauge())
         np.testing.assert_array_equal(gauged.phi_raw.phi, identified.phi_raw.phi)
         assert gauged.diagnostics == identified.diagnostics
+        # Nine decimals, 2e-9 off the barycenter: the ray stretches 9e7 times,
+        # exactly 0.18 / 2e-9 but for rounding, to a vertex.
+        margins = Margins([0.3, 0.7], [0.4, 0.6])
+        mu = Matching([[0.120000002, 0.179999998], [0.279999998, 0.420000002]], margins)
+        report = check_rationalizable(mu)
+        assert not report.rationalizable
+        assert report.t_star == pytest.approx(9e7, rel=1e-7)
+        np.testing.assert_allclose(report.mu_star.mu, [[0.3, 0.0], [0.1, 0.6]], atol=1e-15)
+        assert_keeps_line_sums(report.mu_star, mu)
+
+    def test_a_ray_along_the_margin_defect_keeps_the_line_sums(self):
+        """A matching off the barycenter of its margins only by their sum
+        defect, 5e-10 in one cell: the ray stretches about 2e9 times, to a
+        vertex of the matching's own line sums."""
+        margins = Margins([0.5, 0.5], [0.5, 0.5 + 5e-10])
+        mu = Matching([[0.25, 0.25], [0.25, 0.25 + 5e-10]], margins)
+        report = check_rationalizable(mu)
+        assert not report.rationalizable and report.t_star > 1e9
+        assert_keeps_line_sums(report.mu_star, mu)
+        np.testing.assert_allclose(report.mu_star.mu, [[0.5, 0.0], [0.0, 0.5 + 5e-10]], atol=1e-15)
 
 
 class TestCertificates:
