@@ -38,7 +38,8 @@ solved for given margins (an LP vertex, an IPFP solution) meets them within
 ``MASS_TOL`` plus their sums' difference (``_imbalance_tol``); the gauge's
 exit point keeps the observation's own line sums, so it meets them within
 ``MASS_TOL`` plus the observation's own defect.  The separable
-decomposition normalizes its weights, so no surplus test reads it.
+decomposition reads the weights ``p / sum(p)`` and ``q / sum(q)``, which
+``Margins`` normalizes once, at construction, so no surplus test reads it.
 """
 
 from __future__ import annotations
@@ -162,6 +163,14 @@ def _validated_vector(name: str, values, min_len: int) -> np.ndarray:
     return arr
 
 
+def _normalized(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr / sum(arr)``, once the sum is 1 within ``MASS_TOL``."""
+    total = arr.sum()
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValidationError(f"{name} must sum to 1 within {MASS_TOL}, got {float(total)!r}")
+    return arr / total
+
+
 def _freeze(obj, **arrays) -> None:
     for name, arr in arrays.items():
         arr.setflags(write=False)
@@ -176,6 +185,11 @@ class Margins:
     is normalized to the same constant, taken to be 1).  A type of zero
     mass, as a small sample may leave, is absent: its cells are zero in
     every feasible matching, and conditional distributions refuse it.
+
+    Construction also keeps what the validation's sums and minima
+    determine, for every route that reads these margins: the weights
+    ``p / sum(p)`` and ``q / sum(q)`` of the separable decomposition, and
+    whether every type is present, each computed once.
     """
 
     p: np.ndarray
@@ -184,14 +198,11 @@ class Margins:
     def __post_init__(self) -> None:
         p = _validated_vector("p", self.p, 2)
         q = _validated_vector("q", self.q, 2)
-        if min(p.min(), q.min()) < 0:
+        low = min(p.min(), q.min())
+        if low < 0:
             raise ValidationError("margins must be zero or positive")
-        for name, arr in (("p", p), ("q", q)):
-            if abs(arr.sum() - 1.0) > MASS_TOL:
-                raise ValidationError(
-                    f"{name} must sum to 1 within {MASS_TOL}, got {float(arr.sum())!r}"
-                )
-        _freeze(self, p=p, q=q)
+        _freeze(self, p=p, q=q, _p_weights=_normalized("p", p), _q_weights=_normalized("q", q))
+        object.__setattr__(self, "_all_present", bool(low > 0))
 
     @property
     def d_x(self) -> int:
@@ -235,7 +246,7 @@ class Matching:
                 f"mu[{cell[0]}, {cell[1]}] = {float(mu[cell])!r}"
                 f" is negative beyond {BOUNDARY_TOL}"
             )
-        np.clip(mu, 0.0, None, out=mu)
+        np.maximum(mu, 0.0, out=mu)
         _check_margin_sums(mu, self.margins, tol)
         _freeze(self, mu=mu)
 
@@ -427,15 +438,17 @@ def decompose_separable(phi: Surplus, margins: Margins) -> SeparableParts:
     ``phi`` onto the complement of the separable subspace under the p-by-q
     weighted inner product.  In particular the residual is the canonical
     representative of ``phi`` modulo separable shifts: two surpluses differ
-    by ``f + g`` exactly when their residuals coincide.
+    by ``f + g`` exactly when their residuals coincide.  The normalized
+    weights are the ones ``Margins`` keeps.
     """
     _check_same_shape("phi", phi.phi.shape, margins)
-    p, q = margins.p / margins.p.sum(), margins.q / margins.q.sum()
+    p, q = margins._p_weights, margins._q_weights
     col = p @ phi.phi
     grand_mean = float(col @ q)
     f = phi.phi @ q - grand_mean / 2.0
     g = col - grand_mean / 2.0
-    residual = phi.phi - f[:, None] - g[None, :]
+    residual = phi.phi - f[:, None]
+    residual -= g
     # A non-finite f[x] or g[y] spreads over its whole line of the residual,
     # so the residual's test covers all three; the field-by-field test runs
     # only to name the first non-finite field.
@@ -479,7 +492,6 @@ def conditionals(mu: Matching) -> tuple[np.ndarray, np.ndarray]:
     the probability of x given y (each column sums to one).  Requires
     strictly positive margins.
     """
-    p, q = mu.margins.p, mu.margins.q
-    if p.min() <= 0 or q.min() <= 0:
+    if not mu.margins._all_present:
         raise ValidationError("conditionals need strictly positive margins")
-    return mu.mu / p[:, None], mu.mu / q[None, :]
+    return mu.mu / mu.margins.p[:, None], mu.mu / mu.margins.q[None, :]

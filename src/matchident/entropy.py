@@ -238,8 +238,9 @@ def eval_entropy(model: EntropyModel, mu: Matching) -> float:
 
 def _reversed_cumsum_tail(matrix: np.ndarray) -> np.ndarray:
     """``out[:, j] = sum_{k >= j} matrix[:, k]`` with a zero column appended."""
-    tail = np.cumsum(matrix[:, ::-1], axis=1)[:, ::-1]
-    return np.concatenate([tail, np.zeros((matrix.shape[0], 1))], axis=1)
+    out = np.zeros((matrix.shape[0], matrix.shape[1] + 1))
+    np.cumsum(matrix[:, ::-1], axis=1, out=out[:, -2::-1])
+    return out
 
 
 def _quantile_side_grad(values: np.ndarray, cond: np.ndarray) -> np.ndarray:
@@ -253,6 +254,18 @@ def _quantile_side_grad(values: np.ndarray, cond: np.ndarray) -> np.ndarray:
     u = np.cumsum(cond, axis=1)
     drops = u[:, :-1] * (values[:-1] - values[1:])
     return values[-1] * u[:, -1:] + _reversed_cumsum_tail(drops)
+
+
+def _refuse_empty_cells(mu: Matching) -> None:
+    """Raise ``NonInteriorError`` at the lightest empty cell of ``mu``, if any
+    (see ``core``): the shannon and quantile gradients are undefined there."""
+    if mu.mu.min() <= BOUNDARY_TOL and (empty := _empty_cells(mu.mu, mu.margins)).any():
+        cell = np.unravel_index(np.argmin(np.where(empty, mu.mu, np.inf)), mu.mu.shape)
+        raise NonInteriorError(
+            f"boundary point: entropy gradient undefined, mu[{cell[0]}, {cell[1]}]"
+            f" = {float(mu.mu[cell])!r}",
+            cell=(int(cell[0]), int(cell[1])),
+        )
 
 
 def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
@@ -271,13 +284,7 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     if model.kind == "gauge":
         ray = polytope.gauge(mu)
         return _adopt(Surplus, phi=ray.t_star * ray.normal)
-    if mu.mu.min() <= BOUNDARY_TOL and (empty := _empty_cells(mu.mu, mu.margins)).any():
-        cell = np.unravel_index(np.argmin(np.where(empty, mu.mu, np.inf)), mu.mu.shape)
-        raise NonInteriorError(
-            f"boundary point: entropy gradient undefined, mu[{cell[0]}, {cell[1]}]"
-            f" = {float(mu.mu[cell])!r}",
-            cell=(int(cell[0]), int(cell[1])),
-        )
+    _refuse_empty_cells(mu)
     if model.kind == "shannon":
         return _adopt(Surplus, phi=1.0 + np.log(mu.mu))
     values = _check_values_shape(model, mu.mu.shape)

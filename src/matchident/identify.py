@@ -20,9 +20,13 @@ finite-sample experiments.
 The verdict and the gauge identification read one ray, so it is computed
 once per observation: ``_scaled`` memoizes the ray and ``_identified`` the
 gauge identification, each a ``functools.lru_cache`` of one entry keyed by
-the ``Matching`` object (which compares by identity).  A call that raises,
-as at the barycenter, stores nothing, and at most two matchings are held:
-the last one scaled and the last one identified.
+the ``Matching`` object (which compares by identity).  Draws from one
+population read one solve: ``_population`` memoizes the shannon-optimal
+matching of the last ``(Surplus, Margins)`` pair, by the same rule.  Each
+memo holds read-only arrays only.  A call that raises, as at the barycenter
+or on a solve that does not converge, stores nothing, and at most two
+matchings and one population are held: the last matching scaled, the last
+one identified and the last population solved.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .core import (
     _is_nonzero_residual,
     decompose_separable,
 )
-from .entropy import EntropyModel, grad_entropy, solve_regularized
+from .entropy import EntropyModel, _refuse_empty_cells, grad_entropy, solve_regularized
 from .polytope import GaugeResult, _ray
 
 __all__ = [
@@ -59,6 +63,9 @@ __all__ = [
 
 #: The largest sample size the multinomial draw takes (the int64 maximum).
 _MAX_HOUSEHOLDS = 2**63 - 1
+
+#: The gauge entropy of ``rationalize_gauge``'s answers and the memo's.
+_GAUGE = EntropyModel.gauge()
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +82,10 @@ class RationalizabilityChecks:
     boundary: bool
     maximizer: bool
     nonseparable: bool
+
+
+#: The checks of every interior verdict: there is no witness to verify.
+_INTERIOR = RationalizabilityChecks(False, False, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +139,7 @@ def _certifies(phi: np.ndarray, mu: Matching) -> bool:
     at most ``OPTIMALITY_TOL * max|phi|``.
     """
     slack = OPTIMALITY_TOL * np.abs(phi).max()
-    return bool(phi.max() <= 0.0 and np.sum(mu.mu * phi) >= -slack)
+    return bool(phi.max() <= 0.0 and (mu.mu * phi).sum() >= -slack)
 
 
 def _separable_witness(empty: np.ndarray) -> bool:
@@ -161,10 +172,10 @@ def _identified(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]:
     return ray, IdentifiedSurplus(
         phi_raw=phi_raw,
         phi_canonical=_frozen(Surplus, phi=parts.residual),
-        entropy_kind=EntropyModel.gauge(),
+        entropy_kind=_GAUGE,
         diagnostics={
             "t_star": ray.t_star,
-            "normalization": float(np.sum(ray.normal * direction)),
+            "normalization": float((ray.normal * direction).sum()),
             "maximizer_verified": float(_certifies(ray.normal, ray.mu_star)),
             "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
         },
@@ -186,13 +197,12 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
 
     The ray is memoized for the gauge identification (see the module docstring).
     """
-    interior = RationalizabilityChecks(False, False, False)
     try:
         ray = _scaled(mu_hat)[0]
     except DegenerateRayError:
-        return RationalizabilityReport(None, None, None, interior)
+        return RationalizabilityReport(None, None, None, _INTERIOR)
     if ray.t_star > 1.0:
-        return RationalizabilityReport(None, ray.t_star, ray.mu_star, interior)
+        return RationalizabilityReport(None, ray.t_star, ray.mu_star, _INTERIOR)
     witness = _frozen(Surplus, phi=np.where(ray.binding, -1.0, 0.0))
     checks = RationalizabilityChecks(
         boundary=True,
@@ -228,7 +238,7 @@ def rationalize_gauge(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]
     The ray and the identification are memoized (see the module docstring);
     each call returns its own copy of ``diagnostics``.
     """
-    return _gauge_route(mu_hat, EntropyModel.gauge())
+    return _gauge_route(mu_hat, _GAUGE)
 
 
 #: Cells in each temporary of the blocked cross-difference scan, and the
@@ -275,13 +285,18 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
     """
     if model.kind == "gauge":
         return _gauge_route(mu_hat, model)[1]
-    phi_raw = grad_entropy(model, mu_hat)
+    if model.kind == "shannon":
+        # grad_entropy's gradient, from the log the diagnostics read too.
+        _refuse_empty_cells(mu_hat)
+        lm = np.log(mu_hat.mu)
+        phi_raw = _adopt(Surplus, phi=1.0 + lm)
+    else:
+        phi_raw = grad_entropy(model, mu_hat)
     parts = decompose_separable(phi_raw, mu_hat.margins)
     diagnostics: dict[str, float] = {
         "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
     }
     if model.kind == "shannon":
-        lm = np.log(mu_hat.mu)
         diagnostics["max_abs_cross_difference"] = _max_abs_cross_difference(lm)
         if mu_hat.mu.shape == (2, 2):
             diagnostics["cross_difference"] = float(lm[0, 0] + lm[1, 1] - lm[0, 1] - lm[1, 0])
@@ -291,6 +306,13 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
         entropy_kind=model,
         diagnostics=diagnostics,
     )
+
+
+@lru_cache(maxsize=1)
+def _population(phi: Surplus, margins: Margins) -> Matching:
+    """The shannon-optimal matching of ``phi`` under ``margins``: ``solve_regularized``,
+    read by name at call time, so a wrapper put in its place sees the solve."""
+    return solve_regularized(EntropyModel.shannon(), phi, margins)[1].mu
 
 
 def _is_integer(value) -> bool:
@@ -308,6 +330,11 @@ def simulate_market(
     sums: a type the sample misses has zero mass, absent to the verdict and
     the gauge and refused by the shannon and quantile gradients.
 
+    The population is solved once per ``(phi, margins)`` objects and shared
+    read-only (see the module docstring): draws from one population, as a
+    Monte Carlo study makes, return the same population ``Matching``.  New
+    objects with equal contents solve again.
+
     The draw is reproducible: the same ``seed`` gives the same sample.
     ``households`` must be an integer from 1 to ``2**63 - 1``, and ``seed`` a
     non-negative integer; bools are not integers here.
@@ -320,8 +347,7 @@ def simulate_market(
         raise ValidationError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
-    _, report = solve_regularized(EntropyModel.shannon(), phi, margins)
-    mu_true = report.mu
+    mu_true = _population(phi, margins)
     weights = mu_true.mu.ravel()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(int(households), weights / weights.sum())

@@ -214,7 +214,7 @@ def _ray(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
     margins = mu_hat.margins
     mu = block = mu_hat.mu
     boundary = False
-    if mu.min() <= BOUNDARY_TOL or not (margins.p.all() and margins.q.all()):
+    if mu.min() <= BOUNDARY_TOL or not margins._all_present:
         # Else no cell is empty and every line is present.
         empty = _empty_cells(mu, margins)
         present = np.logical_and.outer(*_present(margins.p, margins.q, empty))
@@ -243,14 +243,14 @@ def _ray(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
         # The ratios are read; their buffer takes bary + t* * diff.
         star = np.multiply(diff, t_star, out=ratios)
         star += bary
-        np.clip(star, 0.0, None, out=star)
+        np.maximum(star, 0.0, out=star)
         if block is not mu:
             star += mu - block  # what the absent lines hold
             r, c = mu.sum(axis=1), mu.sum(axis=0)
         defect = max(np.abs(r - margins.p).max(), np.abs(c - margins.q).max())
         mu_star = _admit(star, margins, MASS_TOL + defect)
     # Binding cells shrink, so the normalizer is negative; + 0.0 clears -0.0.
-    normal = binding / float(np.sum(binding * diff)) + 0.0
+    normal = binding / float((binding * diff).sum()) + 0.0
     binding.setflags(write=False)
     normal.setflags(write=False)
     return GaugeResult(t_star=t_star, mu_star=mu_star, binding=binding, normal=normal), diff

@@ -5,6 +5,7 @@ import pytest
 
 from matchident import (
     IPFP_TOL,
+    MASS_TOL,
     Margins,
     Matching,
     Surplus,
@@ -32,6 +33,31 @@ def random_margins(rng: np.random.Generator, d_x: int, d_y: int) -> Margins:
     p = rng.uniform(0.2, 1.0, d_x)
     q = rng.uniform(0.2, 1.0, d_y)
     return Margins(p / p.sum(), q / q.sum())
+
+
+def margins_off_their_sums(
+    rng: np.random.Generator, d_x: int, d_y: int, zero_share: float = 0.0
+) -> Margins:
+    """Margins whose sums each miss 1 by up to ``0.9 * MASS_TOL``, with about
+    ``zero_share`` of the types of zero mass (one type of each side keeps mass)."""
+    sides = []
+    for d in (d_x, d_y):
+        v = rng.uniform(0.2, 1.0, d)
+        v[rng.random(d) < zero_share] = 0.0
+        v[rng.integers(d)] = rng.uniform(0.2, 1.0)
+        sides.append(v / v.sum() * (1.0 + rng.uniform(-0.9, 0.9) * MASS_TOL))
+    return Margins(*sides)
+
+
+def separable_split_reference(phi: np.ndarray, margins: Margins):
+    """``decompose_separable``'s ``f``, ``g`` and residual, from weights
+    normalized on the fly instead of those ``margins`` keeps."""
+    p, q = margins.p / margins.p.sum(), margins.q / margins.q.sum()
+    col = p @ phi
+    grand_mean = float(col @ q)
+    f = phi @ q - grand_mean / 2.0
+    g = col - grand_mean / 2.0
+    return f, g, phi - f[:, None] - g[None, :]
 
 
 def random_interior_matching(rng: np.random.Generator, margins: Margins) -> Matching:

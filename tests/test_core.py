@@ -25,7 +25,14 @@ from matchident import (
     total_surplus,
 )
 from matchident import core
-from conftest import random_margins, random_interior_matching, random_surplus, vertices_for
+from conftest import (
+    margins_off_their_sums,
+    random_interior_matching,
+    random_margins,
+    random_surplus,
+    separable_split_reference,
+    vertices_for,
+)
 
 
 class TestMargins:
@@ -47,6 +54,24 @@ class TestMargins:
             Margins([0.3, 0.6], [0.5, 0.5])
         # within tolerance is fine
         Margins([0.5 + 4e-10, 0.5], [0.5, 0.5])
+
+    def test_keeps_its_normalized_weights_bit_for_bit(self):
+        """``p / p.sum()``, ``q / q.sum()`` and whether every type is present,
+        kept read-only, for zero-mass types and sums off by up to ``MASS_TOL``."""
+        rng = np.random.default_rng(28)
+        cases = [Margins([0.5 + 9e-10, 0.5, 0.0], [1.0 - 9e-10, 0.0]),
+                 Margins([0.3, 0.7 - 9e-10], [0.25, 0.25, 0.25, 0.25 + 9e-10])]
+        for _ in range(200):
+            d_x, d_y = rng.integers(2, 8, size=2)
+            zero_share = rng.choice([0.0, 0.3])
+            cases.append(margins_off_their_sums(rng, d_x, d_y, zero_share))
+        assert {m._all_present for m in cases} == {False, True}
+        for m in cases:
+            assert abs(m.p.sum() - 1.0) <= MASS_TOL and abs(m.q.sum() - 1.0) <= MASS_TOL
+            assert m._p_weights.tobytes() == (m.p / m.p.sum()).tobytes()
+            assert m._q_weights.tobytes() == (m.q / m.q.sum()).tobytes()
+            assert m._all_present == bool(m.p.min() > 0.0 and m.q.min() > 0.0)
+            assert not m._p_weights.flags.writeable and not m._q_weights.flags.writeable
 
     def test_rejects_too_few_types(self):
         with pytest.raises(ValidationError):
@@ -170,6 +195,19 @@ class TestDecomposeSeparable:
             np.testing.assert_allclose(
                 margins.p @ parts.residual, np.zeros(d_y), atol=1e-12
             )
+
+    def test_equals_a_split_that_normalizes_on_the_fly(self):
+        """The weights ``Margins`` keeps give the split that normalizes ``p``
+        and ``q`` on every call, bit for bit."""
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            d_x, d_y = rng.integers(2, 9, size=2)
+            margins = margins_off_their_sums(rng, d_x, d_y, rng.choice([0.0, 0.3]))
+            phi = random_surplus(rng, d_x, d_y, scale=10.0 ** rng.integers(-3, 4))
+            parts = decompose_separable(phi, margins)
+            for got, want in zip((parts.f, parts.g, parts.residual),
+                                 separable_split_reference(phi.phi, margins)):
+                assert np.array_equal(got, want)
 
     def test_idempotent_on_residuals(self):
         """Decomposing a residual returns it unchanged (it is a projection)."""

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from matchident import (
     BOUNDARY_TOL,
+    ConvergenceError,
     DegenerateRayError,
     EntropyModel,
     Margins,
@@ -21,6 +23,7 @@ from matchident import (
     check_rationalizable,
     decompose_separable,
     gauge,
+    grad_entropy,
     identify_entropy,
     is_boundary,
     is_maximizer,
@@ -35,13 +38,15 @@ from conftest import (
     TEN_DECIMAL_MARKET,
     UNIT_CHANGES,
     assert_keeps_line_sums,
+    margins_off_their_sums,
     random_boundary_matching,
     random_interior_matching,
     random_margins,
     random_nonseparable_surplus,
     random_surplus,
+    separable_split_reference,
 )
-from matchident import identify
+from matchident import entropy, identify
 from matchident.identify import _certifies
 
 
@@ -642,6 +647,38 @@ class TestIdentifyEntropy:
             np.testing.assert_allclose(parts.f, 0.0, atol=1e-10)
             np.testing.assert_allclose(parts.g, 0.0, atol=1e-10)
 
+    def test_every_routes_canonical_part_is_the_split_of_its_raw_part(self):
+        """On margins off their sums by up to ``MASS_TOL``, each route's
+        ``phi_canonical`` is the residual of its ``phi_raw`` under weights
+        normalized on the fly, bit for bit."""
+        rng = np.random.default_rng(30)
+        for d_x, d_y in [(2, 2), (3, 5), (6, 4), (9, 9)]:
+            margins = margins_off_their_sums(rng, d_x, d_y)
+            mu = sample_matchings(rng, margins)["interior"]
+            values = TypeValues(*(np.cumsum(rng.uniform(0.5, 1.5, d)) for d in (d_x, d_y)))
+            models = (EntropyModel.shannon(), EntropyModel.gauge(), EntropyModel.quantile(values))
+            answers = [identify_entropy(mu, model) for model in models]
+            answers.append(rationalize_gauge(mu)[1])
+            for identified in answers:
+                reference = separable_split_reference(identified.phi_raw.phi, margins)[2]
+                assert np.array_equal(identified.phi_canonical.phi, reference)
+
+    def test_shannon_gradient_is_one_plus_the_log_bit_for_bit(self, assortative_matching):
+        """The shannon route takes one log, for the gradient and the
+        diagnostics, and refuses an empty cell before taking it."""
+        rng = np.random.default_rng(31)
+        model = EntropyModel.shannon()
+        for d_x, d_y in [(2, 2), (3, 5), (7, 4)]:
+            mu = sample_matchings(rng, random_margins(rng, d_x, d_y))["interior"]
+            phi_raw = identify_entropy(mu, model).phi_raw.phi
+            assert phi_raw.tobytes() == (1.0 + np.log(mu.mu)).tobytes()
+            assert phi_raw.tobytes() == grad_entropy(model, mu).phi.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonInteriorError) as raised:
+                identify_entropy(assortative_matching, model)
+        assert raised.value.cell == (0, 1)
+
     def test_shannon_and_gauge_read_assortativity_positively(
         self, interior_matching
     ):
@@ -768,6 +805,52 @@ class TestSimulateMarket:
         phi, margins = cross_market
         with pytest.raises(ValidationError, match="households"):
             simulate_market(phi, margins, households, seed=1)
+
+    @staticmethod
+    def counted_solves(monkeypatch) -> list:
+        """The solves ``simulate_market`` makes, through ``identify``'s name."""
+        solves, solve = [], identify.solve_regularized
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(identify, "solve_regularized", counted)
+        return solves
+
+    def test_draws_from_one_population_solve_it_once(self, monkeypatch, cross_market):
+        solves = self.counted_solves(monkeypatch)
+        phi, margins = cross_market
+        with pytest.raises(ValidationError, match="households"):
+            simulate_market(phi, margins, 0, seed=0)
+        assert solves == []  # validation comes first
+        mu_true, first = simulate_market(phi, margins, 1000, seed=3)
+        for seed in (3, 4, 3):
+            again, drawn = simulate_market(phi, margins, 1000, seed=seed)
+            assert again is mu_true
+            assert np.array_equal(drawn.mu, first.mu) == (seed == 3)
+        assert len(solves) == 1
+        assert not mu_true.mu.flags.writeable
+        twin, _ = simulate_market(Surplus(phi.phi), margins, 1000, seed=3)
+        assert len(solves) == 2 and twin is not mu_true
+        np.testing.assert_array_equal(twin.mu, mu_true.mu)
+        assert simulate_market(phi, margins, 1000, seed=3)[0] is not mu_true  # one entry
+        assert len(solves) == 3
+
+    def test_a_solve_that_does_not_converge_raises_every_time(self, monkeypatch):
+        solves = self.counted_solves(monkeypatch)
+        rng = np.random.default_rng(32)
+        margins = random_margins(rng, 4, 5)
+        phi = random_surplus(rng, 4, 5, scale=5.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(entropy, "IPFP_MAX_ITER", 2)
+            for _ in range(3):
+                with pytest.raises(ConvergenceError):
+                    simulate_market(phi, margins, 100, seed=0)
+        assert len(solves) == 3
+        mu_true, _ = simulate_market(phi, margins, 100, seed=0)
+        assert simulate_market(phi, margins, 100, seed=1)[0] is mu_true
+        assert len(solves) == 4
 
     def test_identification_error_shrinks_with_sample_size(self, cross_market):
         """Re-identifying from larger samples gets closer to the truth."""

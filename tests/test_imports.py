@@ -101,8 +101,11 @@ def test_no_name_is_public_in_two_modules():
 
 
 def test_only_identify_keeps_module_state():
-    """The package's one memo is ``identify``'s two one-entry caches: no
-    module declares a ``global``, and no other function is cached."""
+    """The package's only memos are ``identify``'s three one-entry caches:
+    ``_scaled`` and ``_identified`` for the gauge ray of the last matching,
+    and ``_population`` for the population of the last ``(Surplus,
+    Margins)`` pair that ``simulate_market`` drew from.  No module declares
+    a ``global``, and no other function is cached."""
     modules = {path.stem: path for path in PACKAGE.glob("*.py")}
     declared = [
         (stem, node.names)
@@ -121,6 +124,7 @@ def test_only_identify_keeps_module_state():
     assert set(cached) == {
         ("matchident.identify", "_scaled"),
         ("matchident.identify", "_identified"),
+        ("matchident.identify", "_population"),
     }
     for fn in cached.values():
         assert fn.cache_parameters() == {"maxsize": 1, "typed": False}
