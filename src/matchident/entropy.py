@@ -256,18 +256,6 @@ def _quantile_side_grad(values: np.ndarray, cond: np.ndarray) -> np.ndarray:
     return values[-1] * u[:, -1:] + _reversed_cumsum_tail(drops)
 
 
-def _refuse_empty_cells(mu: Matching) -> None:
-    """Raise ``NonInteriorError`` at the lightest empty cell of ``mu``, if any
-    (see ``core``): the shannon and quantile gradients are undefined there."""
-    if mu.mu.min() <= BOUNDARY_TOL and (empty := _empty_cells(mu.mu, mu.margins)).any():
-        cell = np.unravel_index(np.argmin(np.where(empty, mu.mu, np.inf)), mu.mu.shape)
-        raise NonInteriorError(
-            f"boundary point: entropy gradient undefined, mu[{cell[0]}, {cell[1]}]"
-            f" = {float(mu.mu[cell])!r}",
-            cell=(int(cell[0]), int(cell[1])),
-        )
-
-
 def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     """Gradient of the entropy at ``mu``, as a surplus matrix.
 
@@ -275,16 +263,22 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     relevant derivative on the polytope; it is defined up to a separable
     term, and the returned representative is the natural closed form for
     each entropy.  Shannon and quantile gradients refuse every empty cell
-    (see ``core``), so the shannon gradient never takes ``log 0``;
-    the quantile gradient also requires all cumulative conditional masses to
-    be distinct (otherwise the entropy has a kink).
+    (see ``core``) and name the lightest, so the shannon gradient never
+    takes ``log 0``; the quantile gradient also requires all cumulative
+    conditional masses to be distinct (otherwise the entropy has a kink).
     The gauge gradient exists off the barycenter and equals the stretch
     factor times the normal of the face where the gauge ray exits.
     """
     if model.kind == "gauge":
         ray = polytope.gauge(mu)
         return _adopt(Surplus, phi=ray.t_star * ray.normal)
-    _refuse_empty_cells(mu)
+    if mu.mu.min() <= BOUNDARY_TOL and (empty := _empty_cells(mu.mu, mu.margins)).any():
+        cell = np.unravel_index(np.argmin(np.where(empty, mu.mu, np.inf)), mu.mu.shape)
+        raise NonInteriorError(
+            f"boundary point: entropy gradient undefined, mu[{cell[0]}, {cell[1]}]"
+            f" = {float(mu.mu[cell])!r}",
+            cell=(int(cell[0]), int(cell[1])),
+        )
     if model.kind == "shannon":
         return _adopt(Surplus, phi=1.0 + np.log(mu.mu))
     values = _check_values_shape(model, mu.mu.shape)

@@ -18,10 +18,10 @@ the surplus off the exit face.  ``simulate_market`` closes the loop for
 finite-sample experiments.
 
 The verdict and the gauge identification read one ray, so it is computed
-once per observation: ``_scaled`` memoizes the ray and ``_identified`` the
-gauge identification, each a ``functools.lru_cache`` of one entry keyed by
-the ``Matching`` object (which compares by identity).  Draws from one
-population read one solve: ``_population`` memoizes the shannon-optimal
+once per observation: ``_scaled`` memoizes ``gauge(mu_hat)`` and
+``_identified`` the gauge identification, each a ``functools.lru_cache`` of
+one entry keyed by the ``Matching`` object (which compares by identity).
+Draws from one population read one solve: ``_population`` memoizes the shannon-optimal
 matching of the last ``(Surplus, Margins)`` pair, by the same rule.  Each
 memo holds read-only arrays only.  A call that raises, as at the barycenter
 or on a solve that does not converge, stores nothing, and at most two
@@ -48,8 +48,8 @@ from .core import (
     _is_nonzero_residual,
     decompose_separable,
 )
-from .entropy import EntropyModel, _refuse_empty_cells, grad_entropy, solve_regularized
-from .polytope import GaugeResult, _ray
+from .entropy import EntropyModel, grad_entropy, solve_regularized
+from .polytope import GaugeResult, gauge
 
 __all__ = [
     "RationalizabilityChecks",
@@ -157,16 +157,16 @@ def _separable_witness(empty: np.ndarray) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _scaled(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
-    """The gauge ray of ``mu_hat`` and the direction its normal pairs with: ``_ray``,
-    read by name at call time, so a wrapper put in its place sees the call."""
-    return _ray(mu_hat)
+def _scaled(mu_hat: Matching) -> GaugeResult:
+    """``gauge(mu_hat)``, with ``gauge`` read by name at call time, so a wrapper
+    put in its place sees the call."""
+    return gauge(mu_hat)
 
 
 @lru_cache(maxsize=1)
 def _identified(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]:
     """The gauge ray of ``mu_hat`` and the identification read off it."""
-    ray, direction = _scaled(mu_hat)
+    ray = _scaled(mu_hat)
     phi_raw = _adopt(Surplus, phi=ray.t_star * ray.normal)
     parts = decompose_separable(phi_raw, mu_hat.margins)
     return ray, IdentifiedSurplus(
@@ -175,7 +175,7 @@ def _identified(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]:
         entropy_kind=_GAUGE,
         diagnostics={
             "t_star": ray.t_star,
-            "normalization": float((ray.normal * direction).sum()),
+            "normalization": float((ray.normal * ray.direction).sum()),
             "maximizer_verified": float(_certifies(ray.normal, ray.mu_star)),
             "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
         },
@@ -198,7 +198,7 @@ def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
     The ray is memoized for the gauge identification (see the module docstring).
     """
     try:
-        ray = _scaled(mu_hat)[0]
+        ray = _scaled(mu_hat)
     except DegenerateRayError:
         return RationalizabilityReport(None, None, None, _INTERIOR)
     if ray.t_star > 1.0:
@@ -285,18 +285,14 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
     """
     if model.kind == "gauge":
         return _gauge_route(mu_hat, model)[1]
-    if model.kind == "shannon":
-        # grad_entropy's gradient, from the log the diagnostics read too.
-        _refuse_empty_cells(mu_hat)
-        lm = np.log(mu_hat.mu)
-        phi_raw = _adopt(Surplus, phi=1.0 + lm)
-    else:
-        phi_raw = grad_entropy(model, mu_hat)
+    phi_raw = grad_entropy(model, mu_hat)
     parts = decompose_separable(phi_raw, mu_hat.margins)
     diagnostics: dict[str, float] = {
         "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
     }
     if model.kind == "shannon":
+        # phi_raw = 1 + log mu has log mu's cross differences, exactly unless some mu > e^-0.5.
+        lm = phi_raw.phi
         diagnostics["max_abs_cross_difference"] = _max_abs_cross_difference(lm)
         if mu_hat.mu.shape == (2, 2):
             diagnostics["cross_difference"] = float(lm[0, 0] + lm[1, 1] - lm[0, 1] - lm[1, 0])

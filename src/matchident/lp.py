@@ -76,8 +76,8 @@ class LpSolution:
     The potentials are normalized so the last entry of ``dual_g`` is zero.
     ``pivots`` counts the simplex pivots the solve took, and
     ``degenerate_pivots`` those among them that moved no mass beyond
-    rounding (at most ``BOUNDARY_TOL``).  No cell of ``mu_opt`` is both
-    empty (``core``'s rule) and positive.
+    rounding: whose leaving cell was empty (``core``'s rule), which a light
+    type's whole mass is not.  No cell of ``mu_opt`` is empty and positive.
     """
 
     mu_opt: Matching
@@ -240,9 +240,9 @@ def _cycle(parent: list[int], depth: list[int], entering: tuple[int, int], m: in
     return plus, minus
 
 
-def _pivot(entering, mu, priced, adjacency, parent, depth, potential) -> bool:
+def _pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q) -> bool:
     """Pivot ``entering`` into the basis and return whether no mass moved
-    beyond rounding.
+    beyond rounding: whether the leaving cell was empty under ``p`` and ``q``.
 
     Mass moves around the cycle, and the leaving cell drops out of the
     basis: out of ``adjacency``, its edge's surplus back into ``priced``.
@@ -264,6 +264,7 @@ def _pivot(entering, mu, priced, adjacency, parent, depth, potential) -> bool:
     for x, y in minus:
         mu[x][y] -= theta
     x, y = leaving
+    degenerate = theta <= BOUNDARY_TOL * (p[x] * q[y])
     mu[x][y] = 0.0
     priced[x, y] = adjacency[x].pop(m + y)
     del adjacency[m + y][x]
@@ -278,7 +279,7 @@ def _pivot(entering, mu, priced, adjacency, parent, depth, potential) -> bool:
     top, hung = (m + y, x) if node == cut else (x, m + y)
     parent[hung] = top
     _hang(adjacency, parent, depth, potential, [hung])
-    return theta <= BOUNDARY_TOL
+    return degenerate
 
 
 def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
@@ -342,6 +343,7 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
     eligible = np.empty((m, n), dtype=bool)
     parent, depth, potential = _tree(adjacency)
     cap = _pivot_cap(m, n)
+    weights = p.tolist(), q.tolist()  # for _pivot's empty-cell rule
     degenerate = 0
     for pivots in range(cap + 1):
         duals[:] = potential
@@ -358,7 +360,7 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
             )
         np.greater_equal(reduced, best - entering_tol, out=eligible)
         entering = divmod(int(eligible.argmax()), n)
-        degenerate += _pivot(entering, mu, priced, adjacency, parent, depth, potential)
+        degenerate += _pivot(entering, mu, priced, adjacency, parent, depth, potential, *weights)
     shift = potential[-1]
     return mu, duals[:m] + shift, duals[m:] - shift, pivots, degenerate
 
@@ -371,9 +373,5 @@ def is_maximizer(phi: Surplus, mu: Matching) -> bool:
     return total_surplus(mu, phi) >= solution.value - slack
 
 
-def is_discriminating(phi: Surplus, margins: Margins) -> bool:
-    """Whether some feasible matching is strictly suboptimal for ``phi``.
-
-    Exactly the nonseparable surpluses discriminate, so no LP is solved.
-    """
-    return is_nonseparable(phi, margins)
+#: Exactly the nonseparable surpluses discriminate, so no LP is solved.
+is_discriminating = is_nonseparable

@@ -169,16 +169,18 @@ class GaugeResult:
     feasible (always >= 1), ``mu_star`` the boundary matching it lands on,
     and ``binding`` a read-only boolean mask, shaped like the matching, of
     the cells whose nonnegativity constraint stops the ray: the exit face.
-    ``normal``, read-only, is ``binding`` scaled to inner product one with
-    the direction the ray scaled (see ``gauge``): nonpositive, zero on the
-    support of ``mu_star``, and ``t_star`` times it is the gauge entropy's
-    gradient.
+    ``direction``, read-only, is the direction the ray scaled (see ``gauge``),
+    or ``mu_hat - p * q`` on the boundary.  ``normal``, read-only, is
+    ``binding`` scaled to inner product one with ``direction``: nonpositive,
+    zero on the support of ``mu_star``, and ``t_star`` times it is the gauge
+    entropy's gradient.
     """
 
     t_star: float
     mu_star: Matching
     binding: np.ndarray
     normal: np.ndarray
+    direction: np.ndarray
 
 
 def gauge(mu_hat: Matching) -> GaugeResult:
@@ -206,11 +208,6 @@ def gauge(mu_hat: Matching) -> GaugeResult:
     A pure function: each call scales afresh and keeps nothing; the verdict
     and the gauge identification share one ray through ``identify``'s memo.
     """
-    return _ray(mu_hat)[0]
-
-
-def _ray(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
-    """``gauge(mu_hat)`` and the direction its normal pairs with."""
     margins = mu_hat.margins
     mu = block = mu_hat.mu
     boundary = False
@@ -251,9 +248,9 @@ def _ray(mu_hat: Matching) -> tuple[GaugeResult, np.ndarray]:
         mu_star = _admit(star, margins, MASS_TOL + defect)
     # Binding cells shrink, so the normalizer is negative; + 0.0 clears -0.0.
     normal = binding / float((binding * diff).sum()) + 0.0
-    binding.setflags(write=False)
-    normal.setflags(write=False)
-    return GaugeResult(t_star=t_star, mu_star=mu_star, binding=binding, normal=normal), diff
+    for array in (binding, normal, diff):
+        array.setflags(write=False)
+    return GaugeResult(t_star, mu_star, binding, normal, direction=diff)
 
 
 def is_boundary(mu: Matching) -> bool:

@@ -881,6 +881,16 @@ class TestCsvIngestion:
 
 
 class TestInputErrors:
+    def test_a_report_path_in_a_missing_directory_is_an_io_error(self, tmp_path, capsys):
+        market = write_market(
+            tmp_path / "m.json", p=UNIFORM_P, q=UNIFORM_P, phi=[[1.0, 0.0], [0.0, 1.0]]
+        )
+        out = tmp_path / "missing" / "report.json"
+        code, document = run_json(capsys, ["solve", "--input", market, "--out", str(out)])
+        assert code == 2
+        assert document["error"] == "io-error"
+        assert not out.parent.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         code, document = run_json(
             capsys, ["check", "--input", str(tmp_path / "nowhere.json")]

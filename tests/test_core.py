@@ -137,6 +137,14 @@ class TestSurplusAndValues:
         with pytest.raises(ValidationError):
             SeparableParts(f=[1.0, 2.0], g=[3.0], residual=np.zeros((2, 2)))
 
+    def test_separable_parts_refuse_a_nonfinite_residual(self):
+        with pytest.raises(ValidationError, match="residual must be finite"):
+            SeparableParts(f=[1.0, 2.0], g=[3.0], residual=[[0.0], [np.nan]])
+
+    def test_surplus_counts_its_types(self):
+        phi = Surplus(np.zeros((3, 5)))
+        assert (phi.d_x, phi.d_y) == (3, 5)
+
 
 class TestTotalSurplus:
     def test_identity_surplus(self, uniform2, interior_matching):

@@ -16,6 +16,8 @@ from matchident import (
     Margins,
     Matching,
     NonInteriorError,
+    RationalizabilityChecks,
+    RationalizabilityReport,
     Surplus,
     TypeValues,
     ValidationError,
@@ -130,6 +132,12 @@ class TestCheckRationalizable:
         assert report.witness is None
         assert report.t_star == pytest.approx(2.5, abs=1e-12)
         assert not report.checks.boundary
+
+    def test_a_rationalizable_report_needs_a_witness(self, assortative_matching):
+        with pytest.raises(ValidationError, match="requires a witness"):
+            RationalizabilityReport(
+                None, 1.0, assortative_matching, RationalizabilityChecks(True, True, True)
+            )
 
     def test_barycenter_has_no_ray(self, uniform2):
         report = check_rationalizable(barycenter(uniform2))
@@ -401,6 +409,21 @@ class TestRationalizeGauge:
             np.testing.assert_allclose(parts.f, 0.0, atol=1e-10)
             np.testing.assert_allclose(parts.g, 0.0, atol=1e-10)
 
+    def test_normalization_is_the_normal_paired_with_the_direction(
+        self, assortative_matching
+    ):
+        rng = np.random.default_rng(94)
+        matchings = [assortative_matching]
+        for d_x, d_y in [(2, 2), (3, 5), (6, 4)]:
+            matchings.extend(sample_matchings(rng, random_margins(rng, d_x, d_y)).values())
+        for mu in matchings:
+            try:
+                ray, identified = rationalize_gauge(mu)
+            except DegenerateRayError:
+                continue
+            pairing = float((ray.normal * ray.direction).sum())
+            assert identified.diagnostics["normalization"] == pairing
+
 
 class TestGaugeIdentificationMemo:
     """``identify`` memoizes, keyed by identity, the last matching scaled with
@@ -529,13 +552,13 @@ class TestGaugeIdentificationMemo:
     def test_one_ray_per_matching_and_nothing_stored_on_a_raise(
         self, monkeypatch, pair, uniform2
     ):
-        scaled, ray_of = [], identify._ray
+        scaled, ray_of = [], identify.gauge
 
         def counted(mu_hat):
             scaled.append(mu_hat)
             return ray_of(mu_hat)
 
-        monkeypatch.setattr(identify, "_ray", counted)
+        monkeypatch.setattr(identify, "gauge", counted)
         mu = pair[0]
         check_rationalizable(mu)
         rationalize_gauge(mu)
@@ -677,7 +700,9 @@ class TestIdentifyEntropy:
             warnings.simplefilter("error")
             with pytest.raises(NonInteriorError) as raised:
                 identify_entropy(assortative_matching, model)
-        assert raised.value.cell == (0, 1)
+            with pytest.raises(NonInteriorError) as direct:
+                grad_entropy(model, assortative_matching)
+        assert raised.value.cell == direct.value.cell == (0, 1)
 
     def test_shannon_and_gauge_read_assortativity_positively(
         self, interior_matching

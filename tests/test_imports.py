@@ -67,6 +67,21 @@ def test_verdicts_do_not_reach_for_the_lp_or_the_vertex_scan():
     assert "identify" not in graph["entropy"]
 
 
+def test_identify_reads_the_gauge_and_the_gradients_through_public_names():
+    """``identify`` composes ``polytope`` and ``entropy`` through their public
+    functions, the ones the benchmark's tracer wraps, so each ray and each
+    gradient has one implementation."""
+    tree = ast.parse((PACKAGE / "identify.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in {"polytope", "entropy"}
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_package_imports_only_numpy_and_the_standard_library():
     """scipy and the other test dependencies stay out of ``src``: an import
     there would add its load time to every CLI run."""

@@ -27,6 +27,7 @@ from matchident import (
     total_surplus,
 )
 from matchident import lp
+from matchident.core import _empty_cells
 from conftest import (
     UNIT_CHANGES,
     random_interior_matching,
@@ -143,9 +144,9 @@ def transportation_simplex_reference(phi: Surplus, margins: Margins):
         entering = divmod(int(candidates[0]), n)
         plus, minus = _reference_cycle_signs(basis, entering, m, root_parent)
         theta = min(mu[cell] for cell in minus)
-        if theta <= BOUNDARY_TOL:  # no mass moved beyond rounding
-            degenerate += 1
         leaving = [cell for cell in minus if mu[cell] <= theta][-1]
+        if theta <= BOUNDARY_TOL * (margins.p[leaving[0]] * margins.q[leaving[1]]):
+            degenerate += 1  # the leaving cell was empty: no mass moved beyond rounding
         for cell in plus:
             mu[cell] += theta
         for cell in minus:
@@ -393,19 +394,52 @@ class TestPivotCounts:
         solution = maximize_surplus(phi, margins)
         assert 0 < solution.degenerate_pivots <= solution.pivots
 
+    def test_a_pivot_that_moves_a_light_types_whole_mass_is_not_degenerate(self):
+        """Row 0 holds 1e-13, less than ``BOUNDARY_TOL`` but not empty: the
+        one pivot moves all of it from column 0 to column 1."""
+        margins = Margins([1e-13, 1.0 - 1e-13], [0.5, 0.5])
+        solution = maximize_surplus(Surplus([[0.0, 1.0], [1.0, 0.0]]), margins)
+        assert solution.mu_opt.mu[0].tolist() == [0.0, 1e-13]
+        assert (solution.pivots, solution.degenerate_pivots) == (1, 0)
+
+    def test_a_pivot_is_degenerate_exactly_when_its_leaving_cell_is_empty(
+        self, monkeypatch
+    ):
+        """On markets with light types, each pivot's flag is ``core``'s
+        empty-cell rule on the cell that leaves the basis; some pivots move
+        less than ``BOUNDARY_TOL`` and still count."""
+        pivot, flags, margins = lp._pivot, [], None
+
+        def checked_pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q):
+            before, m = np.array(mu), len(mu)
+            basic = {(x, c - m) for x in range(m) for c in adjacency[x]}
+            degenerate = pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q)
+            (leaving,) = basic - {(x, c - m) for x in range(m) for c in adjacency[x]}
+            empty = _empty_cells(before, margins)[leaving]
+            flags.append((degenerate, bool(empty), before[leaving] <= BOUNDARY_TOL))
+            return degenerate
+
+        monkeypatch.setattr(lp, "_pivot", checked_pivot)
+        rng = np.random.default_rng(65)
+        for i in range(24):
+            margins, phi = light_market(rng, 2 + i % 2, 3 + i % 5, 3 + (3 * i) % 5)
+            maximize_surplus(phi, margins)
+        assert all(degenerate == empty for degenerate, empty, _ in flags)
+        assert any(tiny and not degenerate for degenerate, _, tiny in flags)
+
 
     def test_basis_tree_stays_strongly_feasible(self, monkeypatch):
         """Before every pivot, each basic cell without mass has its row node
         as the child of its column node in the tree rooted at row 0."""
         pivot, checked = lp._pivot, []
 
-        def checked_pivot(entering, mu, priced, adjacency, parent, depth, potential):
+        def checked_pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q):
             m = len(mu)
             for x in range(m):
                 for column in adjacency[x]:
                     if mu[x][column - m] == 0.0:
                         checked.append(parent[x] == column)
-            return pivot(entering, mu, priced, adjacency, parent, depth, potential)
+            return pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q)
 
         monkeypatch.setattr(lp, "_pivot", checked_pivot)
         rng = np.random.default_rng(66)
@@ -421,8 +455,8 @@ class TestKeptTree:
         pivots are those of a full walk of the updated basis, bit for bit."""
         pivot, compared = lp._pivot, []
 
-        def compared_pivot(entering, mu, priced, adjacency, parent, depth, potential):
-            degenerate = pivot(entering, mu, priced, adjacency, parent, depth, potential)
+        def compared_pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q):
+            degenerate = pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q)
             fresh_parent, fresh_depth, fresh_potential = lp._tree(adjacency)
             assert parent == fresh_parent
             assert depth == fresh_depth
@@ -678,13 +712,13 @@ class TestGreedyStart:
         margins with a quarter-integer surplus."""
         pivot, checked = lp._pivot, []
 
-        def checked_pivot(entering, mu, priced, adjacency, parent, depth, potential):
+        def checked_pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q):
             m = len(mu)
             for x in range(m):
                 for column in adjacency[x]:
                     if mu[x][column - m] == 0.0:
                         checked.append(parent[x] == column)
-            return pivot(entering, mu, priced, adjacency, parent, depth, potential)
+            return pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q)
 
         monkeypatch.setattr(lp, "_pivot", checked_pivot)
         rng = np.random.default_rng(72)

@@ -281,6 +281,29 @@ class TestGauge:
         direction = interior_matching.mu - barycenter(interior_matching.margins).mu
         assert np.sum(result.normal * direction) == pytest.approx(1.0, abs=1e-12)
 
+    def test_direction_is_read_only_and_pairs_to_one_with_the_normal(self):
+        """``direction`` is the scaled direction, ``mu - p q`` up to the rounding
+        moved off its line sums; the normal pairs with it to one."""
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            margins = random_margins(rng, *rng.integers(2, 5, size=2))
+            mu = random_interior_matching(rng, margins)
+            result = gauge(mu)
+            assert not result.direction.flags.writeable
+            np.testing.assert_allclose(
+                result.direction, mu.mu - np.outer(margins.p, margins.q), atol=1e-15
+            )
+            assert np.sum(result.normal * result.direction) == pytest.approx(1.0, rel=1e-12)
+
+    def test_direction_of_a_boundary_matching_is_mu_minus_the_barycenter(
+        self, assortative_matching
+    ):
+        result = gauge(assortative_matching)
+        margins = assortative_matching.margins
+        expected = assortative_matching.mu - margins.p[:, None] * margins.q
+        assert result.direction.tobytes() == expected.tobytes()
+        assert not result.direction.flags.writeable
+
     def test_ray_identity_and_zero_touch(self):
         """mu_star equals the ray formula entrywise and touches zero."""
         rng = np.random.default_rng(10)
