@@ -163,23 +163,24 @@ def _scaled(mu_hat: Matching) -> GaugeResult:
     return gauge(mu_hat)
 
 
+def _finished(phi_raw: Surplus, margins: Margins, model: EntropyModel, diagnostics: dict):
+    """``phi_raw`` identified as ``model``: ``phi_canonical`` is its doubly centred residual
+    under ``margins``, and ``diagnostics`` gains ``nonseparable``, whether that is nonzero."""
+    residual = decompose_separable(phi_raw, margins).residual
+    diagnostics["nonseparable"] = float(_is_nonzero_residual(residual, phi_raw.phi))
+    return IdentifiedSurplus(phi_raw, _frozen(Surplus, phi=residual), model, diagnostics)
+
+
 @lru_cache(maxsize=1)
 def _identified(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]:
     """The gauge ray of ``mu_hat`` and the identification read off it."""
     ray = _scaled(mu_hat)
     phi_raw = _adopt(Surplus, phi=ray.t_star * ray.normal)
-    parts = decompose_separable(phi_raw, mu_hat.margins)
-    return ray, IdentifiedSurplus(
-        phi_raw=phi_raw,
-        phi_canonical=_frozen(Surplus, phi=parts.residual),
-        entropy_kind=_GAUGE,
-        diagnostics={
-            "t_star": ray.t_star,
-            "normalization": float((ray.normal * ray.direction).sum()),
-            "maximizer_verified": float(_certifies(ray.normal, ray.mu_star)),
-            "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
-        },
-    )
+    return ray, _finished(phi_raw, mu_hat.margins, _GAUGE, {
+        "t_star": ray.t_star,
+        "normalization": float((ray.normal * ray.direction).sum()),
+        "maximizer_verified": float(_certifies(ray.normal, ray.mu_star)),
+    })
 
 
 def check_rationalizable(mu_hat: Matching) -> RationalizabilityReport:
@@ -285,23 +286,14 @@ def identify_entropy(mu_hat: Matching, model: EntropyModel) -> IdentifiedSurplus
     """
     if model.kind == "gauge":
         return _gauge_route(mu_hat, model)[1]
-    phi_raw = grad_entropy(model, mu_hat)
-    parts = decompose_separable(phi_raw, mu_hat.margins)
-    diagnostics: dict[str, float] = {
-        "nonseparable": float(_is_nonzero_residual(parts.residual, phi_raw.phi)),
-    }
+    identified = _finished(grad_entropy(model, mu_hat), mu_hat.margins, model, {})
     if model.kind == "shannon":
         # phi_raw = 1 + log mu has log mu's cross differences, exactly unless some mu > e^-0.5.
-        lm = phi_raw.phi
+        lm, diagnostics = identified.phi_raw.phi, identified.diagnostics
         diagnostics["max_abs_cross_difference"] = _max_abs_cross_difference(lm)
         if mu_hat.mu.shape == (2, 2):
             diagnostics["cross_difference"] = float(lm[0, 0] + lm[1, 1] - lm[0, 1] - lm[1, 0])
-    return IdentifiedSurplus(
-        phi_raw=phi_raw,
-        phi_canonical=_frozen(Surplus, phi=parts.residual),
-        entropy_kind=model,
-        diagnostics=diagnostics,
-    )
+    return identified
 
 
 @lru_cache(maxsize=1)

@@ -47,6 +47,7 @@ from .core import (
     Margins,
     Matching,
     Surplus,
+    ValidationError,
     _check_same_shape,
     _empty_cells,
     _imbalance_tol,
@@ -223,9 +224,9 @@ def _cycle(parent: list[int], depth: list[int], entering: tuple[int, int], m: in
     cell, so a tree edge loses exactly when the path from the row node
     crosses it from a row node to a column node.  The losing cells come in
     the order of the walk apex -> row node -> entering cell -> column node
-    -> apex, which the leaving rule reads.
+    -> apex, which the leaving rule reads; the first ``rows`` lie above the row node.
     """
-    plus, minus = [entering], []
+    plus, minus, rows = [entering], [], 0
     a, b = entering[0], m + entering[1]
     while a != b:
         from_row = depth[a] >= depth[b]
@@ -236,8 +237,9 @@ def _cycle(parent: list[int], depth: list[int], entering: tuple[int, int], m: in
             plus.append(cell)
         else:
             minus.insert(0 if from_row else len(minus), cell)
+            rows += from_row
         a, b = (up, b) if from_row else (a, up)
-    return plus, minus
+    return plus, minus, rows
 
 
 def _pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q) -> bool:
@@ -254,29 +256,26 @@ def _pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q) -> b
     bit.
     """
     m = len(mu)
-    plus, minus = _cycle(parent, depth, entering, m)
+    plus, minus, rows = _cycle(parent, depth, entering, m)
     theta = float("inf")
-    for x, y in minus:  # the last blocking cell leaves
+    for i, (x, y) in enumerate(minus):  # the last blocking cell leaves
         if mu[x][y] <= theta:
-            theta, leaving = mu[x][y], (x, y)
+            theta, leaving = mu[x][y], i
     for x, y in plus:
         mu[x][y] += theta
     for x, y in minus:
         mu[x][y] -= theta
-    x, y = leaving
+    x, y = minus[leaving]
     degenerate = theta <= BOUNDARY_TOL * (p[x] * q[y])
     mu[x][y] = 0.0
     priced[x, y] = adjacency[x].pop(m + y)
     del adjacency[m + y][x]
-    cut = x if parent[x] == m + y else m + y  # the leaving edge's lower end
     x, y = entering
     adjacency[x][m + y] = adjacency[m + y][x] = float(priced[x, y])
     priced[x, y] = -np.inf
-    node = x  # climb from the entering row node to the depth of the cut
-    while depth[node] > depth[cut]:
-        node = parent[node]
-    # the entering edge's end inside the cut subtree hangs below the other end
-    top, hung = (m + y, x) if node == cut else (x, m + y)
+    # the entering edge's end that was cut off, the row node exactly when the
+    # leaving cell lies on its side, hangs below the other end
+    top, hung = (m + y, x) if leaving < rows else (x, m + y)
     parent[hung] = top
     _hang(adjacency, parent, depth, potential, [hung])
     return degenerate
@@ -294,9 +293,11 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     solver terminates on degenerate instances and always returns the same
     vertex for the same input (and for any positive rescaling of the
     input).  The basis tree is walked in full once, at the start; after
-    that each pivot re-walks only the subtree it re-hangs.
+    that each pivot re-walks only the subtree it re-hangs, on ``phi`` times a
+    power of two that changes no bit (see ``_transport``).
     Raises ``ConvergenceError`` if the pivot cap, which grows with ``m * n``,
-    is reached; its residual is the largest reduced cost left.
+    is reached; its residual is the largest reduced cost left.  Raises
+    ``ValidationError`` if a dual potential overflows the float range.
     """
     _check_same_shape("phi", phi.phi.shape, margins)
     return _simplex(phi, margins, np.zeros(margins.shape))
@@ -331,10 +332,13 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
     Returns the masses as nested lists, as the pivots left them, the dual
     potentials ``dual_f`` and ``dual_g`` (the last ``dual_g`` zero), and the
     pivot and degenerate pivot counts.  ``cost`` must be finite: nothing
-    here tests it.
+    here tests it.  The pivots run on ``cost`` times the power of two putting
+    ``max|cost|`` in [1/2, 1): no bit changes (barring subnormal entries), no
+    potential overflows, and ``ValidationError`` says when one scaled back does.
     """
     m, n = p.size, q.size
-    entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
+    top, scale = np.frexp(np.abs(cost).max())  # top is max|cost| once scaled
+    cost, entering_tol = np.ldexp(cost, -scale), SEPARABILITY_TOL * float(top)
     mu, basic, adjacency = _greedy_start(fill, p, q, cost)
     mu = mu.tolist()
     # Basic cells price at zero up to rounding; at -inf they never enter.
@@ -356,13 +360,17 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
             raise ConvergenceError(
                 f"transportation simplex did not terminate within {cap} pivots",
                 iterations=cap,
-                residual=best,
+                residual=float(np.ldexp(best, scale)),
             )
         np.greater_equal(reduced, best - entering_tol, out=eligible)
         entering = divmod(int(eligible.argmax()), n)
         degenerate += _pivot(entering, mu, priced, adjacency, parent, depth, potential, *weights)
     shift = potential[-1]
-    return mu, duals[:m] + shift, duals[m:] - shift, pivots, degenerate
+    with np.errstate(over="ignore"):
+        dual_f, dual_g = np.ldexp(duals[:m] + shift, scale), np.ldexp(duals[m:] - shift, scale)
+    if not (np.isfinite(dual_f).all() and np.isfinite(dual_g).all()):
+        raise ValidationError("phi is too large: the dual potentials overflow")
+    return mu, dual_f, dual_g, pivots, degenerate
 
 
 def is_maximizer(phi: Surplus, mu: Matching) -> bool:

@@ -7,6 +7,9 @@ codes, report contents and error documents can be asserted directly.
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -279,6 +282,19 @@ class TestSolve:
         assert document["error"] == "no-convergence"
         assert math.isfinite(document["residual"]) and document["residual"] > 0.0
 
+    def test_potentials_that_overflow_are_invalid_input(self, tmp_path, capsys):
+        """At 8e307 the dual potentials exceed the float range: a named error,
+        not a report of infinite potentials."""
+        market = write_market(
+            tmp_path / "m.json", p=UNIFORM_P, q=UNIFORM_P,
+            phi=[[8e307, -8e307], [-8e307, 8e307]],
+        )
+        code, document = run_json(capsys, ["solve", "--input", market])
+        assert code == 2
+        validate(document, ERROR_DOCUMENT_SCHEMA)
+        assert document["error"] == "invalid-input"
+        assert "overflow" in document["message"]
+
     @pytest.mark.parametrize("tol", ["nan", "1e-5"])
     def test_feasibility_tolerance_is_not_an_option(self, tmp_path, capsys, tol):
         """solve reads no matching, so it takes no feasibility tolerance."""
@@ -319,6 +335,37 @@ class TestSolve:
             assert report["value"] == solution.value
             assert np.array_equal(np.asarray(report["mu_opt"]), solution.mu_opt.mu)
             assert np.array_equal(np.asarray(report["dual_f"]), solution.dual_f)
+
+
+class TestModuleEntryPoint:
+    """``python -m matchident.cli``, in a subprocess: the command the
+    benchmark's cli workload launches."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def run_module(self, *argv: str) -> tuple[int, dict]:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(self.ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "matchident.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return proc.returncode, json.loads(proc.stdout)
+
+    def test_solve_reports_a_value(self, tmp_path):
+        market = write_market(
+            tmp_path / "m.json", p=UNIFORM_P, q=UNIFORM_P, phi=[[1.0, 0.0], [0.0, 1.0]]
+        )
+        code, report = self.run_module("solve", "--input", market)
+        assert code == 0
+        assert report["value"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_missing_input_file_is_invalid_input(self, tmp_path):
+        code, document = self.run_module("solve", "--input", str(tmp_path / "absent.json"))
+        assert code == 2
+        assert document["error"] == "invalid-input"
 
 
 class TestCheck:

@@ -137,6 +137,17 @@ class TestSurplusAndValues:
         with pytest.raises(ValidationError):
             SeparableParts(f=[1.0, 2.0], g=[3.0], residual=np.zeros((2, 2)))
 
+    def test_hand_built_separable_parts_keep_read_only_copies(self):
+        f, g = np.array([1.0, -2.0]), np.array([0.5, 3.0, -1.5])
+        residual = np.array([[0.25, -0.5, 0.25], [-0.25, 0.5, -0.25]])
+        parts = SeparableParts(f=f, g=g, residual=residual)
+        expected = f[:, None] + g[None, :] + residual
+        f[0] = g[0] = residual[0, 0] = 99.0
+        assert parts.f.tolist() == [1.0, -2.0] and parts.g.tolist() == [0.5, 3.0, -1.5]
+        assert parts.residual[0, 0] == 0.25
+        assert not any(arr.flags.writeable for arr in (parts.f, parts.g, parts.residual))
+        np.testing.assert_array_equal(parts.reconstruct(), expected)
+
     def test_separable_parts_refuse_a_nonfinite_residual(self):
         with pytest.raises(ValidationError, match="residual must be finite"):
             SeparableParts(f=[1.0, 2.0], g=[3.0], residual=[[0.0], [np.nan]])

@@ -281,6 +281,51 @@ class TestHomogeneity:
             assert lhs <= rhs + 1e-10
 
 
+def float_limit_market(rng: np.random.Generator):
+    """A d x d market, d from 2 to 29, with margins uniform(0.5, 1.5) and a
+    N(0, 1) surplus rescaled so its largest magnitude is 10 to a uniform(300,
+    308) power."""
+    d = int(rng.integers(2, 30))
+    p, q = rng.uniform(0.5, 1.5, d), rng.uniform(0.5, 1.5, d)
+    p, q = p / p.sum(), q / q.sum()
+    z = rng.normal(0.0, 1.0, (d, d))
+    return Margins(p, q), Surplus(z / np.abs(z).max() * 10.0 ** rng.uniform(300, 308))
+
+
+class TestFloatLimit:
+    """The simplex pivots on ``phi`` times a power of two, so surpluses near
+    the float limit neither overflow in the potentials nor change a bit of
+    the answer; pytest turns any ``RuntimeWarning`` into an error."""
+
+    @pytest.mark.parametrize("scale", [8e307, 1e308])
+    def test_potentials_that_overflow_raise_a_named_error(self, scale):
+        phi = Surplus([[scale, -scale], [-scale, scale]])
+        with pytest.raises(ValidationError, match="overflow"):
+            maximize_surplus(phi, Margins([0.5, 0.5], [0.5, 0.5]))
+
+    def test_markets_near_the_float_limit_answer_with_a_certificate(self):
+        """Finite potentials that certify the vertex within
+        ``SEPARABILITY_TOL * max|phi|``, read in units of ``max|phi|`` (a
+        plain ``f + g - phi`` overflows), and the answer of ``phi`` scaled
+        by a power of two into [1/2, 1), scaled back bit for bit."""
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            margins, phi = float_limit_market(rng)
+            solution = maximize_surplus(phi, margins)
+            top = np.abs(phi.phi).max()
+            f, g = solution.dual_f / top, solution.dual_g / top
+            slack = f[:, None] + g[None, :] - phi.phi / top
+            assert np.isfinite(solution.dual_f).all() and np.isfinite(solution.dual_g).all()
+            assert slack.min() >= -SEPARABILITY_TOL
+            assert np.abs(slack[solution.mu_opt.mu > 0.0]).max() <= SEPARABILITY_TOL
+            exponent = int(np.frexp(top)[1])
+            unit = maximize_surplus(Surplus(np.ldexp(phi.phi, -exponent)), margins)
+            np.testing.assert_array_equal(solution.mu_opt.mu, unit.mu_opt.mu)
+            np.testing.assert_array_equal(solution.dual_f, np.ldexp(unit.dual_f, exponent))
+            np.testing.assert_array_equal(solution.dual_g, np.ldexp(unit.dual_g, exponent))
+            assert solution.pivots == unit.pivots
+
+
 class TestIsMaximizer:
     def test_examples(self, uniform2, interior_matching, assortative_matching):
         identity = Surplus(np.eye(2))
