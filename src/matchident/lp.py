@@ -20,12 +20,15 @@ rows, which makes it strongly feasible (Cunningham, Math. Prog. 1976).
 ``maximize_surplus`` fills a constant, which is the northwest corner; the
 entropic warm start reads only the duals and fills by surplus, which
 needs a fraction of the pivots.  The simplex itself, ``_transport``,
-works on arrays and returns the masses and the dual potentials: only
-``maximize_surplus`` packages them into a validated ``LpSolution``, and
-the warm start builds no vertex.  A pivot that moves mass raises the
-value, and one that moves none strictly lowers ``sum(v) - sum(u)`` of the
-potentials (``u[0] = 0``), so no basis repeats and the simplex terminates
-(Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11).
+works on arrays of the present types, whose margins are positive, so
+every start is strongly feasible.  A zero-mass type's cells are zero on
+the whole polytope: ``maximize_surplus`` embeds the present block's
+vertex in a validated ``LpSolution`` and gives each absent type its least
+feasible potential; the warm start builds no vertex.  A pivot that moves
+mass raises the value, and one that moves none strictly lowers
+``sum(v) - sum(u)`` of the potentials (``u[0] = 0``), so no basis repeats
+and the simplex terminates (Ahuja, Magnanti & Orlin, *Network Flows*,
+1993, ch. 11).
 Every comparison is relative to ``max|phi|``, so the returned vertex is
 reproducible run to run and the same for any positive multiple of ``phi``
 (barring a reduced cost within rounding of a tolerance).  Verdicts
@@ -75,6 +78,7 @@ class LpSolution:
     ``dual_f[x] + dual_g[y] >= phi[x, y]`` everywhere, with equality on the
     support of ``mu_opt``, and ``p @ dual_f + q @ dual_g`` equals ``value``.
     The potentials are normalized so the last entry of ``dual_g`` is zero.
+    An absent (zero-mass) type's potential is the least feasible one.
     ``pivots`` counts the simplex pivots the solve took, and
     ``degenerate_pivots`` those among them that moved no mass beyond
     rounding: whose leaving cell was empty (``core``'s rule), which a light
@@ -97,7 +101,8 @@ class LpSolution:
 
 def _pivot_cap(m: int, n: int) -> int:
     """The pivot cap of an ``m x n`` solve, never below ``m * n`` (700x700
-    was measured at 11,531 pivots, about ``(m * n) ** 0.75``)."""
+    was measured at 11,531 pivots, about ``(m * n) ** 0.75``): every start is
+    strongly feasible, so the cap only guards against a defect."""
     return _MAX_PIVOTS * -(-(m * n) // 10_000)
 
 
@@ -120,9 +125,7 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
     cell.  Each tree without row 0 then hangs below a column of row 0's
     tree through its best zero cell from one of its own rows.  Every
     zero-flow cell thus hangs below its column node, as Cunningham's
-    leaving rule requires, except that a zero-mass column, or a zero-mass
-    row 0, joins the tree through a zero cell below its row: there the
-    pivot cap bounds the solve.
+    leaving rule requires.
     """
     m, n = p.size, q.size
     mu = np.zeros((m, n))
@@ -134,12 +137,10 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
         basic[x, y] = True
         adjacency[x][m + y] = adjacency[m + y][x] = float(cost[x, y])
 
-    rows, cols = _present(p, q)
-    live_rows, live_cols = int(np.count_nonzero(rows)), int(np.count_nonzero(cols))
-    floor_p = (BOUNDARY_TOL * q[cols].min() * p).tolist()
-    floor_q = (BOUNDARY_TOL * p[rows].min() * q).tolist()
+    live_rows, live_cols, allocations = m, n, 0
+    floor_p = (BOUNDARY_TOL * q.min() * p).tolist()
+    floor_q = (BOUNDARY_TOL * p.min() * q).tolist()
     remaining_p, remaining_q = p.tolist(), q.tolist()
-    allocations = 0
     order = np.argsort(-fill, axis=None, kind="stable")
     for x, y in zip((order // n).tolist(), (order % n).tolist()):
         if remaining_p[x] > 0.0 < remaining_q[y]:
@@ -285,31 +286,42 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
     """Solve ``max <mu, phi>`` over the matching polytope exactly.
 
     Returns an optimal vertex together with optimal dual potentials.  The
-    simplex starts from the northwest corner: ``_greedy_start`` on a
-    constant fill.  The entering cell is the first, in row-major order,
-    whose reduced cost is within ``SEPARABILITY_TOL * max|phi|`` of the
-    largest, and the solve stops when none exceeds that bound.  The leaving
-    cell is the last blocking cell of the cycle walked from its apex, so the
-    solver terminates on degenerate instances and always returns the same
-    vertex for the same input (and for any positive rescaling of the
-    input).  The basis tree is walked in full once, at the start; after
-    that each pivot re-walks only the subtree it re-hangs, on ``phi`` times a
-    power of two that changes no bit (see ``_transport``).
-    Raises ``ConvergenceError`` if the pivot cap, which grows with ``m * n``,
-    is reached; its residual is the largest reduced cost left.  Raises
-    ``ValidationError`` if a dual potential overflows the float range.
+    simplex runs on the present types' block from its northwest corner:
+    ``_greedy_start`` on a constant fill.  The entering cell is the first,
+    in row-major order, whose reduced cost is within ``SEPARABILITY_TOL *
+    max|phi|`` of the largest, and the solve stops when none exceeds that
+    bound.  The leaving cell is the last blocking cell of the cycle walked
+    from its apex, so the solver terminates on degenerate instances and
+    always returns the same vertex for the same input (and for any positive
+    rescaling of the input).  The basis tree is walked in full once, at the
+    start; after that each pivot re-walks only the subtree it re-hangs, on
+    ``phi`` times a power of two that changes no bit (see ``_transport``).
+    Raises ``ConvergenceError`` (residual: the largest reduced cost left)
+    only on a defect that reaches the pivot cap, and ``ValidationError`` if
+    a dual potential overflows the float range.
     """
     _check_same_shape("phi", phi.phi.shape, margins)
     return _simplex(phi, margins, np.zeros(margins.shape))
 
 
 def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
-    """The solve of ``maximize_surplus`` started from ``_greedy_start`` with the
-    cells filled in descending order of ``fill``, packaged as a validated
-    ``LpSolution``."""
+    """The solve of ``maximize_surplus`` on the present block from
+    ``_greedy_start`` on ``fill``, packaged as a validated ``LpSolution``."""
     cost = phi.phi
-    mu, dual_f, dual_g, pivots, degenerate = _transport(cost, margins.p, margins.q, fill)
-    mu = np.array(mu)
+    full = margins._all_present  # then the present block is the whole matrix
+    rows, cols = (slice(None), slice(None)) if full else _present(margins.p, margins.q)
+    block = (rows, cols) if full else np.ix_(rows, cols)
+    mu, dual_f, dual_g = np.zeros(margins.shape), np.empty(margins.d_x), np.empty(margins.d_y)
+    mu[block], dual_f[rows], dual_g[cols], pivots, degenerate = _transport(
+        cost[block], margins.p[rows], margins.q[cols], fill[block]
+    )
+    if not full:  # absent types take the least feasible potentials, columns first
+        with np.errstate(over="ignore", invalid="ignore"):
+            dual_g[~cols] = (cost[rows][:, ~cols] - dual_f[rows, None]).max(axis=0)
+            dual_f[~rows] = (cost[~rows] - dual_g).max(axis=1)
+            dual_f, dual_g = dual_f + dual_g[-1], dual_g - dual_g[-1]
+    if not (np.isfinite(dual_f).all() and np.isfinite(dual_g).all()):
+        raise ValidationError("phi is too large: the dual potentials overflow")
     # The cycles leave rounding-size masses where exact arithmetic empties a
     # cell.  The empty cells are zero, as in the start basis; zeroing them
     # while pivoting would unbalance the margins, and the next tie would
@@ -327,14 +339,14 @@ def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
 
 def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray):
     """The transportation simplex on arrays: maximizes ``<mu, cost>`` over
-    the matchings of ``p`` and ``q`` from ``_greedy_start`` on ``fill``.
+    the matchings of positive ``p`` and ``q`` from ``_greedy_start`` on ``fill``.
 
     Returns the masses as nested lists, as the pivots left them, the dual
     potentials ``dual_f`` and ``dual_g`` (the last ``dual_g`` zero), and the
     pivot and degenerate pivot counts.  ``cost`` must be finite: nothing
     here tests it.  The pivots run on ``cost`` times the power of two putting
     ``max|cost|`` in [1/2, 1): no bit changes (barring subnormal entries), no
-    potential overflows, and ``ValidationError`` says when one scaled back does.
+    potential overflows while pivoting (``_simplex`` refuses one scaled back).
     """
     m, n = p.size, q.size
     top, scale = np.frexp(np.abs(cost).max())  # top is max|cost| once scaled
@@ -368,8 +380,6 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
     shift = potential[-1]
     with np.errstate(over="ignore"):
         dual_f, dual_g = np.ldexp(duals[:m] + shift, scale), np.ldexp(duals[m:] - shift, scale)
-    if not (np.isfinite(dual_f).all() and np.isfinite(dual_g).all()):
-        raise ValidationError("phi is too large: the dual potentials overflow")
     return mu, dual_f, dual_g, pivots, degenerate
 
 

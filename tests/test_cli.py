@@ -228,7 +228,8 @@ class TestSolve:
 
     def test_surplus_on_a_zero_mass_type_does_not_discriminate(self, tmp_path, capsys):
         """Row 2 has no mass, so every feasible matching is zero on it and the
-        1 there favours none of them."""
+        1 there favours none of them; its potential is the least feasible
+        one, 1."""
         market = write_market(
             tmp_path / "m.json", p=[0.5, 0.5, 0.0], q=UNIFORM_P, phi=[[0, 0], [0, 0], [1, 0]]
         )
@@ -237,6 +238,7 @@ class TestSolve:
         validate(report, SOLVE_REPORT_SCHEMA)
         assert report["discriminating"] is False
         assert report["note"] == "surplus is separable: every feasible matching is optimal"
+        assert (report["dual_f"], report["dual_g"]) == ([0.0, 0.0, 1.0], [0.0, 0.0])
 
     def test_margin_sums_that_differ_by_mass_tol_solve(self, tmp_path, capsys):
         """Each sum is within ``MASS_TOL`` of 1, so the market is valid,
