@@ -20,11 +20,11 @@ rows, which makes it strongly feasible (Cunningham, Math. Prog. 1976).
 ``maximize_surplus`` fills a constant, which is the northwest corner; the
 entropic warm start reads only the duals and fills by surplus, which
 needs a fraction of the pivots.  The simplex itself, ``_transport``,
-works on arrays of the present types, whose margins are positive, so
-every start is strongly feasible.  A zero-mass type's cells are zero on
-the whole polytope: ``maximize_surplus`` embeds the present block's
-vertex in a validated ``LpSolution`` and gives each absent type its least
-feasible potential; the warm start builds no vertex.  A pivot that moves
+works on arrays and pivots on the present types' block: a zero-mass
+type's cells are zero on the whole polytope, and on positive margins
+every start is strongly feasible.  It embeds the block's vertex and gives
+each absent type its least feasible potential; only ``maximize_surplus``
+packages them into a validated ``LpSolution``.  A pivot that moves
 mass raises the value, and one that moves none strictly lowers
 ``sum(v) - sum(u)`` of the potentials (``u[0] = 0``), so no basis repeats
 and the simplex terminates (Ahuja, Magnanti & Orlin, *Network Flows*,
@@ -305,21 +305,10 @@ def maximize_surplus(phi: Surplus, margins: Margins) -> LpSolution:
 
 
 def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
-    """The solve of ``maximize_surplus`` on the present block from
-    ``_greedy_start`` on ``fill``, packaged as a validated ``LpSolution``."""
+    """The solve of ``maximize_surplus`` from ``_greedy_start`` on ``fill``,
+    packaged as a validated ``LpSolution``."""
     cost = phi.phi
-    full = margins._all_present  # then the present block is the whole matrix
-    rows, cols = (slice(None), slice(None)) if full else _present(margins.p, margins.q)
-    block = (rows, cols) if full else np.ix_(rows, cols)
-    mu, dual_f, dual_g = np.zeros(margins.shape), np.empty(margins.d_x), np.empty(margins.d_y)
-    mu[block], dual_f[rows], dual_g[cols], pivots, degenerate = _transport(
-        cost[block], margins.p[rows], margins.q[cols], fill[block]
-    )
-    if not full:  # absent types take the least feasible potentials, columns first
-        with np.errstate(over="ignore", invalid="ignore"):
-            dual_g[~cols] = (cost[rows][:, ~cols] - dual_f[rows, None]).max(axis=0)
-            dual_f[~rows] = (cost[~rows] - dual_g).max(axis=1)
-            dual_f, dual_g = dual_f + dual_g[-1], dual_g - dual_g[-1]
+    mu, dual_f, dual_g, pivots, degenerate = _transport(cost, margins.p, margins.q, fill)
     if not (np.isfinite(dual_f).all() and np.isfinite(dual_g).all()):
         raise ValidationError("phi is too large: the dual potentials overflow")
     # The cycles leave rounding-size masses where exact arithmetic empties a
@@ -339,22 +328,27 @@ def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
 
 def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray):
     """The transportation simplex on arrays: maximizes ``<mu, cost>`` over
-    the matchings of positive ``p`` and ``q`` from ``_greedy_start`` on ``fill``.
+    the matchings of ``p`` and ``q`` from ``_greedy_start`` on ``fill``.
 
-    Returns the masses as nested lists, as the pivots left them, the dual
-    potentials ``dual_f`` and ``dual_g`` (the last ``dual_g`` zero), and the
-    pivot and degenerate pivot counts.  ``cost`` must be finite: nothing
-    here tests it.  The pivots run on ``cost`` times the power of two putting
-    ``max|cost|`` in [1/2, 1): no bit changes (barring subnormal entries), no
-    potential overflows while pivoting (``_simplex`` refuses one scaled back).
+    The pivots run on the present block, the rows and columns of positive
+    mass; each absent type then takes its least feasible potential, columns
+    first.  Returns the masses, as the pivots left them, the dual potentials
+    ``dual_f`` and ``dual_g`` (the last ``dual_g`` zero), and the pivot and
+    degenerate pivot counts.  ``cost`` must be finite: nothing here tests
+    it.  Everything up to the potentials runs on ``cost`` times the power of
+    two putting ``max|cost|`` in [1/2, 1): no bit changes (barring subnormal
+    entries), and only a potential scaled back can overflow.
     """
-    m, n = p.size, q.size
+    rows, cols = _present(p, q)
+    block = np.ix_(rows, cols)
     top, scale = np.frexp(np.abs(cost).max())  # top is max|cost| once scaled
     cost, entering_tol = np.ldexp(cost, -scale), SEPARABILITY_TOL * float(top)
-    mu, basic, adjacency = _greedy_start(fill, p, q, cost)
-    mu = mu.tolist()
+    p, q, present = p[rows], q[cols], cost[block]
+    m, n = p.size, q.size
+    start, basic, adjacency = _greedy_start(fill[block], p, q, present)
+    flows = start.tolist()
     # Basic cells price at zero up to rounding; at -inf they never enter.
-    priced = np.where(basic, -np.inf, cost)
+    priced = np.where(basic, -np.inf, present)
     duals, reduced = np.empty(m + n), np.empty((m, n))
     eligible = np.empty((m, n), dtype=bool)
     parent, depth, potential = _tree(adjacency)
@@ -376,11 +370,15 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
             )
         np.greater_equal(reduced, best - entering_tol, out=eligible)
         entering = divmod(int(eligible.argmax()), n)
-        degenerate += _pivot(entering, mu, priced, adjacency, parent, depth, potential, *weights)
-    shift = potential[-1]
+        degenerate += _pivot(entering, flows, priced, adjacency, parent, depth, potential, *weights)
+    mu, f, g = np.zeros(cost.shape), np.empty(rows.size), np.empty(cols.size)
+    mu[block], f[rows], g[cols] = flows, duals[:m], duals[m:]
+    if m < rows.size or n < cols.size:  # absent types: columns, then rows
+        g[~cols] = (cost[rows][:, ~cols] - f[rows, None]).max(axis=0)
+        f[~rows] = (cost[~rows] - g).max(axis=1)
+    shift = g[-1]
     with np.errstate(over="ignore"):
-        dual_f, dual_g = np.ldexp(duals[:m] + shift, scale), np.ldexp(duals[m:] - shift, scale)
-    return mu, dual_f, dual_g, pivots, degenerate
+        return mu, np.ldexp(f + shift, scale), np.ldexp(g - shift, scale), pivots, degenerate
 
 
 def is_maximizer(phi: Surplus, mu: Matching) -> bool:

@@ -330,6 +330,18 @@ class TestFloatLimit:
             np.testing.assert_array_equal(solution.dual_g, np.ldexp(unit.dual_g, exponent))
             assert solution.pivots == unit.pivots
 
+    def test_absent_potentials_that_fit_once_shifted_answer(self):
+        """The absent columns' potentials are worked out in the scaled units
+        too: one of them, taken against the unshifted block, would be
+        ``2e308``, yet once the last ``dual_g`` is zero every potential fits."""
+        phi = Surplus([[-1e308, 1e308, -5e307]] * 2)
+        margins = Margins([0.5, 0.5], [1.0, 0.0, 0.0])
+        solution = maximize_surplus(phi, margins)
+        np.testing.assert_array_equal(solution.dual_f, [-5e307, -5e307])
+        np.testing.assert_array_equal(solution.dual_g, [-5e307, 1.5e308, 0.0])
+        np.testing.assert_array_equal(solution.mu_opt.mu, [[0.5, 0.0, 0.0]] * 2)
+        assert solution.value == -1e308
+
 
 class TestIsMaximizer:
     def test_examples(self, uniform2, interior_matching, assortative_matching):
