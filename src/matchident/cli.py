@@ -59,14 +59,17 @@ EXIT_NUMERIC = 3
 _RAY_POINTS = 33
 
 
-def _print_json(document: dict, out: str | None = None) -> None:
-    # Arrays and the numpy scalars that are not float subclasses (bools,
-    # ints) reach ``default``; ``tolist`` turns either into plain Python.
-    text = json.dumps(document, indent=2, default=lambda value: value.tolist()) + "\n"
+def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+
+
+def _print_json(document: dict, out: str | None = None) -> None:
+    # Arrays and the numpy scalars that are not float subclasses (bools,
+    # ints) reach ``default``; ``tolist`` turns either into plain Python.
+    _emit(json.dumps(document, indent=2, default=lambda value: value.tolist()) + "\n", out)
 
 
 def _print_error(code: str, message: str, extra: dict | None = None) -> None:
@@ -117,10 +120,6 @@ def _require(data: dict, key: str) -> object:
     return data[key]
 
 
-def _margins_from(data: dict) -> Margins:
-    return Margins(_require(data, "p"), _require(data, "q"))
-
-
 def _matching_from(data: dict, margins: Margins, tol: float) -> Matching:
     return Matching(_require(data, "mu"), margins, tol=tol)
 
@@ -136,9 +135,7 @@ def _write_market_file(path: Path, margins: Margins, mu: np.ndarray) -> None:
     path.write_text(json.dumps(document, indent=2) + "\n")
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    data = _load_market_data(Path(args.input), "phi")
-    margins = _margins_from(data)
+def cmd_solve(args: argparse.Namespace, data: dict, margins: Margins) -> int:
     phi = _surplus_from(data, margins)
     solution = maximize_surplus(phi, margins)
     dual_value = float(margins.p @ solution.dual_f + margins.q @ solution.dual_g)
@@ -157,9 +154,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    data = _load_market_data(Path(args.input), "mu")
-    margins = _margins_from(data)
+def cmd_check(args: argparse.Namespace, data: dict, margins: Margins) -> int:
     matching = _matching_from(data, margins, args.tol)
     verdict = check_rationalizable(matching)
     report = {
@@ -179,9 +174,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.rationalizable else EXIT_DOMAIN
 
 
-def cmd_identify(args: argparse.Namespace) -> int:
-    data = _load_market_data(Path(args.input), "mu")
-    margins = _margins_from(data)
+def cmd_identify(args: argparse.Namespace, data: dict, margins: Margins) -> int:
     matching = _matching_from(data, margins, args.tol)
     report: dict = {"entropy": args.entropy}
     if args.entropy == "gauge":
@@ -203,9 +196,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    data = _load_market_data(Path(args.input), "phi")
-    margins = _margins_from(data)
+def cmd_simulate(args: argparse.Namespace, data: dict, margins: Margins) -> int:
     phi = _surplus_from(data, margins)
     mu_true, mu_empirical = simulate_market(phi, margins, args.households, args.seed)
     out_dir = Path(args.out)
@@ -255,9 +246,7 @@ def _format_matrix_row(matrix: np.ndarray) -> str:
     return f"{matrix[0, 0]:.17g} {matrix[0, 1]:.17g}"
 
 
-def cmd_geometry(args: argparse.Namespace) -> int:
-    data = _load_market_data(Path(args.input), "mu")
-    margins = _margins_from(data)
+def cmd_geometry(args: argparse.Namespace, data: dict, margins: Margins) -> int:
     if margins.shape != (2, 2):
         raise ValidationError(
             f"geometry emission is defined for 2x2 markets, got {margins.shape}"
@@ -290,17 +279,14 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     for name, matrices in blocks:
         lines.append(f"# {name}")
         lines.extend(_format_matrix_row(matrix) for matrix in matrices)
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser, reads_matching: bool) -> None:
     parser.add_argument("--input", required=True, help="market file (JSON or CSV)")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
+    parser.set_defaults(slot="mu" if reads_matching else "phi")
     if not reads_matching:
         return
     parser.add_argument(
@@ -347,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-identify the surplus from the empirical matching and report the error",
     )
     simulate.add_argument("--out", required=True, help="directory for the two MarketFiles")
-    simulate.set_defaults(func=cmd_simulate)
+    simulate.set_defaults(func=cmd_simulate, slot="phi")
 
     geometry = subparsers.add_parser("geometry", help="plottable geometry of a 2x2 market")
     _add_common_arguments(geometry, reads_matching=True)
@@ -360,7 +346,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        data = _load_market_data(Path(args.input), args.slot)
+        return args.func(args, data, Margins(_require(data, "p"), _require(data, "q")))
     except (NonInteriorError, KinkPointError) as exc:
         code = "boundary-point" if isinstance(exc, NonInteriorError) else "kink-point"
         _print_error(code, str(exc), {"cell": list(exc.cell)} if exc.cell else None)

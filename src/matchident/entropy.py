@@ -267,11 +267,11 @@ def grad_entropy(model: EntropyModel, mu: Matching) -> Surplus:
     takes ``log 0``; the quantile gradient also requires all cumulative
     conditional masses to be distinct (otherwise the entropy has a kink).
     The gauge gradient exists off the barycenter and equals the stretch
-    factor times the normal of the face where the gauge ray exits.
+    factor times the normal of the face where the gauge ray exits (see
+    ``polytope.GaugeResult.gradient``).
     """
     if model.kind == "gauge":
-        ray = polytope.gauge(mu)
-        return _adopt(Surplus, phi=ray.t_star * ray.normal)
+        return polytope.gauge(mu).gradient
     if mu.mu.min() <= BOUNDARY_TOL and (empty := _empty_cells(mu.mu, mu.margins)).any():
         cell = np.unravel_index(np.argmin(np.where(empty, mu.mu, np.inf)), mu.mu.shape)
         raise NonInteriorError(

@@ -21,6 +21,8 @@ The verdict and the gauge identification read one ray, so it is computed
 once per observation: ``_scaled`` memoizes ``gauge(mu_hat)`` and
 ``_identified`` the gauge identification, each a ``functools.lru_cache`` of
 one entry keyed by the ``Matching`` object (which compares by identity).
+They stay two memos because the verdict can answer where the identification
+raises, as on a type light enough that the gauge gradient is not finite.
 Draws from one population read one solve: ``_population`` memoizes the shannon-optimal
 matching of the last ``(Surplus, Margins)`` pair, by the same rule.  Each
 memo holds read-only arrays only.  A call that raises, as at the barycenter
@@ -43,7 +45,6 @@ from .core import (
     Matching,
     Surplus,
     ValidationError,
-    _adopt,
     _frozen,
     _is_nonzero_residual,
     decompose_separable,
@@ -175,8 +176,7 @@ def _finished(phi_raw: Surplus, margins: Margins, model: EntropyModel, diagnosti
 def _identified(mu_hat: Matching) -> tuple[GaugeResult, IdentifiedSurplus]:
     """The gauge ray of ``mu_hat`` and the identification read off it."""
     ray = _scaled(mu_hat)
-    phi_raw = _adopt(Surplus, phi=ray.t_star * ray.normal)
-    return ray, _finished(phi_raw, mu_hat.margins, _GAUGE, {
+    return ray, _finished(ray.gradient, mu_hat.margins, _GAUGE, {
         "t_star": ray.t_star,
         "normalization": float((ray.normal * ray.direction).sum()),
         "maximizer_verified": float(_certifies(ray.normal, ray.mu_star)),

@@ -5,18 +5,18 @@ transportation problem, and this module solves it exactly with the
 classical transportation (network) simplex on the complete bipartite type
 graph.  The basis is a spanning tree on the ``m + n`` type nodes, rooted at
 row 0, whose every edge carries the surplus of its cell.  Its adjacency,
-parent links, depths and dual potentials are kept across pivots: the tree
-is walked in full once, at the start, and after that a pivot's leaving
-edge cuts one subtree off, its entering edge re-hangs it, and only that
-subtree is walked again.  Every other node keeps its path to row 0 and so
-its potential, bit for bit.  The pivot cycle is read along the parent
-links.  Dantzig pricing picks the entering cell and Cunningham's rule the
-leaving one, which keeps a strongly feasible start strongly feasible
-(every zero-flow cell hangs below its column node).
-The one start, ``_greedy_start``, fills the cells in descending order of
-a given fill, and hangs each tree of its allocations that misses row 0
-below a column of row 0's tree through a zero cell from one of its own
-rows, which makes it strongly feasible (Cunningham, Math. Prog. 1976).
+parent links, depths and dual potentials are kept across pivots, and
+``_hang`` alone walks them: the start walks the tree in full once, and
+after that a pivot's leaving edge cuts one subtree off, its entering edge
+re-hangs it, and only that subtree is walked again.  Every other node
+keeps its path to row 0 and so its potential, bit for bit.  The pivot
+cycle is read along the parent links.  Dantzig pricing picks the entering
+cell and Cunningham's rule the leaving one, which keeps a strongly
+feasible start strongly feasible (every zero-flow cell hangs below its
+column node).  The one start, ``_greedy_start``, fills the cells in
+descending order of a given fill and walks row 0's tree; each other tree
+hangs below a column of that walk through a zero cell from its lowest
+row, so the start is strongly feasible (Cunningham, Math. Prog. 1976).
 ``maximize_surplus`` fills a constant, which is the northwest corner; the
 entropic warm start reads only the duals and fills by surplus, which
 needs a fraction of the pivots.  The simplex itself, ``_transport``,
@@ -108,10 +108,10 @@ def _pivot_cap(m: int, n: int) -> int:
 
 def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarray):
     """Initial basic feasible solution with exactly m + n - 1 basic cells:
-    the matching, the mask of basic cells and the adjacency of the basis
-    tree on the type nodes (rows ``0 .. m-1``, columns ``m .. m+n-1``),
-    which maps each node's neighbours to the ``cost`` of the cell between
-    them.
+    the matching, the mask of basic cells, the adjacency of the basis tree
+    on the type nodes (rows ``0 .. m-1``, columns ``m .. m+n-1``), which
+    maps each node's neighbours to the ``cost`` of the cell between them,
+    and the tree's parents, depths and potentials, as ``_tree`` walks them.
 
     The cells are filled in descending order of ``fill``, each taking the
     smaller of what its row and its column have left.  Ties break by flat
@@ -122,8 +122,9 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
     however small, so no type is left out of the tree for being light.  The
     allocations form a forest.  When the margins' sums differ, a column (or
     row 0) can be left without any: it takes what it has left in its best
-    cell.  Each tree without row 0 then hangs below a column of row 0's
-    tree through its best zero cell from one of its own rows.  Every
+    cell.  Row 0's tree is then walked; each row it left unreached is, in
+    order, the lowest row of a tree without row 0, which hangs, walked,
+    below the row's best zero cell into a column of the first walk.  Every
     zero-flow cell thus hangs below its column node, as Cunningham's
     leaving rule requires.
     """
@@ -137,7 +138,7 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
         basic[x, y] = True
         adjacency[x][m + y] = adjacency[m + y][x] = float(cost[x, y])
 
-    live_rows, live_cols, allocations = m, n, 0
+    live_rows, live_cols = m, n
     floor_p = (BOUNDARY_TOL * q.min() * p).tolist()
     floor_q = (BOUNDARY_TOL * p.min() * q).tolist()
     remaining_p, remaining_q = p.tolist(), q.tolist()
@@ -146,7 +147,6 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
         if remaining_p[x] > 0.0 < remaining_q[y]:
             t = min(remaining_p[x], remaining_q[y])
             allocate(x, y, t)
-            allocations += 1
             remaining_p[x] -= t
             remaining_q[y] -= t
             # A remainder within rounding of zero is zero: margins whose
@@ -159,8 +159,6 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
                 live_cols -= 1
             if not (live_rows and live_cols):
                 break
-    if allocations == m + n - 1:  # a forest of m + n - 1 edges spans
-        return mu, basic, adjacency
     # A zero cell would hang such a column below its row, and row 0 has no
     # parent: each must join the tree through a cell with flow.
     for y in range(n):
@@ -168,24 +166,15 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
             allocate(int(fill[:, y].argmax()), y, remaining_q[y])
     if not adjacency[0]:
         allocate(0, int(fill[0].argmax()), remaining_p[0])
-    tree = [-1] * (m + n)  # the lowest node of each tree: 0 in row 0's tree
-    for root in range(m + n):
-        if tree[root] < 0:
-            tree[root], stack = root, [root]
-            while stack:
-                for other in adjacency[stack.pop()]:
-                    if tree[other] < 0:
-                        tree[other] = root
-                        stack.append(other)
-    columns = [y for y in range(n) if tree[m + y] == 0]
-    rows_of: dict[int, list[int]] = {}
+    parent, depth, potential = _tree(adjacency)
+    columns = [y for y in range(n) if parent[m + y] >= 0]
     for x in range(1, m):
-        if tree[x] != 0:
-            rows_of.setdefault(tree[x], []).append(x)
-    for rows in rows_of.values():
-        best = int(fill[np.ix_(rows, columns)].argmax())
-        allocate(rows[best // len(columns)], columns[best % len(columns)], 0.0)
-    return mu, basic, adjacency
+        if parent[x] < 0:  # the lowest row of a tree without row 0
+            y = columns[int(fill[x, columns].argmax())]
+            allocate(x, y, 0.0)
+            parent[x] = m + y
+            _hang(adjacency, parent, depth, potential, [x])
+    return mu, basic, adjacency, parent, depth, potential
 
 
 def _hang(adjacency, parent, depth, potential, stack: list[int]) -> None:
@@ -205,8 +194,9 @@ def _hang(adjacency, parent, depth, potential, stack: list[int]) -> None:
 
 
 def _tree(adjacency: list[dict[int, float]]):
-    """Parents, depths and the potentials (rows, then columns) of the basis
-    tree, walked in full from row 0 (``u[0] = 0``) along the edges' costs."""
+    """Parents, depths and the potentials (rows, then columns) of row 0's
+    tree, walked from row 0 (``u[0] = 0``) along the edges' costs; a node
+    off that tree keeps parent -1."""
     parent = [-1] * len(adjacency)
     depth = [0] * len(adjacency)
     potential = [0.0] * len(adjacency)
@@ -328,7 +318,8 @@ def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
 
 def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray):
     """The transportation simplex on arrays: maximizes ``<mu, cost>`` over
-    the matchings of ``p`` and ``q`` from ``_greedy_start`` on ``fill``.
+    the matchings of ``p`` and ``q`` from ``_greedy_start`` on ``fill``,
+    whose walked tree the pivots then keep.
 
     The pivots run on the present block, the rows and columns of positive
     mass; each absent type then takes its least feasible potential, columns
@@ -345,13 +336,12 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
     cost, entering_tol = np.ldexp(cost, -scale), SEPARABILITY_TOL * float(top)
     p, q, present = p[rows], q[cols], cost[block]
     m, n = p.size, q.size
-    start, basic, adjacency = _greedy_start(fill[block], p, q, present)
+    start, basic, adjacency, parent, depth, potential = _greedy_start(fill[block], p, q, present)
     flows = start.tolist()
     # Basic cells price at zero up to rounding; at -inf they never enter.
     priced = np.where(basic, -np.inf, present)
     duals, reduced = np.empty(m + n), np.empty((m, n))
     eligible = np.empty((m, n), dtype=bool)
-    parent, depth, potential = _tree(adjacency)
     cap = _pivot_cap(m, n)
     weights = p.tolist(), q.tolist()  # for _pivot's empty-cell rule
     degenerate = 0

@@ -25,10 +25,13 @@ from .core import (
     Margins,
     Matching,
     NotInPolytopeError,
+    Surplus,
+    ValidationError,
     _admit,
     _barycenter_mu,
     _check_same_shape,
     _empty_cells,
+    _frozen,
     _present,
 )
 
@@ -173,7 +176,11 @@ class GaugeResult:
     or ``mu_hat - p * q`` on the boundary.  ``normal``, read-only, is
     ``binding`` scaled to inner product one with ``direction``: nonpositive,
     zero on the support of ``mu_star``, and ``t_star`` times it is the gauge
-    entropy's gradient.
+    entropy's gradient, ``gradient``.  On the face of a type light enough
+    that the binding cells' inner product with ``direction`` is below ``1 /
+    float max`` in magnitude (a mass near 1e-300), or rounds to zero, that
+    scale is not finite and ``normal`` is infinite on the binding cells;
+    ``t_star`` and ``mu_star`` are unaffected.
     """
 
     t_star: float
@@ -181,6 +188,21 @@ class GaugeResult:
     binding: np.ndarray
     normal: np.ndarray
     direction: np.ndarray
+
+    @property
+    def gradient(self) -> Surplus:
+        """``t_star * normal``, the gauge entropy's gradient, formed afresh on
+        each read.  Where it is not finite, as on a light type's face (the
+        normal, or its product with ``t_star``, past the float range), it
+        raises ``ValidationError``."""
+        with np.errstate(over="ignore"):
+            phi = self.t_star * self.normal
+        if not np.isfinite(phi).all():
+            raise ValidationError(
+                "the gauge gradient is not finite: t_star * normal leaves the float"
+                f" range (t_star = {self.t_star:.6g})"
+            )
+        return _frozen(Surplus, phi=phi)
 
 
 def gauge(mu_hat: Matching) -> GaugeResult:
@@ -246,8 +268,11 @@ def gauge(mu_hat: Matching) -> GaugeResult:
             r, c = mu.sum(axis=1), mu.sum(axis=0)
         defect = max(np.abs(r - margins.p).max(), np.abs(c - margins.q).max())
         mu_star = _admit(star, margins, MASS_TOL + defect)
-    # Binding cells shrink, so the normalizer is negative; + 0.0 clears -0.0.
-    normal = binding / float((binding * diff).sum()) + 0.0
+    # Binding cells shrink, so the normalizer is negative.  Below 1 / float
+    # max in magnitude, or rounded to 0, as on a light type's face, its
+    # inverse is not finite.
+    with np.errstate(over="ignore", divide="ignore"):
+        normal = np.where(binding, 1.0 / np.float64((binding * diff).sum()), 0.0)
     for array in (binding, normal, diff):
         array.setflags(write=False)
     return GaugeResult(t_star, mu_star, binding, normal, direction=diff)

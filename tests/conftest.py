@@ -117,6 +117,30 @@ TEN_DECIMAL_MARKET = {
 }
 
 
+#: Valid markets whose gauge gradient is not finite.  On A and B row 2 is so
+#: light that the gradient passes the float range at a stretch near 5e11: on
+#: A the product ``t* * normal`` overflows, and on B (a type ten orders
+#: lighter) already the normal does.  C is on the boundary, its one empty
+#: cell between two types of mass 1e-200, whose product ``p * q`` rounds to
+#: zero: so does the normal's normalizer.
+NONFINITE_GAUGE_MARKETS = {
+    "A": {
+        "p": [0.5, 0.5, 1e-290],
+        "q": [0.5, 0.5],
+        "mu": [[0.25, 0.25], [0.25, 0.25], [5.00000000001e-291, 4.99999999999e-291]],
+    },
+    "B": {
+        "p": [0.5, 0.5, 1e-300],
+        "q": [0.5, 0.5],
+        "mu": [[0.25, 0.25], [0.25, 0.25], [5.00000000001e-301, 4.99999999999e-301]],
+    },
+    "C": {
+        "p": [1 - 1e-200, 1e-200],
+        "q": [1 - 1e-200, 1e-200],
+        "mu": [[1 - 2e-200, 1e-200], [1e-200, 0.0]],
+    },
+}
+
 def assert_keeps_line_sums(mu_star: Matching, mu: Matching) -> None:
     """The gauge's exit point has the observation's own line sums within
     ``4 * eps``, whatever the stretch, and so meets the margins within

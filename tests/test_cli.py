@@ -32,6 +32,7 @@ from matchident import (
 from matchident import entropy, lp
 from matchident.cli import main
 from conftest import (
+    NONFINITE_GAUGE_MARKETS,
     TEN_DECIMAL_MARKET,
     matching_with_a_cell_the_ray_grows,
     random_margins,
@@ -512,6 +513,16 @@ class TestIdentify:
         np.testing.assert_allclose(
             report["phi_canonical"], [[6.25, -6.25], [-6.25, 6.25]], atol=1e-9
         )
+
+    def test_a_gauge_gradient_past_the_float_range_is_invalid_input(self, tmp_path, capsys):
+        """The file holds a valid matching, not a ``phi``: the error names the
+        gradient as not finite."""
+        market = write_market(tmp_path / "m.json", **NONFINITE_GAUGE_MARKETS["A"])
+        code, document = run_json(capsys, ["identify", "--input", market, "--entropy", "gauge"])
+        assert code == 2
+        validate(document, ERROR_DOCUMENT_SCHEMA)
+        assert document["error"] == "invalid-input"
+        assert "gauge gradient is not finite" in document["message"]
 
     def test_quantile_needs_type_values(self, tmp_path, capsys):
         market = write_market(

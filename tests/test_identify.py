@@ -37,6 +37,7 @@ from matchident import (
     total_surplus,
 )
 from conftest import (
+    NONFINITE_GAUGE_MARKETS,
     TEN_DECIMAL_MARKET,
     UNIT_CHANGES,
     assert_keeps_line_sums,
@@ -424,6 +425,29 @@ class TestRationalizeGauge:
             pairing = float((ray.normal * ray.direction).sum())
             assert identified.diagnostics["normalization"] == pairing
 
+
+    def test_a_gradient_past_the_float_range_is_a_named_error(self):
+        """On types light enough that the gauge gradient is not finite, the
+        ray, the verdict and the entropy's value answer without a warning,
+        and every route to the gradient names it.  The verdict still answers
+        after the identification raised: its memo holds the ray."""
+        gauge_model = EntropyModel.gauge()
+        verdicts = {"A": (False, 5e11), "B": (False, 5e11), "C": (True, 1.0)}
+        for name, market in NONFINITE_GAUGE_MARKETS.items():
+            mu = Matching(market["mu"], Margins(market["p"], market["q"]))
+            for route in (
+                lambda: rationalize_gauge(mu),
+                lambda: identify_entropy(mu, gauge_model),
+                lambda: grad_entropy(gauge_model, mu),
+            ):
+                with pytest.raises(ValidationError, match="gauge gradient is not finite"):
+                    route()
+            report = check_rationalizable(mu)
+            rationalizable, t_star = verdicts[name]
+            assert report.rationalizable is rationalizable
+            assert report.t_star == pytest.approx(t_star, rel=1e-4)
+            assert gauge(mu).t_star == report.t_star
+            assert entropy.eval_entropy(gauge_model, mu) == -report.t_star
 
 class TestGaugeIdentificationMemo:
     """``identify`` memoizes, keyed by identity, the last matching scaled with

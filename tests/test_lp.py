@@ -122,7 +122,7 @@ def transportation_simplex_reference(phi: Surplus, margins: Margins):
     m, n = margins.shape
     cost = phi.phi
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
-    mu, basic, _ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q, cost)
+    mu, basic, *_ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q, cost)
     cap = lp._pivot_cap(m, n)
     basis_set = {tuple(cell) for cell in np.argwhere(basic).tolist()}
     basis = sorted(basis_set)
@@ -669,7 +669,7 @@ class TestAgainstHighs:
         for i in range(16):
             margins, phi = degenerate_market(rng, i, round(8 * 15 ** (i / 29)))
         assert margins.shape == (32, 32)
-        mu, _, _ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q, phi.phi)
+        mu, *_ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q, phi.phi)
         assert not np.any((mu > 0.0) & (mu < 1e-14))
         assert np.abs(mu.sum(axis=1) - margins.p).max() <= MASS_TOL
         assert np.abs(mu.sum(axis=0) - margins.q).max() <= MASS_TOL
@@ -715,6 +715,14 @@ def assert_strongly_feasible_tree(mu, adjacency, m: int) -> None:
                 assert parent[x] == column
 
 
+def assert_walked(adjacency, parent, depth, potential) -> None:
+    """The tree a start returns is a full walk of its basis, bit for bit."""
+    fresh_parent, fresh_depth, fresh_potential = lp._tree(adjacency)
+    assert parent == fresh_parent
+    assert depth == fresh_depth
+    assert np.array(potential).tobytes() == np.array(fresh_potential).tobytes()
+
+
 class TestGreedyStart:
     def test_start_is_a_strongly_feasible_spanning_tree(self):
         """On light types, ties and margin sums that differ by the whole
@@ -725,9 +733,10 @@ class TestGreedyStart:
         for i in range(48):
             margins, phi = light_market(rng, i, *rng.integers(2, 30, 2))
             for fill in (phi.phi, np.zeros(margins.shape)):
-                mu, basic, adjacency = lp._greedy_start(fill, margins.p, margins.q, fill)
+                mu, basic, adjacency, *tree = lp._greedy_start(fill, margins.p, margins.q, fill)
                 assert basic.sum() == sum(margins.shape) - 1
                 assert_strongly_feasible_tree(mu, adjacency, margins.d_x)
+                assert_walked(adjacency, *tree)
                 for factor in (1e-12, 3.0, 1e12):
                     scaled = lp._greedy_start(factor * fill, margins.p, margins.q, fill)
                     np.testing.assert_array_equal(scaled[0], mu)
@@ -741,7 +750,7 @@ class TestGreedyStart:
         for _ in range(40):
             d_x, d_y = rng.integers(2, 41, 2)
             margins = random_margins(rng, d_x, d_y)
-            mu, basic, _ = lp._greedy_start(
+            mu, basic, *_ = lp._greedy_start(
                 np.zeros(margins.shape), margins.p, margins.q, np.zeros(margins.shape)
             )
             np.testing.assert_array_equal(basic, mu > 0.0)
@@ -767,9 +776,10 @@ class TestGreedyStart:
             if transpose:
                 p, q, phi = np.roll(q, -2), p, np.roll(phi.T, -2, axis=0)
             margins = Margins(p, q)
-            mu, basic, adjacency = lp._greedy_start(phi, p, q, phi)
+            mu, basic, adjacency, *tree = lp._greedy_start(phi, p, q, phi)
             assert basic.sum() == sum(margins.shape) - 1
             assert_strongly_feasible_tree(mu, adjacency, margins.d_x)
+            assert_walked(adjacency, *tree)
             # the light line's one cell holds all its mass, on top of a line
             # that had run out
             light, mass, full = (mu[0], p[0], q) if transpose else (mu[:, 2], q[2], p)
@@ -839,10 +849,10 @@ class TestGreedyStart:
         greedy_start, starts = lp._greedy_start, []
 
         def checked_start(fill, p, q, cost):
-            mu, basic, adjacency = greedy_start(fill, p, q, cost)
+            mu, basic, adjacency, *tree = greedy_start(fill, p, q, cost)
             assert_strongly_feasible_tree(mu, adjacency, p.size)
             starts.append(basic.shape)
-            return mu, basic, adjacency
+            return mu, basic, adjacency, *tree
 
         monkeypatch.setattr(lp, "_greedy_start", checked_start)
         rng = np.random.default_rng(5)
