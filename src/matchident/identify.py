@@ -318,10 +318,11 @@ def simulate_market(
     sums: a type the sample misses has zero mass, absent to the verdict and
     the gauge and refused by the shannon and quantile gradients.
 
-    The population is solved once per ``(phi, margins)`` objects and shared
-    read-only (see the module docstring): draws from one population, as a
-    Monte Carlo study makes, return the same population ``Matching``.  New
-    objects with equal contents solve again.
+    The population of the last ``(phi, margins)`` pair of objects is kept
+    and shared read-only (see the module docstring): consecutive draws from
+    one population, as a Monte Carlo study makes, return the same population
+    ``Matching``.  A draw from another pair, or from new objects with equal
+    contents, solves again, and so does the next draw from the pair before.
 
     The draw is reproducible: the same ``seed`` gives the same sample.
     ``households`` must be an integer from 1 to ``2**63 - 1``, and ``seed`` a

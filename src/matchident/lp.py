@@ -5,30 +5,30 @@ transportation problem, and this module solves it exactly with the
 classical transportation (network) simplex on the complete bipartite type
 graph.  The basis is a spanning tree on the ``m + n`` type nodes, rooted at
 row 0, whose every edge carries the surplus of its cell.  Its adjacency,
-parent links, depths and dual potentials are kept across pivots, and
-``_hang`` alone walks them: the start walks the tree in full once, and
-after that a pivot's leaving edge cuts one subtree off, its entering edge
-re-hangs it, and only that subtree is walked again.  Every other node
-keeps its path to row 0 and so its potential, bit for bit.  The pivot
-cycle is read along the parent links.  Dantzig pricing picks the entering
-cell and Cunningham's rule the leaving one, which keeps a strongly
-feasible start strongly feasible (every zero-flow cell hangs below its
-column node).  The one start, ``_greedy_start``, fills the cells in
-descending order of a given fill and walks row 0's tree; each other tree
-hangs below a column of that walk through a zero cell from its lowest
-row, so the start is strongly feasible (Cunningham, Math. Prog. 1976).
-``maximize_surplus`` fills a constant, which is the northwest corner; the
-entropic warm start reads only the duals and fills by surplus, which
-needs a fraction of the pivots.  The simplex itself, ``_transport``,
-works on arrays and pivots on the present types' block: a zero-mass
-type's cells are zero on the whole polytope, and on positive margins
-every start is strongly feasible.  It embeds the block's vertex and gives
-each absent type its least feasible potential; only ``maximize_surplus``
-packages them into a validated ``LpSolution``.  A pivot that moves
-mass raises the value, and one that moves none strictly lowers
-``sum(v) - sum(u)`` of the potentials (``u[0] = 0``), so no basis repeats
-and the simplex terminates (Ahuja, Magnanti & Orlin, *Network Flows*,
-1993, ch. 11).
+parent links, depths and dual potentials are kept across pivots.  Each
+pivot reads its cycle in one climb up the parent links, from the entering
+cell's two nodes to their common ancestor.  ``_hang`` alone walks the tree
+down: the start walks it in full once, and after that a pivot's leaving
+edge cuts one subtree off, its entering edge re-hangs it, and only that
+subtree is walked again.  Every other node keeps its path to row 0 and so
+its potential, bit for bit.  Dantzig pricing picks the entering cell and
+Cunningham's rule the leaving one, which keeps a strongly feasible start
+strongly feasible (every zero-flow cell hangs below its column node).  The
+one start, ``_greedy_start``, fills the cells in descending order of a
+given fill and walks row 0's tree; each other tree hangs below a column of
+that walk through a zero cell from its lowest row, so the start is
+strongly feasible (Cunningham, Math. Prog. 1976).  ``maximize_surplus``
+fills a constant, which is the northwest corner; the entropic warm start
+reads only the duals and fills by surplus, which needs a fraction of the
+pivots.  The simplex itself, ``_transport``, works on arrays and pivots on
+the present types' block: a zero-mass type's cells are zero on the whole
+polytope, and on positive margins every start is strongly feasible.  It
+embeds the block's basic flows and gives each absent type its least
+feasible potential; ``_simplex`` admits the vertex, built finite and
+nonnegative, into an ``LpSolution``.  A pivot that moves mass raises the
+value, and one that moves none strictly lowers ``sum(v) - sum(u)`` of the
+potentials (``u[0] = 0``), so no basis repeats and the simplex terminates
+(Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11).
 Every comparison is relative to ``max|phi|``, so the returned vertex is
 reproducible run to run and the same for any positive multiple of ``phi``
 (barring a reduced cost within rounding of a tolerance).  Verdicts
@@ -51,6 +51,7 @@ from .core import (
     Matching,
     Surplus,
     ValidationError,
+    _admit,
     _check_same_shape,
     _empty_cells,
     _imbalance_tol,
@@ -129,24 +130,18 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
     leaving rule requires.
     """
     m, n = p.size, q.size
-    mu = np.zeros((m, n))
-    basic = np.zeros((m, n), dtype=bool)
+    mu, basic = np.zeros((m, n)), np.zeros((m, n), dtype=bool)
     adjacency: list[dict[int, float]] = [{} for _ in range(m + n)]
-
-    def allocate(x: int, y: int, t: float) -> None:
-        mu[x, y] = t
-        basic[x, y] = True
-        adjacency[x][m + y] = adjacency[m + y][x] = float(cost[x, y])
-
     live_rows, live_cols = m, n
-    floor_p = (BOUNDARY_TOL * q.min() * p).tolist()
-    floor_q = (BOUNDARY_TOL * p.min() * q).tolist()
     remaining_p, remaining_q = p.tolist(), q.tolist()
+    low_p, low_q = BOUNDARY_TOL * min(remaining_p), BOUNDARY_TOL * min(remaining_q)
+    floor_p, floor_q = [low_q * w for w in remaining_p], [low_p * w for w in remaining_q]
     order = np.argsort(-fill, axis=None, kind="stable")
     for x, y in zip((order // n).tolist(), (order % n).tolist()):
-        if remaining_p[x] > 0.0 < remaining_q[y]:
+        if remaining_p[x] and remaining_q[y]:  # neither is ever negative
             t = min(remaining_p[x], remaining_q[y])
-            allocate(x, y, t)
+            mu[x, y], basic[x, y] = t, True
+            adjacency[x][m + y] = adjacency[m + y][x] = cost.item(x, y)
             remaining_p[x] -= t
             remaining_q[y] -= t
             # A remainder within rounding of zero is zero: margins whose
@@ -161,36 +156,38 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
                 break
     # A zero cell would hang such a column below its row, and row 0 has no
     # parent: each must join the tree through a cell with flow.
-    for y in range(n):
-        if not adjacency[m + y]:
-            allocate(int(fill[:, y].argmax()), y, remaining_q[y])
-    if not adjacency[0]:
-        allocate(0, int(fill[0].argmax()), remaining_p[0])
+    bare = [y for y in range(n) if not adjacency[m + y]]
+    leftover = [(int(fill[:, y].argmax()), y, remaining_q[y]) for y in bare]
+    if not (adjacency[0] or any(x == 0 for x, _, _ in leftover)):
+        leftover.append((0, int(fill[0].argmax()), remaining_p[0]))
+    for x, y, t in leftover:
+        mu[x, y], basic[x, y] = t, True
+        adjacency[x][m + y] = adjacency[m + y][x] = cost.item(x, y)
     parent, depth, potential = _tree(adjacency)
     columns = [y for y in range(n) if parent[m + y] >= 0]
     for x in range(1, m):
         if parent[x] < 0:  # the lowest row of a tree without row 0
             y = columns[int(fill[x, columns].argmax())]
-            allocate(x, y, 0.0)
+            basic[x, y] = True
+            adjacency[x][m + y] = adjacency[m + y][x] = cost.item(x, y)
             parent[x] = m + y
             _hang(adjacency, parent, depth, potential, [x])
     return mu, basic, adjacency, parent, depth, potential
 
 
-def _hang(adjacency, parent, depth, potential, stack: list[int]) -> None:
-    """Walk down from the nodes on ``stack``, whose parents are set: give
+def _hang(adjacency, parent, depth, potential, queue: list[int]) -> None:
+    """Walk down from the nodes in ``queue``, whose parents are set: give
     them and every node below them a depth and the potential that makes
     ``u[x] + v[y]`` the surplus their edge to the parent carries, and give
-    the nodes below them their parents.  Empties ``stack``."""
-    while stack:
-        child = stack.pop()
+    the nodes below them their parents, appending each to ``queue``."""
+    for child in queue:  # a node's parent comes before it
         node = parent[child]
         depth[child] = depth[node] + 1
         potential[child] = adjacency[child][node] - potential[node]
         for grandchild in adjacency[child]:
             if grandchild != node:
                 parent[grandchild] = child
-                stack.append(grandchild)
+                queue.append(grandchild)
 
 
 def _tree(adjacency: list[dict[int, float]]):
@@ -206,67 +203,64 @@ def _tree(adjacency: list[dict[int, float]]):
     return parent, depth, potential
 
 
-def _cycle(parent: list[int], depth: list[int], entering: tuple[int, int], m: int):
-    """Split the pivot cycle of ``entering`` into gaining and losing cells.
-
-    The cycle is the tree path between the entering cell's row and column
-    nodes, walked up from both to their common ancestor, the apex.  Flow
-    pushed around it alternates sign, starting with a gain on the entering
-    cell, so a tree edge loses exactly when the path from the row node
-    crosses it from a row node to a column node.  The losing cells come in
-    the order of the walk apex -> row node -> entering cell -> column node
-    -> apex, which the leaving rule reads; the first ``rows`` lie above the row node.
-    """
-    plus, minus, rows = [entering], [], 0
-    a, b = entering[0], m + entering[1]
-    while a != b:
-        from_row = depth[a] >= depth[b]
-        child = a if from_row else b
-        up = parent[child]
-        cell = (child, up - m) if child < m else (up, child - m)
-        if (child < m) != from_row:
-            plus.append(cell)
-        else:
-            minus.insert(0 if from_row else len(minus), cell)
-            rows += from_row
-        a, b = (up, b) if from_row else (a, up)
-    return plus, minus, rows
-
-
 def _pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q) -> bool:
     """Pivot ``entering`` into the basis and return whether no mass moved
     beyond rounding: whether the leaving cell was empty under ``p`` and ``q``.
 
-    Mass moves around the cycle, and the leaving cell drops out of the
-    basis: out of ``adjacency``, its edge's surplus back into ``priced``.
-    The entering cell's surplus moves the other way, onto its new edge,
-    and ``priced`` blocks the cell at ``-inf``.  The leaving edge cut
-    one subtree off the tree and the entering edge re-hangs it; only that
-    subtree is walked again.  Every other node keeps its path to row 0, so
-    its parent, depth and potential stay what a full walk gives, bit for
-    bit.
+    The cycle is the tree path between the entering cell's nodes, read in
+    one climb up the parent links from both, the deeper first, to their
+    common ancestor, the apex.  Flow pushed around it gains on the entering
+    cell, and a tree edge loses exactly when the path from the row node
+    crosses it from a row node to a column node.  The last blocking cell of
+    the walk apex -> row node -> entering cell -> column node -> apex leaves
+    (Cunningham's rule): the climb meets the row side's losing cells in
+    reverse, so that side keeps its first least cell, the column side its
+    last, and the column side wins a tie.  The leaving edge, whose surplus
+    goes back into ``priced``, cut off the subtree on its side; the entering
+    edge, whose cell ``priced`` blocks at ``-inf``, re-hangs it, and only
+    that subtree is walked again.  Every other node keeps its path to row
+    0, so its parent, depth and potential stay what a full walk gives, bit
+    for bit.
     """
-    m = len(mu)
-    plus, minus, rows = _cycle(parent, depth, entering, m)
-    theta = float("inf")
-    for i, (x, y) in enumerate(minus):  # the last blocking cell leaves
-        if mu[x][y] <= theta:
-            theta, leaving = mu[x][y], i
-    for x, y in plus:
-        mu[x][y] += theta
-    for x, y in minus:
-        mu[x][y] -= theta
-    x, y = minus[leaving]
-    degenerate = theta <= BOUNDARY_TOL * (p[x] * q[y])
-    mu[x][y] = 0.0
-    priced[x, y] = adjacency[x].pop(m + y)
-    del adjacency[m + y][x]
-    x, y = entering
-    adjacency[x][m + y] = adjacency[m + y][x] = float(priced[x, y])
+    m, (x, y) = len(mu), entering
+    a, b = x, m + y
+    gains, losses = [entering], []
+    row_theta = column_theta = float("inf")
+    while a != b:
+        if depth[a] >= depth[b]:  # the row side's next edge
+            up = parent[a]
+            if a < m:
+                cell = a, up - m
+                losses.append(cell)
+                if mu[a][up - m] < row_theta:
+                    row_theta, row_leaving = mu[a][up - m], cell
+            else:
+                gains.append((up, a - m))
+            a = up
+        else:  # the column side's
+            up = parent[b]
+            if b < m:
+                gains.append((b, up - m))
+            else:
+                cell = up, b - m
+                losses.append(cell)
+                if mu[up][b - m] <= column_theta:
+                    column_theta, column_leaving = mu[up][b - m], cell
+            b = up
+    row_side = row_theta < column_theta
+    theta, (i, j) = (row_theta, row_leaving) if row_side else (column_theta, column_leaving)
+    for r, c in gains:
+        mu[r][c] += theta
+    for r, c in losses:
+        mu[r][c] -= theta
+    degenerate = theta <= BOUNDARY_TOL * (p[i] * q[j])
+    mu[i][j] = 0.0
+    priced[i, j] = adjacency[i].pop(m + j)
+    del adjacency[m + j][i]
+    adjacency[x][m + y] = adjacency[m + y][x] = priced.item(x, y)
     priced[x, y] = -np.inf
-    # the entering edge's end that was cut off, the row node exactly when the
-    # leaving cell lies on its side, hangs below the other end
-    top, hung = (m + y, x) if leaving < rows else (x, m + y)
+    # the entering edge's end on the side that was cut off hangs below the other
+    top, hung = (m + y, x) if row_side else (x, m + y)
     parent[hung] = top
     _hang(adjacency, parent, depth, potential, [hung])
     return degenerate
@@ -304,10 +298,11 @@ def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
     # The cycles leave rounding-size masses where exact arithmetic empties a
     # cell.  The empty cells are zero, as in the start basis; zeroing them
     # while pivoting would unbalance the margins, and the next tie would
-    # then leave a larger remainder.
+    # then leave a larger remainder.  No cell is negative: a losing cell
+    # never loses more than it holds.
     mu[_empty_cells(mu, margins)] = 0.0
     return LpSolution(
-        mu_opt=Matching(mu, margins, tol=_imbalance_tol(margins)),
+        mu_opt=_admit(mu, margins, _imbalance_tol(margins)),
         value=float(np.sum(mu * cost)),
         dual_f=dual_f,
         dual_g=dual_g,
@@ -330,25 +325,25 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
     two putting ``max|cost|`` in [1/2, 1): no bit changes (barring subnormal
     entries), and only a potential scaled back can overflow.
     """
-    rows, cols = _present(p, q)
-    block = np.ix_(rows, cols)
+    held_rows, held_cols = _present(p, q)
+    rows, cols = held_rows.nonzero()[0], held_cols.nonzero()[0]
     top, scale = np.frexp(np.abs(cost).max())  # top is max|cost| once scaled
     cost, entering_tol = np.ldexp(cost, -scale), SEPARABILITY_TOL * float(top)
-    p, q, present = p[rows], q[cols], cost[block]
-    m, n = p.size, q.size
-    start, basic, adjacency, parent, depth, potential = _greedy_start(fill[block], p, q, present)
+    p, q, present = p.take(rows), q.take(cols), cost.take(rows, 0).take(cols, 1)
+    m, n, fill = p.size, q.size, fill.take(rows, 0).take(cols, 1)
+    start, basic, adjacency, parent, depth, potential = _greedy_start(fill, p, q, present)
     flows = start.tolist()
     # Basic cells price at zero up to rounding; at -inf they never enter.
     priced = np.where(basic, -np.inf, present)
-    duals, reduced = np.empty(m + n), np.empty((m, n))
-    eligible = np.empty((m, n), dtype=bool)
+    duals, reduced, eligible = np.empty(m + n), np.empty((m, n)), np.empty((m, n), dtype=bool)
+    u, v = duals[:m, None], duals[m:]  # the views pricing reads
     cap = _pivot_cap(m, n)
     weights = p.tolist(), q.tolist()  # for _pivot's empty-cell rule
     degenerate = 0
     for pivots in range(cap + 1):
         duals[:] = potential
-        np.subtract(priced, duals[:m, None], out=reduced)
-        reduced -= duals[m:]
+        np.subtract(priced, u, out=reduced)
+        reduced -= v
         best = float(np.maximum.reduce(reduced, axis=None))
         if best <= entering_tol:
             break
@@ -361,11 +356,15 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
         np.greater_equal(reduced, best - entering_tol, out=eligible)
         entering = divmod(int(eligible.argmax()), n)
         degenerate += _pivot(entering, flows, priced, adjacency, parent, depth, potential, *weights)
-    mu, f, g = np.zeros(cost.shape), np.empty(rows.size), np.empty(cols.size)
-    mu[block], f[rows], g[cols] = flows, duals[:m], duals[m:]
-    if m < rows.size or n < cols.size:  # absent types: columns, then rows
-        g[~cols] = (cost[rows][:, ~cols] - f[rows, None]).max(axis=0)
-        f[~rows] = (cost[~rows] - g).max(axis=1)
+    mu, f, g = np.zeros(cost.shape), np.empty(held_rows.size), np.empty(held_cols.size)
+    row_of, col_of = rows.tolist(), cols.tolist()
+    for x, edges in enumerate(adjacency[:m]):  # the m + n - 1 basic flows
+        for y in edges:
+            mu[row_of[x], col_of[y - m]] = flows[x][y - m]
+    f[rows], g[cols] = duals[:m], duals[m:]
+    if m < f.size or n < g.size:  # absent types: columns, then rows
+        g[~held_cols] = (cost[rows][:, ~held_cols] - f[rows, None]).max(axis=0)
+        f[~held_rows] = (cost[~held_rows] - g).max(axis=1)
     shift = g[-1]
     with np.errstate(over="ignore"):
         return mu, np.ldexp(f + shift, scale), np.ldexp(g - shift, scale), pivots, degenerate

@@ -114,15 +114,17 @@ def _reference_cycle_signs(basis, entering, m: int, root_parent):
     return plus, minus
 
 
-def transportation_simplex_reference(phi: Surplus, margins: Margins):
+def transportation_simplex_reference(phi: Surplus, margins: Margins, fill=None):
     """The transportation simplex with both tree searches redone from the
-    basis list on every pivot: the same start, pricing and leaving rule as
-    ``maximize_surplus``.  Returns mu, value, dual_f, dual_g and the numbers
-    of pivots and of degenerate pivots."""
+    basis list on every pivot: the same start on ``fill`` (zeros, the
+    northwest corner, by default), pricing and leaving rule as
+    ``lp._simplex``.  Returns mu, value, dual_f, dual_g and the numbers of
+    pivots and of degenerate pivots."""
     m, n = margins.shape
     cost = phi.phi
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
-    mu, basic, *_ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q, cost)
+    fill = np.zeros(margins.shape) if fill is None else fill
+    mu, basic, *_ = lp._greedy_start(fill, margins.p, margins.q, cost)
     cap = lp._pivot_cap(m, n)
     basis_set = {tuple(cell) for cell in np.argwhere(basic).tolist()}
     basis = sorted(basis_set)
@@ -405,19 +407,30 @@ class TestAgainstReference:
               (13, 9), (12, 12), (16, 16), (20, 14), (14, 20), (20, 20), (25, 25),
               (30, 24), (30, 30), (36, 40), (40, 40), (60, 60), (80, 80)]
 
-    def test_answers_are_bit_identical(self):
+    def markets(self):
         rng = np.random.default_rng(60)
         for i, (d_x, d_y) in enumerate(self.SHAPES * 2):
-            margins, phi = stress_market(rng, i, d_x, d_y, uniform_every=3)
-            mu, value, dual_f, dual_g, pivots, degenerate = transportation_simplex_reference(
-                phi, margins
-            )
-            solution = maximize_surplus(phi, margins)
-            np.testing.assert_array_equal(solution.mu_opt.mu, mu)
-            assert solution.value == value
-            np.testing.assert_array_equal(solution.dual_f, dual_f)
-            np.testing.assert_array_equal(solution.dual_g, dual_g)
-            assert (solution.pivots, solution.degenerate_pivots) == (pivots, degenerate)
+            yield stress_market(rng, i, d_x, d_y, uniform_every=3)
+
+    @staticmethod
+    def assert_same(solution, reference) -> None:
+        mu, value, dual_f, dual_g, pivots, degenerate = reference
+        np.testing.assert_array_equal(solution.mu_opt.mu, mu)
+        assert solution.value == value
+        np.testing.assert_array_equal(solution.dual_f, dual_f)
+        np.testing.assert_array_equal(solution.dual_g, dual_g)
+        assert (solution.pivots, solution.degenerate_pivots) == (pivots, degenerate)
+
+    def test_answers_are_bit_identical(self):
+        for margins, phi in self.markets():
+            reference = transportation_simplex_reference(phi, margins)
+            self.assert_same(maximize_surplus(phi, margins), reference)
+
+    def test_surplus_fill_answers_are_bit_identical(self):
+        """The LP the entropic warm start runs: the start fills by surplus."""
+        for margins, phi in self.markets():
+            reference = transportation_simplex_reference(phi, margins, fill=phi.phi)
+            self.assert_same(lp._simplex(phi, margins, phi.phi), reference)
 
     def test_pivot_cap_raises_with_the_same_residual(self, monkeypatch):
         monkeypatch.setattr(lp, "_MAX_PIVOTS", 7)
