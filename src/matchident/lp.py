@@ -4,36 +4,38 @@ The maximization of ``<mu, phi>`` subject to margin constraints is a
 transportation problem, and this module solves it exactly with the
 classical transportation (network) simplex on the complete bipartite type
 graph.  The basis is a spanning tree on the ``m + n`` type nodes, rooted at
-row 0, whose every edge carries the surplus of its cell.  Its adjacency,
-parent links, depths and dual potentials are kept across pivots.  Each
+row 0, whose every edge carries the surplus of its cell.  Its adjacency is
+kept across pivots, and so are each node's parent, depth, dual potential
+and flow: the mass of the cell between the node and its parent.  Each
 pivot reads its cycle in one climb up the parent links, from the entering
 cell's two nodes to their common ancestor.  ``_hang`` alone walks the tree
 down: the start walks it in full once, and after that a pivot's leaving
 edge cuts one subtree off, its entering edge re-hangs it, and only that
-subtree is walked again.  Every other node keeps its path to row 0 and so
-its potential, bit for bit.  Dantzig pricing picks the entering cell and
-Cunningham's rule the leaving one, which keeps a strongly feasible start
-strongly feasible (every zero-flow cell hangs below its column node).  The
-one start, ``_greedy_start``, fills the cells in descending order of a
-given fill and walks row 0's tree; each other tree hangs below a column of
-that walk through a zero cell from its lowest row, so the start is
-strongly feasible (Cunningham, Math. Prog. 1976).  ``maximize_surplus``
-fills a constant, which is the northwest corner; the entropic warm start
-reads only the duals and fills by surplus, which needs a fraction of the
-pivots.  The simplex itself, ``_transport``, works on arrays and pivots on
-the present types' block: a zero-mass type's cells are zero on the whole
-polytope, and on positive margins every start is strongly feasible.  It
-embeds the block's basic flows and gives each absent type its least
-feasible potential; ``_simplex`` admits the vertex, built finite and
-nonnegative, into an ``LpSolution``.  A pivot that moves mass raises the
-value, and one that moves none strictly lowers ``sum(v) - sum(u)`` of the
-potentials (``u[0] = 0``), so no basis repeats and the simplex terminates
-(Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11).
-Every comparison is relative to ``max|phi|``, so the returned vertex is
-reproducible run to run and the same for any positive multiple of ``phi``
-(barring a reduced cost within rounding of a tolerance).  Verdicts
-elsewhere use closed-form certificates instead of re-solving;
-``is_maximizer`` is the brute-force oracle they are tested against.
+subtree is walked again.  Dantzig pricing, one argmax over a flat view of
+the reduced costs, picks the entering cell and Cunningham's rule the
+leaving one, which keeps a strongly feasible start strongly feasible
+(every zero-flow cell hangs below its column node).  The one start,
+``_greedy_start``, fills the cells in descending order of a given fill, a
+slice of the sorted order at a time, and walks row 0's tree; each other
+tree hangs below a column of that walk through a zero cell from its lowest
+row, so the start is strongly feasible (Cunningham, Math. Prog. 1976).
+``maximize_surplus`` fills a constant, which is the northwest corner; the
+entropic warm start reads only the duals and fills by surplus, which needs
+a fraction of the pivots.  The simplex itself, ``_transport``, works on
+arrays and pivots on the present types' block: a zero-mass type's cells
+are zero on the whole polytope, and on positive margins every start is
+strongly feasible.  It embeds the node flows as the block's vertex and
+gives each absent type its least feasible potential; ``_simplex`` admits
+the vertex, built finite and nonnegative, into an ``LpSolution``.  A pivot
+that moves mass raises the value, and one that moves none strictly lowers
+``sum(v) - sum(u)`` of the potentials (``u[0] = 0``), so no basis repeats
+and the simplex terminates (Ahuja, Magnanti & Orlin, *Network Flows*,
+1993, ch. 11).  Every comparison is relative to ``max|phi|``, so the
+returned vertex is reproducible run to run and the same for any positive
+multiple of ``phi`` (barring a reduced cost within rounding of a
+tolerance).  Verdicts elsewhere use closed-form certificates instead of
+re-solving; ``is_maximizer`` is the brute-force oracle they are tested
+against.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ __all__ = [
 
 #: Pivots allowed per started block of 10,000 cells (see ``_pivot_cap``).
 _MAX_PIVOTS = 10_000
+
+#: Sorted cells ``_greedy_start`` reads at a time: a 64x64 market is one slice.
+_SLICE = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,71 +113,77 @@ def _pivot_cap(m: int, n: int) -> int:
 
 
 def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarray):
-    """Initial basic feasible solution with exactly m + n - 1 basic cells:
-    the matching, the mask of basic cells, the adjacency of the basis tree
-    on the type nodes (rows ``0 .. m-1``, columns ``m .. m+n-1``), which
-    maps each node's neighbours to the ``cost`` of the cell between them,
-    and the tree's parents, depths and potentials, as ``_tree`` walks them.
+    """Initial basic feasible solution with m + n - 1 basic cells: each
+    node's flow to its parent, the mask of basic cells, the adjacency of
+    the basis tree on the type nodes (rows ``0 .. m-1``, columns ``m ..
+    m+n-1``), mapping each node's neighbours to the ``cost`` of the cell
+    between them, and the parents, depths and potentials of its walk.
 
     The cells are filled in descending order of ``fill``, each taking the
     smaller of what its row and its column have left.  Ties break by flat
     index, so any positive multiple of ``fill`` gives the same start, and a
     constant ``fill`` takes the cells in row-major order: the northwest
-    corner.  A remainder is zero once it would be empty (``core``'s rule)
-    in the lightest cell of its line.  Every positive allocation is basic,
-    however small, so no type is left out of the tree for being light.  The
-    allocations form a forest.  When the margins' sums differ, a column (or
-    row 0) can be left without any: it takes what it has left in its best
-    cell.  Row 0's tree is then walked; each row it left unreached is, in
-    order, the lowest row of a tree without row 0, which hangs, walked,
-    below the row's best zero cell into a column of the first walk.  Every
-    zero-flow cell thus hangs below its column node, as Cunningham's
-    leaving rule requires.
+    corner.  The order is read ``_SLICE`` cells at a time, so no start
+    holds m·n Python objects, and each slice after the first drops the
+    cells of the lines spent before it.  A remainder is zero once it
+    would be empty (``core``'s rule) in the lightest cell of its line.
+    Every positive allocation is basic, however small, so no type is left
+    out of the tree for being light.  The allocations form a forest.  When
+    the margins' sums differ, a column (or row 0) can be left without any:
+    it takes what it has left in its best cell.  Row 0's tree is then
+    walked; each row it left unreached is, in order, the lowest row of a
+    tree without row 0, which hangs, walked, below the row's best zero cell
+    into a column of the first walk.  Every zero-flow cell thus hangs below
+    its column node, as Cunningham's leaving rule requires.
     """
     m, n = p.size, q.size
-    mu, basic = np.zeros((m, n)), np.zeros((m, n), dtype=bool)
     adjacency: list[dict[int, float]] = [{} for _ in range(m + n)]
-    live_rows, live_cols = m, n
+    allocations = []  # the basic cells' (row, column, flow)
     remaining_p, remaining_q = p.tolist(), q.tolist()
     low_p, low_q = BOUNDARY_TOL * min(remaining_p), BOUNDARY_TOL * min(remaining_q)
     floor_p, floor_q = [low_q * w for w in remaining_p], [low_p * w for w in remaining_q]
     order = np.argsort(-fill, axis=None, kind="stable")
-    for x, y in zip((order // n).tolist(), (order % n).tolist()):
-        if remaining_p[x] and remaining_q[y]:  # neither is ever negative
-            t = min(remaining_p[x], remaining_q[y])
-            mu[x, y], basic[x, y] = t, True
-            adjacency[x][m + y] = adjacency[m + y][x] = cost.item(x, y)
-            remaining_p[x] -= t
-            remaining_q[y] -= t
-            # A remainder within rounding of zero is zero: margins whose
-            # partial sums tie in exact arithmetic then tie here too.
-            if remaining_p[x] <= floor_p[x]:
-                remaining_p[x] = 0.0
-                live_rows -= 1
-            if remaining_q[y] <= floor_q[y]:
-                remaining_q[y] = 0.0
-                live_cols -= 1
-            if not (live_rows and live_cols):
-                break
+    for s in range(0, order.size, _SLICE):
+        xs, ys = np.divmod(order[s : s + _SLICE], n)
+        if s:  # the cells of lines spent before this slice drop out
+            live = np.array(remaining_p, dtype=bool)[xs] & np.array(remaining_q, dtype=bool)[ys]
+            xs, ys = xs[live], ys[live]
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            if remaining_p[x] and remaining_q[y]:  # neither is ever negative
+                t = min(remaining_p[x], remaining_q[y])
+                allocations.append((x, y, t))
+                adjacency[x][m + y] = adjacency[m + y][x] = cost.item(x, y)
+                remaining_p[x] -= t
+                remaining_q[y] -= t
+                # A remainder within rounding of zero is zero: margins whose
+                # partial sums tie in exact arithmetic then tie here too.
+                if remaining_p[x] <= floor_p[x]:
+                    remaining_p[x] = 0.0
+                if remaining_q[y] <= floor_q[y]:
+                    remaining_q[y] = 0.0
     # A zero cell would hang such a column below its row, and row 0 has no
     # parent: each must join the tree through a cell with flow.
     bare = [y for y in range(n) if not adjacency[m + y]]
     leftover = [(int(fill[:, y].argmax()), y, remaining_q[y]) for y in bare]
     if not (adjacency[0] or any(x == 0 for x, _, _ in leftover)):
         leftover.append((0, int(fill[0].argmax()), remaining_p[0]))
-    for x, y, t in leftover:
-        mu[x, y], basic[x, y] = t, True
+    allocations += leftover
+    for x, y, _ in leftover:
         adjacency[x][m + y] = adjacency[m + y][x] = cost.item(x, y)
     parent, depth, potential = _tree(adjacency)
     columns = [y for y in range(n) if parent[m + y] >= 0]
     for x in range(1, m):
         if parent[x] < 0:  # the lowest row of a tree without row 0
             y = columns[int(fill[x, columns].argmax())]
-            basic[x, y] = True
+            allocations.append((x, y, 0.0))
             adjacency[x][m + y] = adjacency[m + y][x] = cost.item(x, y)
             parent[x] = m + y
             _hang(adjacency, parent, depth, potential, [x])
-    return mu, basic, adjacency, parent, depth, potential
+    basic, flow = np.zeros((m, n), dtype=bool), [0.0] * (m + n)
+    for x, y, t in allocations:  # each flow on the end that hangs below the other
+        basic[x, y] = True
+        flow[x if parent[x] == m + y else m + y] = t
+    return flow, basic, adjacency, parent, depth, potential
 
 
 def _hang(adjacency, parent, depth, potential, queue: list[int]) -> None:
@@ -203,7 +214,7 @@ def _tree(adjacency: list[dict[int, float]]):
     return parent, depth, potential
 
 
-def _pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q) -> bool:
+def _pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q) -> bool:
     """Pivot ``entering`` into the basis and return whether no mass moved
     beyond rounding: whether the leaving cell was empty under ``p`` and ``q``.
 
@@ -211,56 +222,56 @@ def _pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q) -> b
     one climb up the parent links from both, the deeper first, to their
     common ancestor, the apex.  Flow pushed around it gains on the entering
     cell, and a tree edge loses exactly when the path from the row node
-    crosses it from a row node to a column node.  The last blocking cell of
-    the walk apex -> row node -> entering cell -> column node -> apex leaves
-    (Cunningham's rule): the climb meets the row side's losing cells in
-    reverse, so that side keeps its first least cell, the column side its
+    crosses it from a row node to a column node; ``flow[node]`` is the mass
+    of the edge from ``node`` to its parent.  The last blocking edge of the
+    walk apex -> row node -> entering cell -> column node -> apex leaves
+    (Cunningham's rule): the climb meets the row side's losing edges in
+    reverse, so that side keeps its first least one, the column side its
     last, and the column side wins a tie.  The leaving edge, whose surplus
-    goes back into ``priced``, cut off the subtree on its side; the entering
-    edge, whose cell ``priced`` blocks at ``-inf``, re-hangs it, and only
+    goes back into ``priced``, cut off the subtree on its side; the
+    entering edge, whose cell ``priced`` blocks at ``-inf``, re-hangs it,
+    the flows on the path between the two move one node down, and only
     that subtree is walked again.  Every other node keeps its path to row
-    0, so its parent, depth and potential stay what a full walk gives, bit
-    for bit.
+    0, so its parent, depth and potential stay a full walk's, bit for bit.
     """
-    m, (x, y) = len(mu), entering
+    m, (x, y) = len(p), entering
     a, b = x, m + y
-    gains, losses = [entering], []
+    gains, losses = [], []
     row_theta = column_theta = float("inf")
     while a != b:
         if depth[a] >= depth[b]:  # the row side's next edge
-            up = parent[a]
             if a < m:
-                cell = a, up - m
-                losses.append(cell)
-                if mu[a][up - m] < row_theta:
-                    row_theta, row_leaving = mu[a][up - m], cell
+                losses.append(a)
+                if flow[a] < row_theta:
+                    row_theta, row_leaving = flow[a], a
             else:
-                gains.append((up, a - m))
-            a = up
+                gains.append(a)
+            a = parent[a]
         else:  # the column side's
-            up = parent[b]
             if b < m:
-                gains.append((b, up - m))
+                gains.append(b)
             else:
-                cell = up, b - m
-                losses.append(cell)
-                if mu[up][b - m] <= column_theta:
-                    column_theta, column_leaving = mu[up][b - m], cell
-            b = up
+                losses.append(b)
+                if flow[b] <= column_theta:
+                    column_theta, column_leaving = flow[b], b
+            b = parent[b]
     row_side = row_theta < column_theta
-    theta, (i, j) = (row_theta, row_leaving) if row_side else (column_theta, column_leaving)
-    for r, c in gains:
-        mu[r][c] += theta
-    for r, c in losses:
-        mu[r][c] -= theta
+    theta, leaving = (row_theta, row_leaving) if row_side else (column_theta, column_leaving)
+    for node in gains:
+        flow[node] += theta
+    for node in losses:
+        flow[node] -= theta
+    # the entering edge's end on the side that was cut off hangs below the other
+    top, hung = (m + y, x) if row_side else (x, m + y)
+    node, carried = hung, theta
+    while node != parent[leaving]:  # the cut path's flows move one node down
+        carried, flow[node], node = flow[node], carried, parent[node]
+    i, j = (leaving, parent[leaving] - m) if leaving < m else (parent[leaving], leaving - m)
     degenerate = theta <= BOUNDARY_TOL * (p[i] * q[j])
-    mu[i][j] = 0.0
     priced[i, j] = adjacency[i].pop(m + j)
     del adjacency[m + j][i]
     adjacency[x][m + y] = adjacency[m + y][x] = priced.item(x, y)
     priced[x, y] = -np.inf
-    # the entering edge's end on the side that was cut off hangs below the other
-    top, hung = (m + y, x) if row_side else (x, m + y)
     parent[hung] = top
     _hang(adjacency, parent, depth, potential, [hung])
     return degenerate
@@ -331,20 +342,19 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
     cost, entering_tol = np.ldexp(cost, -scale), SEPARABILITY_TOL * float(top)
     p, q, present = p.take(rows), q.take(cols), cost.take(rows, 0).take(cols, 1)
     m, n, fill = p.size, q.size, fill.take(rows, 0).take(cols, 1)
-    start, basic, adjacency, parent, depth, potential = _greedy_start(fill, p, q, present)
-    flows = start.tolist()
+    flow, basic, adjacency, parent, depth, potential = _greedy_start(fill, p, q, present)
     # Basic cells price at zero up to rounding; at -inf they never enter.
     priced = np.where(basic, -np.inf, present)
-    duals, reduced, eligible = np.empty(m + n), np.empty((m, n)), np.empty((m, n), dtype=bool)
-    u, v = duals[:m, None], duals[m:]  # the views pricing reads
+    duals, flat, chosen = np.empty(m + n), np.empty(m * n), np.empty(m * n, dtype=bool)
+    u, v, reduced = duals[:m, None], duals[m:], flat.reshape(m, n)  # the views pricing reads
     cap = _pivot_cap(m, n)
     weights = p.tolist(), q.tolist()  # for _pivot's empty-cell rule
     degenerate = 0
     for pivots in range(cap + 1):
         duals[:] = potential
         np.subtract(priced, u, out=reduced)
-        reduced -= v
-        best = float(np.maximum.reduce(reduced, axis=None))
+        np.subtract(reduced, v, out=reduced)
+        best = flat.item(flat.argmax())
         if best <= entering_tol:
             break
         if pivots == cap:
@@ -353,14 +363,13 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
                 iterations=cap,
                 residual=float(np.ldexp(best, scale)),
             )
-        np.greater_equal(reduced, best - entering_tol, out=eligible)
-        entering = divmod(int(eligible.argmax()), n)
-        degenerate += _pivot(entering, flows, priced, adjacency, parent, depth, potential, *weights)
+        np.greater_equal(flat, best - entering_tol, out=chosen)
+        entering = divmod(int(chosen.argmax()), n)
+        degenerate += _pivot(entering, flow, priced, adjacency, parent, depth, potential, *weights)
     mu, f, g = np.zeros(cost.shape), np.empty(held_rows.size), np.empty(held_cols.size)
-    row_of, col_of = rows.tolist(), cols.tolist()
-    for x, edges in enumerate(adjacency[:m]):  # the m + n - 1 basic flows
-        for y in edges:
-            mu[row_of[x], col_of[y - m]] = flows[x][y - m]
+    node, up = np.arange(1, m + n), np.array(parent[1:])
+    x, y = np.where(node < m, (node, up), (up, node))  # each basic cell's row and column node
+    mu[rows[x], cols[y - m]] = flow[1:]
     f[rows], g[cols] = duals[:m], duals[m:]
     if m < f.size or n < g.size:  # absent types: columns, then rows
         g[~held_cols] = (cost[rows][:, ~held_cols] - f[rows, None]).max(axis=0)

@@ -114,6 +114,16 @@ def _reference_cycle_signs(basis, entering, m: int, root_parent):
     return plus, minus
 
 
+def embedded(flow, parent, m: int, n: int) -> np.ndarray:
+    """The m x n matching of a basis tree's node flows: ``flow[node]`` is
+    the mass of the cell between ``node`` and its parent (row 0 has none)."""
+    mu = np.zeros((m, n))
+    for node in range(1, m + n):
+        x, y = (node, parent[node]) if node < m else (parent[node], node)
+        mu[x, y - m] = flow[node]
+    return mu
+
+
 def transportation_simplex_reference(phi: Surplus, margins: Margins, fill=None):
     """The transportation simplex with both tree searches redone from the
     basis list on every pivot: the same start on ``fill`` (zeros, the
@@ -124,7 +134,8 @@ def transportation_simplex_reference(phi: Surplus, margins: Margins, fill=None):
     cost = phi.phi
     entering_tol = SEPARABILITY_TOL * float(np.abs(cost).max())
     fill = np.zeros(margins.shape) if fill is None else fill
-    mu, basic, *_ = lp._greedy_start(fill, margins.p, margins.q, cost)
+    flow, basic, _, parent, *_ = lp._greedy_start(fill, margins.p, margins.q, cost)
+    mu = embedded(flow, parent, m, n)
     cap = lp._pivot_cap(m, n)
     basis_set = {tuple(cell) for cell in np.argwhere(basic).tolist()}
     basis = sorted(basis_set)
@@ -432,6 +443,27 @@ class TestAgainstReference:
             reference = transportation_simplex_reference(phi, margins, fill=phi.phi)
             self.assert_same(lp._simplex(phi, margins, phi.phi), reference)
 
+    def test_node_flows_meet_the_margins_after_every_pivot(self, monkeypatch):
+        """After every pivot of both fills, the flows embedded from (node,
+        parent) meet the margins within ``MASS_TOL``, and none is negative:
+        a losing edge never loses more than it holds."""
+        pivot, checked = lp._pivot, []
+
+        def checked_pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q):
+            degenerate = pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q)
+            mu = embedded(flow, parent, len(p), len(q))
+            assert np.abs(mu.sum(axis=1) - p).max() <= MASS_TOL
+            assert np.abs(mu.sum(axis=0) - q).max() <= MASS_TOL
+            assert mu.min() >= 0.0
+            checked.append(degenerate)
+            return degenerate
+
+        monkeypatch.setattr(lp, "_pivot", checked_pivot)
+        for margins, phi in self.markets():
+            maximize_surplus(phi, margins)
+            lp._simplex(phi, margins, phi.phi)
+        assert len(checked) > 4000
+
     def test_pivot_cap_raises_with_the_same_residual(self, monkeypatch):
         monkeypatch.setattr(lp, "_MAX_PIVOTS", 7)
         rng = np.random.default_rng(61)
@@ -485,10 +517,11 @@ class TestPivotCounts:
         less than ``BOUNDARY_TOL`` and still count."""
         pivot, flags, margins = lp._pivot, [], None
 
-        def checked_pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q):
-            before, m = np.array(mu), len(mu)
+        def checked_pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q):
+            m = len(p)
+            before = embedded(flow, parent, m, len(q))
             basic = {(x, c - m) for x in range(m) for c in adjacency[x]}
-            degenerate = pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q)
+            degenerate = pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q)
             (leaving,) = basic - {(x, c - m) for x in range(m) for c in adjacency[x]}
             empty = _empty_cells(before, margins)[leaving]
             flags.append((degenerate, bool(empty), before[leaving] <= BOUNDARY_TOL))
@@ -508,13 +541,14 @@ class TestPivotCounts:
         as the child of its column node in the tree rooted at row 0."""
         pivot, checked = lp._pivot, []
 
-        def checked_pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q):
-            m = len(mu)
+        def checked_pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q):
+            m = len(p)
+            mu = embedded(flow, parent, m, len(q))
             for x in range(m):
                 for column in adjacency[x]:
                     if mu[x][column - m] == 0.0:
                         checked.append(parent[x] == column)
-            return pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q)
+            return pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q)
 
         monkeypatch.setattr(lp, "_pivot", checked_pivot)
         rng = np.random.default_rng(66)
@@ -530,8 +564,8 @@ class TestKeptTree:
         pivots are those of a full walk of the updated basis, bit for bit."""
         pivot, compared = lp._pivot, []
 
-        def compared_pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q):
-            degenerate = pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q)
+        def compared_pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q):
+            degenerate = pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q)
             fresh_parent, fresh_depth, fresh_potential = lp._tree(adjacency)
             assert parent == fresh_parent
             assert depth == fresh_depth
@@ -682,7 +716,10 @@ class TestAgainstHighs:
         for i in range(16):
             margins, phi = degenerate_market(rng, i, round(8 * 15 ** (i / 29)))
         assert margins.shape == (32, 32)
-        mu, *_ = lp._greedy_start(np.zeros(margins.shape), margins.p, margins.q, phi.phi)
+        flow, _, _, parent, *_ = lp._greedy_start(
+            np.zeros(margins.shape), margins.p, margins.q, phi.phi
+        )
+        mu = embedded(flow, parent, *margins.shape)
         assert not np.any((mu > 0.0) & (mu < 1e-14))
         assert np.abs(mu.sum(axis=1) - margins.p).max() <= MASS_TOL
         assert np.abs(mu.sum(axis=0) - margins.q).max() <= MASS_TOL
@@ -746,13 +783,14 @@ class TestGreedyStart:
         for i in range(48):
             margins, phi = light_market(rng, i, *rng.integers(2, 30, 2))
             for fill in (phi.phi, np.zeros(margins.shape)):
-                mu, basic, adjacency, *tree = lp._greedy_start(fill, margins.p, margins.q, fill)
+                flow, basic, adjacency, *tree = lp._greedy_start(fill, margins.p, margins.q, fill)
                 assert basic.sum() == sum(margins.shape) - 1
+                mu = embedded(flow, tree[0], *margins.shape)
                 assert_strongly_feasible_tree(mu, adjacency, margins.d_x)
                 assert_walked(adjacency, *tree)
                 for factor in (1e-12, 3.0, 1e12):
                     scaled = lp._greedy_start(factor * fill, margins.p, margins.q, fill)
-                    np.testing.assert_array_equal(scaled[0], mu)
+                    np.testing.assert_array_equal(scaled[0], flow)
                     assert scaled[2] == adjacency
 
     def test_zero_fill_is_the_northwest_staircase(self):
@@ -763,9 +801,10 @@ class TestGreedyStart:
         for _ in range(40):
             d_x, d_y = rng.integers(2, 41, 2)
             margins = random_margins(rng, d_x, d_y)
-            mu, basic, *_ = lp._greedy_start(
+            flow, basic, _, parent, *_ = lp._greedy_start(
                 np.zeros(margins.shape), margins.p, margins.q, np.zeros(margins.shape)
             )
+            mu = embedded(flow, parent, d_x, d_y)
             np.testing.assert_array_equal(basic, mu > 0.0)
             cells = np.argwhere(mu > 0.0)  # in row-major order
             assert len(cells) == d_x + d_y - 1
@@ -789,8 +828,9 @@ class TestGreedyStart:
             if transpose:
                 p, q, phi = np.roll(q, -2), p, np.roll(phi.T, -2, axis=0)
             margins = Margins(p, q)
-            mu, basic, adjacency, *tree = lp._greedy_start(phi, p, q, phi)
+            flow, basic, adjacency, *tree = lp._greedy_start(phi, p, q, phi)
             assert basic.sum() == sum(margins.shape) - 1
+            mu = embedded(flow, tree[0], *margins.shape)
             assert_strongly_feasible_tree(mu, adjacency, margins.d_x)
             assert_walked(adjacency, *tree)
             # the light line's one cell holds all its mass, on top of a line
@@ -820,13 +860,14 @@ class TestGreedyStart:
         margins with a quarter-integer surplus."""
         pivot, checked = lp._pivot, []
 
-        def checked_pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q):
-            m = len(mu)
+        def checked_pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q):
+            m = len(p)
+            mu = embedded(flow, parent, m, len(q))
             for x in range(m):
                 for column in adjacency[x]:
                     if mu[x][column - m] == 0.0:
                         checked.append(parent[x] == column)
-            return pivot(entering, mu, priced, adjacency, parent, depth, potential, p, q)
+            return pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q)
 
         monkeypatch.setattr(lp, "_pivot", checked_pivot)
         rng = np.random.default_rng(72)
@@ -862,10 +903,10 @@ class TestGreedyStart:
         greedy_start, starts = lp._greedy_start, []
 
         def checked_start(fill, p, q, cost):
-            mu, basic, adjacency, *tree = greedy_start(fill, p, q, cost)
-            assert_strongly_feasible_tree(mu, adjacency, p.size)
+            flow, basic, adjacency, *tree = greedy_start(fill, p, q, cost)
+            assert_strongly_feasible_tree(embedded(flow, tree[0], *basic.shape), adjacency, p.size)
             starts.append(basic.shape)
-            return mu, basic, adjacency, *tree
+            return flow, basic, adjacency, *tree
 
         monkeypatch.setattr(lp, "_greedy_start", checked_start)
         rng = np.random.default_rng(5)
