@@ -23,8 +23,9 @@ of ``RUNS`` calls (one, if the first exceeds ``BUDGET_S``), timed with
 processes of a shared host do not add to.  BLAS runs on this thread alone
 unless the caller set its thread count.  A rung also records the
 library's own counters (pivots, sweeps and Newton steps, or the stretch
-and the binding cells), and for the LP layers the ``tracemalloc`` peak
-per byte of ``phi``, taken in one more call of its own.  Every answer is
+and the binding cells) and the ``tracemalloc`` peak per byte of the
+side's n x n float matrix (``8 * side * side``, the bytes of ``phi`` or
+of the observation), taken in one more call of its own.  Every answer is
 checked against its certificate: the LP's dual feasibility and duality
 gap, relative to ``max|phi|``; the entropic solve's margins within
 ``IPFP_TOL``; and the gauge's exit point, which keeps the observation's
@@ -153,19 +154,17 @@ def _shannon(phi: Surplus, margins: Margins):
     return solve_regularized(EntropyModel.shannon(), phi, margins)
 
 
-#: name -> (the inputs of a side, solve, certificate, whether to take the LP's memory peak)
+#: name -> (the inputs of a side, solve, certificate)
 LAYERS = {
-    "maximize_surplus": (market, maximize_surplus, lp_certificate, True),
-    "surplus_fill": (market, lambda phi, m: lp._simplex(phi, m, phi.phi), lp_certificate, True),
-    "solve_regularized_100": (partial(market, scale=100.0), _shannon, entropic_certificate, False),
-    "solve_regularized_1000": (
-        partial(market, scale=1000.0), _shannon, entropic_certificate, False
-    ),
-    "gauge": (interior, gauge, gauge_certificate, False),
+    "maximize_surplus": (market, maximize_surplus, lp_certificate),
+    "surplus_fill": (market, lambda phi, m: lp._simplex(phi, m, phi.phi), lp_certificate),
+    "solve_regularized_100": (partial(market, scale=100.0), _shannon, entropic_certificate),
+    "solve_regularized_1000": (partial(market, scale=1000.0), _shannon, entropic_certificate),
+    "gauge": (interior, gauge, gauge_certificate),
 }
 
 
-def rung(side: int, inputs, solve, certificate, peak: bool) -> dict:
+def rung(side: int, inputs, solve, certificate) -> dict:
     args = inputs(side)
     row: dict = {"side": side, "kernel_s": kernel_s(), "times_s": []}
     for _ in range(RUNS):
@@ -184,13 +183,12 @@ def rung(side: int, inputs, solve, certificate, peak: bool) -> dict:
             break
     row["median_s"] = statistics.median(row["times_s"])
     row.update(counters)
-    if peak:
-        tracemalloc.start()
-        try:
-            solve(*args)
-            row["peak_per_phi_byte"] = tracemalloc.get_traced_memory()[1] / args[0].phi.nbytes
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        solve(*args)
+        row["peak_per_phi_byte"] = tracemalloc.get_traced_memory()[1] / (8 * side * side)
+    finally:
+        tracemalloc.stop()
     return row
 
 

@@ -10,9 +10,9 @@ one test their construction does not settle: the finite test of a
 surplus read off a matching (a gradient, a gauge normal), the finite test
 of a separable decomposition's residual alone (a non-finite ``f[x]`` or
 ``g[y]`` makes its whole row or column non-finite), and the margin test
-of the gauge's exit point, which is finite and clipped nonnegative by
-construction.  A residual already tested becomes the canonical surplus
-with no test at all.
+of a matching built finite and nonnegative: the gauge's exit point, the
+exact LP's vertex and the IPFP solution.  A residual already tested
+becomes the canonical surplus with no test at all.
 
 The one piece of real analysis in this module is the separable
 decomposition.  Any surplus splits uniquely as ``f[x] + g[y] + residual``

@@ -52,6 +52,7 @@ from .core import (
     Surplus,
     TypeValues,
     ValidationError,
+    _admit,
     _adopt,
     _check_same_shape,
     _empty_cells,
@@ -407,7 +408,7 @@ def _warm_start(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     # A centring that overflows leaves inf or nan, on which the simplex
     # would pivot to its cap.
     if not np.isfinite(cost).all():
-        raise ValidationError("phi must be finite")
+        raise ValidationError("phi is too large: its doubly centred form overflows")
     g = -spread * lp._transport(cost, p, q, cost)[2]
     for _ in range(_BLOCK):
         f, g = _fit_margins(centred, g, p, q)
@@ -549,6 +550,6 @@ def solve_regularized(
             iterations=iterations,
             residual=error,
         )
-    matching = Matching(mu, margins, tol=_imbalance_tol(margins))
+    matching = _admit(mu, margins, _imbalance_tol(margins))
     value = total_surplus(matching, phi) - _shannon_value(matching.mu)
     return value, IpfpReport(matching, error, sweeps, steps)

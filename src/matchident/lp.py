@@ -22,20 +22,20 @@ row, so the start is strongly feasible (Cunningham, Math. Prog. 1976).
 ``maximize_surplus`` fills a constant, which is the northwest corner; the
 entropic warm start reads only the duals and fills by surplus, which needs
 a fraction of the pivots.  The simplex itself, ``_transport``, works on
-arrays and pivots on the present types' block: a zero-mass type's cells
-are zero on the whole polytope, and on positive margins every start is
-strongly feasible.  It embeds the node flows as the block's vertex and
-gives each absent type its least feasible potential; ``_simplex`` admits
-the vertex, built finite and nonnegative, into an ``LpSolution``.  A pivot
-that moves mass raises the value, and one that moves none strictly lowers
-``sum(v) - sum(u)`` of the potentials (``u[0] = 0``), so no basis repeats
-and the simplex terminates (Ahuja, Magnanti & Orlin, *Network Flows*,
-1993, ch. 11).  Every comparison is relative to ``max|phi|``, so the
-returned vertex is reproducible run to run and the same for any positive
-multiple of ``phi`` (barring a reduced cost within rounding of a
-tolerance).  Verdicts elsewhere use closed-form certificates instead of
-re-solving; ``is_maximizer`` is the brute-force oracle they are tested
-against.
+arrays and prices on one cost buffer, the present types' block: a
+zero-mass type's cells are zero on the whole polytope, and on positive
+margins every start is strongly feasible.  It embeds the node flows as
+the block's vertex and gives each absent type its least feasible
+potential; ``_simplex`` admits the vertex, built finite and nonnegative,
+into an ``LpSolution``.  A pivot that moves mass raises the value, and
+one that moves none strictly lowers ``sum(v) - sum(u)`` of the
+potentials (``u[0] = 0``), so no basis repeats and the simplex
+terminates (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11).
+Every comparison is relative to ``max|phi|``, so the returned vertex is
+reproducible run to run and the same for any positive multiple of
+``phi`` (barring a reduced cost within rounding of a tolerance).
+Verdicts elsewhere use closed-form certificates instead of re-solving;
+``is_maximizer`` is the brute-force oracle they are tested against.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .core import (
     _admit,
     _check_same_shape,
     _empty_cells,
+    _freeze,
     _imbalance_tol,
     _present,
     is_nonseparable,
@@ -99,10 +100,8 @@ class LpSolution:
     degenerate_pivots: int
 
     def __post_init__(self) -> None:
-        for name in ("dual_f", "dual_g"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        f, g = (np.array(duals, dtype=float) for duals in (self.dual_f, self.dual_g))
+        _freeze(self, dual_f=f, dual_g=g)
 
 
 def _pivot_cap(m: int, n: int) -> int:
@@ -130,11 +129,11 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
     Every positive allocation is basic, however small, so no type is left
     out of the tree for being light.  The allocations form a forest.  When
     the margins' sums differ, a column (or row 0) can be left without any:
-    it takes what it has left in its best cell.  Row 0's tree is then
-    walked; each row it left unreached is, in order, the lowest row of a
-    tree without row 0, which hangs, walked, below the row's best zero cell
-    into a column of the first walk.  Every zero-flow cell thus hangs below
-    its column node, as Cunningham's leaving rule requires.
+    it takes what it has left in its best cell.  ``_hang`` then walks row
+    0's tree; each row it left unreached is, in order, the lowest row of a
+    tree without row 0, which ``_hang`` walks below the row's best zero
+    cell into a column of the first walk.  Every zero-flow cell thus hangs
+    below its column node, as Cunningham's leaving rule requires.
     """
     m, n = p.size, q.size
     adjacency: list[dict[int, float]] = [{} for _ in range(m + n)]
@@ -170,7 +169,10 @@ def _greedy_start(fill: np.ndarray, p: np.ndarray, q: np.ndarray, cost: np.ndarr
     allocations += leftover
     for x, y, _ in leftover:
         adjacency[x][m + y] = adjacency[m + y][x] = cost.item(x, y)
-    parent, depth, potential = _tree(adjacency)
+    parent, depth, potential = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+    for child in adjacency[0]:  # row 0's tree, walked from u[0] = 0
+        parent[child] = 0
+    _hang(adjacency, parent, depth, potential, list(adjacency[0]))
     columns = [y for y in range(n) if parent[m + y] >= 0]
     for x in range(1, m):
         if parent[x] < 0:  # the lowest row of a tree without row 0
@@ -199,19 +201,6 @@ def _hang(adjacency, parent, depth, potential, queue: list[int]) -> None:
             if grandchild != node:
                 parent[grandchild] = child
                 queue.append(grandchild)
-
-
-def _tree(adjacency: list[dict[int, float]]):
-    """Parents, depths and the potentials (rows, then columns) of row 0's
-    tree, walked from row 0 (``u[0] = 0``) along the edges' costs; a node
-    off that tree keeps parent -1."""
-    parent = [-1] * len(adjacency)
-    depth = [0] * len(adjacency)
-    potential = [0.0] * len(adjacency)
-    for child in adjacency[0]:
-        parent[child] = 0
-    _hang(adjacency, parent, depth, potential, list(adjacency[0]))
-    return parent, depth, potential
 
 
 def _pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q) -> bool:
@@ -327,24 +316,25 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
     the matchings of ``p`` and ``q`` from ``_greedy_start`` on ``fill``,
     whose walked tree the pivots then keep.
 
-    The pivots run on the present block, the rows and columns of positive
-    mass; each absent type then takes its least feasible potential, columns
-    first.  Returns the masses, as the pivots left them, the dual potentials
-    ``dual_f`` and ``dual_g`` (the last ``dual_g`` zero), and the pivot and
-    degenerate pivot counts.  ``cost`` must be finite: nothing here tests
-    it.  Everything up to the potentials runs on ``cost`` times the power of
-    two putting ``max|cost|`` in [1/2, 1): no bit changes (barring subnormal
-    entries), and only a potential scaled back can overflow.
+    The pivots run on ``priced``: the present block (the types of positive
+    mass) of ``cost`` times the power of two putting ``max|cost|`` in [1/2,
+    1), scaled in place, from which the start's edges read their cost before
+    the basic cells price at ``-inf``.  No bit changes (barring subnormal
+    entries); only a potential scaled back can overflow.  Each absent type
+    then takes its least feasible potential, columns first.  Returns the
+    masses, as the pivots left them, the potentials ``dual_f`` and
+    ``dual_g`` (the last ``dual_g`` zero), and the pivot and degenerate
+    pivot counts.  ``cost`` must be finite: nothing here tests it.
     """
     held_rows, held_cols = _present(p, q)
     rows, cols = held_rows.nonzero()[0], held_cols.nonzero()[0]
     top, scale = np.frexp(np.abs(cost).max())  # top is max|cost| once scaled
-    cost, entering_tol = np.ldexp(cost, -scale), SEPARABILITY_TOL * float(top)
-    p, q, present = p.take(rows), q.take(cols), cost.take(rows, 0).take(cols, 1)
-    m, n, fill = p.size, q.size, fill.take(rows, 0).take(cols, 1)
-    flow, basic, adjacency, parent, depth, potential = _greedy_start(fill, p, q, present)
-    # Basic cells price at zero up to rounding; at -inf they never enter.
-    priced = np.where(basic, -np.inf, present)
+    p, q, priced = p.take(rows), q.take(cols), cost.take(rows, 0).take(cols, 1)
+    m, n, entering_tol = p.size, q.size, SEPARABILITY_TOL * float(top)
+    np.ldexp(priced, -scale, out=priced)
+    start = _greedy_start(fill.take(rows, 0).take(cols, 1), p, q, priced)
+    flow, basic, adjacency, parent, depth, potential = start
+    priced[basic] = -np.inf  # basic cells price at zero up to rounding; at -inf they never enter
     duals, flat, chosen = np.empty(m + n), np.empty(m * n), np.empty(m * n, dtype=bool)
     u, v, reduced = duals[:m, None], duals[m:], flat.reshape(m, n)  # the views pricing reads
     cap = _pivot_cap(m, n)
@@ -371,9 +361,9 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
     x, y = np.where(node < m, (node, up), (up, node))  # each basic cell's row and column node
     mu[rows[x], cols[y - m]] = flow[1:]
     f[rows], g[cols] = duals[:m], duals[m:]
-    if m < f.size or n < g.size:  # absent types: columns, then rows
-        g[~held_cols] = (cost[rows][:, ~held_cols] - f[rows, None]).max(axis=0)
-        f[~held_rows] = (cost[~held_rows] - g).max(axis=1)
+    if m < f.size or n < g.size:  # absent types, on the scaled cost: columns, then rows
+        g[~held_cols] = (np.ldexp(cost[rows][:, ~held_cols], -scale) - f[rows, None]).max(axis=0)
+        f[~held_rows] = (np.ldexp(cost[~held_rows], -scale) - g).max(axis=1)
     shift = g[-1]
     with np.errstate(over="ignore"):
         return mu, np.ldexp(f + shift, scale), np.ldexp(g - shift, scale), pivots, degenerate

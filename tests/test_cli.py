@@ -681,6 +681,24 @@ class TestSimulate:
         assert "households" in document["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_a_surplus_whose_centring_overflows_is_invalid_input(self, tmp_path, capsys):
+        """Every entry is finite, but the warm start's doubly centred copy
+        overflows: the error names that, not a non-finite ``phi``."""
+        market = write_market(
+            tmp_path / "m.json", p=UNIFORM_P, q=UNIFORM_P,
+            phi=[[-1.5e308, 1.5e308], [1.5e308, 1.5e308]],
+        )
+        code, document = run_json(
+            capsys,
+            ["simulate", "--input", market, "--households", "100", "--out", str(tmp_path / "out")],
+        )
+        assert code == 2
+        validate(document, ERROR_DOCUMENT_SCHEMA)
+        assert document == {
+            "error": "invalid-input",
+            "message": "phi is too large: its doubly centred form overflows",
+        }
+
     def test_sweep_cap_reports_a_finite_residual(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(entropy, "IPFP_MAX_ITER", 5)
         rng = np.random.default_rng(3)

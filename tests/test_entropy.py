@@ -728,12 +728,13 @@ class TestSolveRegularized:
         assert math.isfinite(info.value.residual) and info.value.residual > IPFP_TOL
 
     def test_a_surplus_whose_centring_overflows_is_refused_at_the_warm_start(self):
-        """The sweeps hand this surplus over to the Newton phase, and its
-        centred copy overflows: the warm start refuses it as non-finite
-        instead of pivoting the LP on it to the cap."""
+        """The sweeps hand this finite surplus over to the Newton phase, and
+        its centred copy overflows: the warm start refuses it, naming the
+        overflow, instead of pivoting the LP on it to the cap."""
         phi = Surplus([[-1.5e308, 1.5e308], [1.5e308, 1.5e308]])
+        message = "^phi is too large: its doubly centred form overflows$"
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValidationError, match="^phi must be finite$"):
+            with pytest.raises(ValidationError, match=message):
                 solve_regularized(EntropyModel.shannon(), phi, Margins([0.5, 0.5], [0.5, 0.5]))
 
     def test_only_shannon_is_supported(self, uniform2):

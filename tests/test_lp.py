@@ -124,6 +124,23 @@ def embedded(flow, parent, m: int, n: int) -> np.ndarray:
     return mu
 
 
+def reference_walk(adjacency):
+    """Parents, depths and potentials (rows, then columns) of row 0's tree,
+    walked from ``u[0] = 0`` with a stack over the adjacency, independently
+    of ``lp._hang``: each child's potential is its edge's cost less its
+    parent's.  A node off that tree keeps parent -1."""
+    parent, depth, potential = [-1] * len(adjacency), [0] * len(adjacency), [0.0] * len(adjacency)
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for child, cost in adjacency[node].items():
+            if child and parent[child] < 0:  # not reached yet
+                parent[child], depth[child] = node, depth[node] + 1
+                potential[child] = cost - potential[node]
+                stack.append(child)
+    return parent, depth, potential
+
+
 def transportation_simplex_reference(phi: Surplus, margins: Margins, fill=None):
     """The transportation simplex with both tree searches redone from the
     basis list on every pivot: the same start on ``fill`` (zeros, the
@@ -566,7 +583,7 @@ class TestKeptTree:
 
         def compared_pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q):
             degenerate = pivot(entering, flow, priced, adjacency, parent, depth, potential, p, q)
-            fresh_parent, fresh_depth, fresh_potential = lp._tree(adjacency)
+            fresh_parent, fresh_depth, fresh_potential = reference_walk(adjacency)
             assert parent == fresh_parent
             assert depth == fresh_depth
             assert np.array(potential).tobytes() == np.array(fresh_potential).tobytes()
@@ -757,7 +774,7 @@ def assert_strongly_feasible_tree(mu, adjacency, m: int) -> None:
     """``m + n - 1`` basic cells that span the type nodes, and every basic
     cell without mass has its row node as the child of its column node."""
     assert sum(map(len, adjacency)) == 2 * (len(adjacency) - 1)
-    parent, _, _ = lp._tree(adjacency)
+    parent, _, _ = reference_walk(adjacency)
     assert all(node >= 0 for node in parent[1:])
     for x in range(m):
         for column in adjacency[x]:
@@ -767,7 +784,7 @@ def assert_strongly_feasible_tree(mu, adjacency, m: int) -> None:
 
 def assert_walked(adjacency, parent, depth, potential) -> None:
     """The tree a start returns is a full walk of its basis, bit for bit."""
-    fresh_parent, fresh_depth, fresh_potential = lp._tree(adjacency)
+    fresh_parent, fresh_depth, fresh_potential = reference_walk(adjacency)
     assert parent == fresh_parent
     assert depth == fresh_depth
     assert np.array(potential).tobytes() == np.array(fresh_potential).tobytes()
