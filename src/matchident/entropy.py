@@ -25,13 +25,14 @@ down or stall on a plateau; when the sweeps still needed would cost more
 than a Newton phase, damped Newton steps on the dual take over at full
 scale (Brauer, Clason, Lorenz & Wirth, "A Sinkhorn-Newton method for
 entropic optimal transport", 2017).  They start from the exact LP's dual
-potentials, to which the regularized ones tend as the scale grows
-(Cominetti & San Martín, Math. Prog. 1994).  Only those duals are read, so
-the LP's start basis fills the cells in order of surplus rather than in
-the northwest corner's row-major order, and up to ten log-domain sweeps
-then fit every row to within a factor ``e`` before the first Newton step.
-Nothing of the sweeps' state carries over to the Newton phase, so the
-hand-over is first weighed early, after 20 sweeps.
+potentials, to which the regularized ones tend as the scale grows, plus
+the correction its vertex fixes (Cominetti & San Martín, Math. Prog. 1994):
+each tree cell of the basis gets the vertex's flow.  The LP's start basis
+fills the cells in order of surplus rather than in the northwest corner's
+row-major order.  Where that vertex start misses a line sum by more than a
+factor ``e``, up to ten log-domain sweeps from the duals fit every row to
+within that factor instead.  Nothing of the sweeps' state carries over to
+the Newton phase, so the hand-over is first weighed early, after 20 sweeps.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ _SCALING_RANGE = 1e50
 
 #: IPFP weighs a hand-over to Newton steps every this many sweeps, at the
 #: rate of the last block, so the first judgement comes after two blocks.
-#: The Newton phase starts from the LP's duals and discards the sweeps, so
+#: The Newton phase starts from the LP and discards the sweeps, so
 #: an early judgement saves their cost without changing the answer of a
 #: solve that is handed over.  10 is the floor: blocks of 8 or fewer judge
 #: the 2x8 market of
@@ -165,8 +166,8 @@ class IpfpReport:
     Newton phase that takes over when the sweeps stall.  ``margin_error`` is
     what the stopping test last read: the row error after a sweep (the sweep
     ends by fitting the columns), the larger of the row and column errors
-    after a Newton step.  ``iterations`` and ``converged`` are read off
-    these fields.
+    after a Newton step, or at the Newton phase's start if it took none.
+    ``iterations`` and ``converged`` are read off these fields.
     """
 
     mu: Matching
@@ -311,14 +312,14 @@ def _ipfp(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     ``kernel @ b`` the next row update divides by.  Every ``_BLOCK`` sweeps
     from the second block on (sweep 20, 30, ...) the loop estimates how
     many more it needs at the last block's rate.  It hands over to
-    ``_newton``, started from ``_warm_start``, once they would cost more
-    than the Newton phase with its LP, or cannot finish within
-    ``IPFP_MAX_ITER``.  If the Newton phase
-    stalls, the sweeps go on from where they stopped, exactly as they would
-    have alone.  A margin error that is inf or nan, from a kernel sum past
-    the float range, ends the sweeps on the last finite one.  A solve that
-    ends unconverged returns the state of whichever phase, sweeps or
-    Newton, came closer.
+    ``_newton``, started from ``_warm_start``'s LP vertex or duals, once
+    they would cost more than the Newton phase with its LP, or cannot finish
+    within ``IPFP_MAX_ITER``; a start within ``IPFP_TOL`` takes no step.  If
+    the Newton phase stalls, the sweeps go on from where they stopped,
+    exactly as they would have alone.  A margin error that is inf or nan,
+    from a kernel sum past the float range, ends the sweeps on the last
+    finite one.  A solve that ends unconverged returns the state of
+    whichever phase, sweeps or Newton, came closer.
     """
     f = -phi.max(axis=1)
     g = -(phi + f[:, None]).max(axis=0)
@@ -382,15 +383,22 @@ def _sweeps_needed(previous: float, error: float) -> float:
     return _BLOCK * math.log(error / IPFP_TOL) / math.log(previous / error)
 
 
+# A vertex start far off its lines may overflow; the gate then refuses it.
+@np.errstate(over="ignore")
 def _warm_start(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     """The doubly centred ``phi`` and log potentials that nearly fit it.
 
     Centring keeps large separable shifts out of the exponent.  The exact
     LP's duals on the centred ``phi``, scaled back by its largest entry, are
-    the limit of the regularized potentials as the scale grows; only the
-    duals are read, so the LP's start fills the cells in order of surplus,
-    which needs fewer pivots than ``maximize_surplus``'s northwest corner.
-    Log-domain sweeps from the column duals then fit the margins, so no
+    the limit of the regularized potentials as the scale grows.  The LP
+    fills its start in order of surplus, which needs fewer pivots than
+    ``maximize_surplus``'s northwest corner.  Its basis tree, walked parents
+    first, then moves each node's potential so that the node's tree cell
+    holds the vertex's flow; an empty cell (``core``'s rule) keeps its
+    dual's value.  That vertex start is taken when every row and column sum
+    is within a factor ``e`` of its margin.  Near-tied cells off the tree
+    can take far more, as on the size ladder from 80 sides up; then
+    log-domain sweeps from the column duals fit the margins instead, so no
     type, however small its mass, starts far off it.  Each sweep fits the
     columns exactly; the sweeps go on, ``_BLOCK`` (10) at most, until every
     row sum is within a factor ``e`` of its margin too.  The LP keeps every
@@ -409,7 +417,20 @@ def _warm_start(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
     # would pivot to its cap.
     if not np.isfinite(cost).all():
         raise ValidationError("phi is too large: its doubly centred form overflows")
-    g = -spread * lp._transport(cost, p, q, cost)[2]
+    _, f, g, _, _, (parent, depth, flow) = lp._transport(cost, p, q, cost)
+    f, g = -spread * f, -spread * g
+    m, correction = p.size, [0.0] * len(parent)
+    for node in sorted(range(1, len(parent)), key=depth.__getitem__):
+        up = parent[node]
+        x, y = (node, up - m) if node < m else (up, node - m)
+        if flow[node] > BOUNDARY_TOL * p[x] * q[y]:  # not empty by core's rule
+            correction[node] = math.log(flow[node]) - (centred[x, y] + f[x] + g[y])
+        correction[node] -= correction[up]
+    vertex_f, vertex_g = f + correction[:m], g + correction[m:]
+    kernel = np.exp(centred + vertex_f[:, None] + vertex_g[None, :])
+    ratio = np.concatenate([kernel.sum(axis=1) / p, kernel.sum(axis=0) / q])
+    if 1.0 / math.e <= ratio.min() and ratio.max() <= math.e:  # the sweeps' test, both sides
+        return centred, vertex_f, vertex_g
     for _ in range(_BLOCK):
         f, g = _fit_margins(centred, g, p, q)
         ratio = np.exp(centred + f[:, None] + g[None, :]).sum(axis=1) / p
@@ -474,7 +495,8 @@ def _newton(
             slope = float(gradient_f @ df + gradient_g @ dg[:-1])
             t = 1.0
             while True:
-                trial = _dual(phi, f + t * df, g + t * dg, p, q)
+                trial_f, trial_g = f + t * df, g + t * dg
+                trial = _dual(phi, trial_f, trial_g, p, q)
                 trial_value, trial_error = trial[3:]
                 decrease = trial_value <= value + _ARMIJO * t * slope
                 if decrease or trial_error < error:
@@ -482,8 +504,7 @@ def _newton(
                 t *= 0.5
                 if t < _MIN_STEP:
                     return mu, steps, error
-            f, g = f + t * df, g + t * dg
-            mu, rows, cols, value, error = trial
+            f, g, (mu, rows, cols, value, error) = trial_f, trial_g, trial
     return mu, steps, error
 
 

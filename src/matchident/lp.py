@@ -20,8 +20,8 @@ slice of the sorted order at a time, and walks row 0's tree; each other
 tree hangs below a column of that walk through a zero cell from its lowest
 row, so the start is strongly feasible (Cunningham, Math. Prog. 1976).
 ``maximize_surplus`` fills a constant, which is the northwest corner; the
-entropic warm start reads only the duals and fills by surplus, which needs
-a fraction of the pivots.  The simplex itself, ``_transport``, works on
+entropic warm start fills by surplus, for a fraction of the pivots, and
+reads the duals and the tree.  The simplex itself, ``_transport``, works on
 arrays and prices on one cost buffer, the present types' block: a
 zero-mass type's cells are zero on the whole polytope, and on positive
 margins every start is strongly feasible.  It embeds the node flows as
@@ -292,7 +292,7 @@ def _simplex(phi: Surplus, margins: Margins, fill: np.ndarray) -> LpSolution:
     """The solve of ``maximize_surplus`` from ``_greedy_start`` on ``fill``,
     packaged as a validated ``LpSolution``."""
     cost = phi.phi
-    mu, dual_f, dual_g, pivots, degenerate = _transport(cost, margins.p, margins.q, fill)
+    mu, dual_f, dual_g, pivots, degenerate, _ = _transport(cost, margins.p, margins.q, fill)
     if not (np.isfinite(dual_f).all() and np.isfinite(dual_g).all()):
         raise ValidationError("phi is too large: the dual potentials overflow")
     # The cycles leave rounding-size masses where exact arithmetic empties a
@@ -323,8 +323,10 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
     entries); only a potential scaled back can overflow.  Each absent type
     then takes its least feasible potential, columns first.  Returns the
     masses, as the pivots left them, the potentials ``dual_f`` and
-    ``dual_g`` (the last ``dual_g`` zero), and the pivot and degenerate
-    pivot counts.  ``cost`` must be finite: nothing here tests it.
+    ``dual_g`` (the last ``dual_g`` zero), the pivot and degenerate pivot
+    counts, and the last tree: the lists of each node's parent, depth and
+    flow, numbered on the present block.  ``cost`` must be finite: nothing
+    here tests it.
     """
     held_rows, held_cols = _present(p, q)
     rows, cols = held_rows.nonzero()[0], held_cols.nonzero()[0]
@@ -366,7 +368,8 @@ def _transport(cost: np.ndarray, p: np.ndarray, q: np.ndarray, fill: np.ndarray)
         f[~held_rows] = (np.ldexp(cost[~held_rows], -scale) - g).max(axis=1)
     shift = g[-1]
     with np.errstate(over="ignore"):
-        return mu, np.ldexp(f + shift, scale), np.ldexp(g - shift, scale), pivots, degenerate
+        f, g = np.ldexp(f + shift, scale), np.ldexp(g - shift, scale)
+    return mu, f, g, pivots, degenerate, (parent, depth, flow)
 
 
 def is_maximizer(phi: Surplus, mu: Matching) -> bool:

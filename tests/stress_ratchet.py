@@ -5,7 +5,10 @@ Solves each market of ``conftest.entropic_stress_market`` in the range with
 A market fails when the solve raises or the certificate does not hold.  The
 script exits 1 if any market outside ``KNOWN_FAILURES`` fails, so a change
 can mend those markets but break no other.  It prints the failures, the
-known ones that now pass, and the total sweeps and Newton steps.
+known ones that now pass, and the total sweeps and Newton steps.  It also
+exits 1 when the Newton steps of the markets that pass exceed
+``NEWTON_STEP_CEILING``, so a change that loses the Newton phase's start
+from the LP vertex fails too.
 
 Run it from the repository root (about 20 s)::
 
@@ -31,6 +34,10 @@ FIRST, LAST = 4_000, 11_999
 #: failed while the exact LP's start dropped any remainder below an
 #: absolute cutoff all pass.
 KNOWN_FAILURES = frozenset({11777})
+
+#: The Newton steps of the passing markets are 56,176 from the LP vertex
+#: start and were 71,426 from the LP's duals alone.
+NEWTON_STEP_CEILING = 60_000
 
 
 def solve(i: int) -> tuple[str | None, int, int]:
@@ -65,7 +72,9 @@ def main() -> int:
         f" {sweeps} sweeps and {steps} Newton steps in the rest;"
         f" {time.perf_counter() - start:.1f} s"
     )
-    return 1 if new else 0
+    if steps > NEWTON_STEP_CEILING:
+        print(f"{steps} Newton steps exceed the ceiling of {NEWTON_STEP_CEILING}")
+    return 1 if new or steps > NEWTON_STEP_CEILING else 0
 
 
 if __name__ == "__main__":

@@ -28,10 +28,11 @@ from matchident import (
     gauge,
     grad_entropy,
     is_nonseparable,
+    maximize_surplus,
     solve_regularized,
     total_surplus,
 )
-from matchident import entropy
+from matchident import entropy, lp
 from conftest import (
     assert_ipfp_certificate,
     entropic_stress_market,
@@ -125,6 +126,45 @@ def ipfp_sweeps_reference(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
         phi[rows, cols] + f[rows] + np.log(a[rows]) + g[cols] + np.log(b[cols])
     )
     return mu, sweeps, folds, error
+
+
+def spy(monkeypatch, name: str) -> list:
+    """Wrap ``entropy.<name>`` so that each call appends its arguments and
+    its result to the returned list."""
+    calls = []
+    real = getattr(entropy, name)
+
+    def spied(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(entropy, name, spied)
+    return calls
+
+
+def lp_dual_fit_reference(phi: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """The warm start from the exact LP's duals alone, written plainly: the
+    doubly centred ``phi``, the LP's column duals on it scaled back by its
+    largest entry, then log-domain sweeps, rows then columns, until every
+    row sum is within a factor ``e`` of its margin, ten at most.  The same
+    expressions in the same order as ``entropy``; returns ``(f, g)``."""
+    centred = phi - phi.mean(axis=1)[:, None]
+    centred -= centred.mean(axis=0)[None, :]
+    spread = float(np.abs(centred).max()) or 1.0
+    cost = centred / spread
+    g = -spread * lp._transport(cost, p, q, cost)[2]
+    for _ in range(10):
+        z = centred + g[None, :]
+        peak = z.max(axis=1)
+        f = np.log(p) - peak - np.log(np.exp(z - peak[:, None]).sum(axis=1))
+        z = centred + f[:, None]
+        peak = z.max(axis=0)
+        g = np.log(q) - peak - np.log(np.exp(z - peak[None, :]).sum(axis=0))
+        ratio = np.exp(centred + f[:, None] + g[None, :]).sum(axis=1) / p
+        if 1.0 / math.e <= ratio.min() and ratio.max() <= math.e:
+            break
+    return f, g
 
 
 def tangent_fd_gradient_error(
@@ -536,18 +576,46 @@ class TestSolveRegularized:
             _, report = solve_regularized(model, phi, margins)
             assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
 
-    def test_light_row_that_shares_its_only_tight_column_converges(self):
+    def test_light_row_that_shares_its_only_tight_column_converges(self, monkeypatch):
         """Market 2242 of the stress recipe, 3x3 with a row type of mass
         4.9e-13 and a column type of 6.2e-13: the LP's duals make the light
-        column tight in a heavy row, so one sweep leaves the light row's sum
-        3e-12 times its margin, and the Newton step for it (about 3e11)
-        fails every backtracking trial.  The warm start sweeps on until
-        every row sum is within a factor e of its margin."""
+        column tight in a heavy row, so one sweep from them leaves the light
+        row's sum 3e-12 times its margin, and the Newton step for it (about
+        3e11) fails every backtracking trial.  The LP vertex's flows put the
+        light row's mass on its tree cell, so the Newton phase starts from
+        the vertex and converges there."""
         margins, phi = entropic_stress_market(2242)
         assert margins.p.min() < 1e-12 and margins.q.min() < 1e-12
+        newton_calls = spy(monkeypatch, "_newton")
         _, report = solve_regularized(EntropyModel.shannon(), phi, margins)
-        assert report.newton_steps > 0
+        assert newton_calls
         assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
+
+    def test_light_row_off_the_vertex_start_is_fitted_before_the_newton_phase(
+        self, monkeypatch
+    ):
+        """Market 869 of the stress recipe, 17x5 with a row type of mass
+        9.6e-14 and a column type of 1.6e-13, whose vertex start misses a
+        line by more than a factor e.  The warm start falls back to the
+        LP's duals, where one sweep leaves the light row's sum below 1e-11
+        times its margin and the Newton phase started there fails its first
+        line search.  The sweeps go on until every row sum is within a
+        factor e of its margin, and the Newton phase converges from there."""
+        margins, phi = entropic_stress_market(869)
+        assert margins.p.min() < 1e-12 and margins.q.min() < 1e-12
+        fits = spy(monkeypatch, "_fit_margins")
+        newton_calls = spy(monkeypatch, "_newton")
+        _, report = solve_regularized(EntropyModel.shannon(), phi, margins)
+        ratios = [
+            np.exp(centred + f[:, None] + g[None, :]).sum(axis=1) / p
+            for (centred, _, p, _), (f, g) in fits
+        ]
+        assert len(ratios) >= 2 and ratios[0].min() < 1e-11
+        assert 1.0 / math.e <= ratios[-1].min() and ratios[-1].max() <= math.e
+        assert newton_calls and report.newton_steps > 0
+        assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
+        (centred, _, p, q), (f, g) = fits[0]
+        assert entropy._newton(centred, f, g, p, q, IPFP_MAX_ITER)[2] > IPFP_TOL
 
     def test_subnormal_kernel_cells_on_the_sweep_path_keep_their_digits(self):
         """A 2x8 market at surplus scale about 1090 with column masses down to
@@ -582,12 +650,14 @@ class TestSolveRegularized:
         assert_ipfp_certificate(phi.phi, margins, report.mu.mu)
 
     def test_hand_over_timing_does_not_change_the_answer(self, monkeypatch):
-        """The Newton phase starts from the LP's duals, not from the sweeps'
-        state, so handing over after ``2 * _BLOCK`` sweeps rather than
-        twice as many gives the same bytes and the same Newton steps.  The
-        markets are the plateau market and the benchmark's finite-sample
-        markets (10x10 to 30x30, drawn from seed 2102) at scales 10 to 400;
-        30x30 at scale 10 hands over at the second judgement either way."""
+        """The Newton phase starts from the LP's vertex or duals, not from
+        the sweeps' state, so handing over after ``2 * _BLOCK`` sweeps rather
+        than twice as many gives the same bytes and the same Newton steps.
+        The Newton phase runs in both solves; 20x20 at scale 400 converges
+        at its start, in no step.  The markets are the plateau market and
+        the benchmark's finite-sample markets (10x10 to 30x30, drawn from
+        seed 2102) at scales 10 to 400; 30x30 at scale 10 hands over at the
+        second judgement either way."""
         rng = np.random.default_rng(97)
         margins = random_margins(rng, 10, 10)
         markets = [(margins, random_surplus(rng, 10, 10, scale=50.0))]
@@ -597,13 +667,18 @@ class TestSolveRegularized:
             base = rng.standard_normal((d, d))
             markets += [(margins, Surplus(scale * base)) for scale in (10, 50, 100, 400)]
         model = EntropyModel.shannon()
+        newton_calls = spy(monkeypatch, "_newton")
         for margins, phi in markets:
+            newton_calls.clear()
             _, report = solve_regularized(model, phi, margins)
+            assert newton_calls
+            newton_calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(entropy, "_BLOCK", 2 * entropy._BLOCK)
                 _, later = solve_regularized(model, phi, margins)
+            assert newton_calls
             assert report.mu.mu.tobytes() == later.mu.mu.tobytes()
-            assert report.newton_steps == later.newton_steps > 0
+            assert report.newton_steps == later.newton_steps
             assert 2 * report.sweeps == later.sweeps
 
     def test_sweeps_match_the_plain_reference_bit_for_bit(self, monkeypatch):
@@ -740,3 +815,52 @@ class TestSolveRegularized:
     def test_only_shannon_is_supported(self, uniform2):
         with pytest.raises(ValidationError):
             solve_regularized(EntropyModel.gauge(), Surplus(np.zeros((2, 2))), uniform2)
+
+
+class TestWarmStart:
+    def test_vertex_start_puts_the_lp_flow_on_each_positive_basic_cell(self):
+        """On nondegenerate 6x9 markets at surplus scale 300, whose vertex
+        start fits every line within a factor e, the start's kernel holds the
+        LP vertex's mass on each of its 14 positive cells, within rounding."""
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            margins = random_margins(rng, 6, 9)
+            phi = random_surplus(rng, 6, 9, scale=300.0)
+            vertex = maximize_surplus(phi, margins).mu_opt.mu
+            positive = vertex > 0.0
+            assert positive.sum() == 6 + 9 - 1  # every basic cell holds mass
+            centred, f, g = entropy._warm_start(phi.phi, margins.p, margins.q)
+            kernel = np.exp(centred + f[:, None] + g[None, :])
+            np.testing.assert_allclose(kernel[positive], vertex[positive], rtol=1e-12)
+
+    def test_handed_over_finite_sample_markets_take_fewer_newton_steps(self):
+        """The benchmark's finite-sample markets (10x10 to 30x30, drawn from
+        seed 2102) at the scales whose sweeps hand over, 10 to 400: each
+        takes at most the Newton steps it took from the LP's duals alone,
+        58 in all against 96, and every answer carries the certificate."""
+        from_duals = {10: (9, 10, 10, 10), 20: (5, 6, 7, 7), 30: (8, 8, 8, 8)}
+        rng = np.random.default_rng(2102)
+        total = 0
+        for d, ceilings in from_duals.items():
+            margins = random_margins(rng, d, d)
+            base = rng.standard_normal((d, d))
+            for scale, ceiling in zip((10, 50, 100, 400), ceilings):
+                phi = scale * base
+                _, report = solve_regularized(EntropyModel.shannon(), Surplus(phi), margins)
+                assert report.newton_steps <= ceiling
+                assert_ipfp_certificate(phi, margins, report.mu.mu)
+                total += report.newton_steps
+        assert total <= 58
+
+    @pytest.mark.parametrize("scale", [100.0, 1000.0])
+    def test_a_start_off_the_lines_keeps_the_lp_dual_fit_bit_for_bit(self, scale):
+        """On the size ladder's 100x100 market (``bench/ladder.py``'s recipe),
+        the vertex start misses a line by more than a factor e, so the warm
+        start is the fit from the LP's duals alone, bit for bit."""
+        rng = np.random.default_rng(7)
+        p, q = rng.uniform(0.5, 1.5, 100), rng.uniform(0.5, 1.5, 100)
+        p, q = p / p.sum(), q / q.sum()
+        phi = rng.normal(0.0, 1.0, (100, 100)) * scale
+        _, f, g = entropy._warm_start(phi, p, q)
+        expected_f, expected_g = lp_dual_fit_reference(phi, p, q)
+        assert f.tobytes() == expected_f.tobytes() and g.tobytes() == expected_g.tobytes()
